@@ -24,6 +24,7 @@ from .axes import (
     DegenerateFitError,
     RankDecomposition,
     SpherePoint,
+    axis_tensor,
     fit_rk,
     majorana_polynomial,
     majorana_roots,
@@ -42,6 +43,7 @@ from .classify import (
     degeneracy_configuration,
     lu_equivalent,
     pure_separability_check,
+    separability_from_signature,
     signature_from_tensors,
 )
 from .families import (

@@ -2,7 +2,8 @@
 
 Clebsch-Gordan coefficients (Condon-Shortley convention, exact rational
 arithmetic inside the square roots), Wigner rotation matrices, irreducible
-tensor operator matrices and sequential tensor coupling of unit vectors.
+tensor operator matrices and sequential tensor coupling of unit vectors
+(the last kept as a reference for the polynomial form in ``axes``).
 """
 
 from __future__ import annotations
@@ -192,6 +193,8 @@ def tau_matrix(j, k, q) -> np.ndarray:
 def couple_pair(t1: np.ndarray, k1: int, t2: np.ndarray, k2: int, k: int) -> np.ndarray:
     """Couple two spherical tensors to rank k.
 
+    Reference implementation: the library builds axis tensors as polynomial
+    products (``axes.axis_tensor``) and keeps this as a test oracle.
     Components are indexed q + rank (ascending q).  Implements
     (t1 x t2)^k_q = sum_q1 C(k1 k2 k; q1, q - q1, q) t1_{q1} t2_{q - q1}.
     """
@@ -231,7 +234,11 @@ def q_vector(theta: float, phi: float) -> np.ndarray:
 
 
 def couple_axis_chain(directions: list[tuple[float, float]]) -> np.ndarray:
-    """Sequentially couple unit vectors ((Q1 x Q2)^2 x Q3)^3 ... up to rank n."""
+    """Sequentially couple unit vectors ((Q1 x Q2)^2 x Q3)^3 ... up to rank n.
+
+    Reference implementation: the library builds the same tensor as a
+    polynomial product (``axes.axis_tensor``) and keeps this as a test oracle.
+    """
     if not directions:
         raise ValueError("need at least one direction")
     acc = q_vector(*directions[0])

@@ -9,19 +9,27 @@ antipodal map and pair into k double-headed axes.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
-from .angular import couple_axis_chain
 from .fano import SphericalTensorSet
 from .halfint import HalfInteger, projections
 from .states import PureState
 
 ZERO_TOL = 1e-12
 PAIR_TOL = 1e-6
+#: The lines of an m-fold axis spread over up to about 4.6 eps^(1/m) rad
+#: (m = 6..20, rotated coherent, W and Dicke states up to 2j = 20), more
+#: when a near-z axis has lost a root pair to the z-axis trimming.
+MULTIPLE_SCATTER = 20.0
+#: Widest spread gathered as one axis, about that of a 14-fold axis; wider
+#: groups of lines are as likely to be distinct axes.
+MULTIPLE_SPREAD_MAX = 0.35
 
 
 class AxisPairingError(RuntimeError):
@@ -99,6 +107,9 @@ class Axis:
             # Equatorial axis: pick the head with phi in [0, pi).
             if v[1] < -flat_tol or (abs(v[1]) <= flat_tol and v[0] < 0.0):
                 v = -v
+            # acos(z) would land an ulp either side of pi/2 and break both
+            # the canonical-head rule and the (theta, phi) ordering.
+            return Axis(SpherePoint.create(math.pi / 2.0, math.atan2(v[1], v[0])))
         return Axis(SpherePoint.from_vector(v))
 
     @property
@@ -148,21 +159,26 @@ class RankDecomposition:
 
 def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray,
                   steps: int = 5) -> np.ndarray:
+    """Newton steps on all roots at once; each root keeps its best iterate
+    and stops for good once the derivative at it underflows."""
     deriv = np.polyder(coeffs_desc)
-    out = roots.copy()
-    for i, z in enumerate(out):
-        best = z
-        best_val = abs(np.polyval(coeffs_desc, z))
-        for _ in range(steps):
-            d = np.polyval(deriv, z)
-            if abs(d) < 1e-300:
-                break
-            z = z - np.polyval(coeffs_desc, z) / d
-            val = abs(np.polyval(coeffs_desc, z))
-            if val < best_val:
-                best, best_val = z, val
-        out[i] = best
-    return out
+    z = roots.copy()
+    pz = np.polyval(coeffs_desc, z)
+    best = z.copy()
+    best_val = np.abs(pz)
+    live = np.ones(len(z), dtype=bool)
+    for _ in range(steps):
+        d = np.polyval(deriv, z)
+        live &= np.abs(d) >= 1e-300
+        if not live.any():
+            break
+        z = np.where(live, z - pz / np.where(live, d, 1.0), z)
+        pz = np.polyval(coeffs_desc, z)
+        val = np.abs(pz)
+        better = live & (val < best_val)
+        best = np.where(better, z, best)
+        best_val = np.where(better, val, best_val)
+    return best
 
 
 def _roots_ascending(coeffs: np.ndarray) -> np.ndarray:
@@ -215,10 +231,36 @@ def mar_polynomial(t: SphericalTensorSet, k: int) -> np.ndarray:
     """
     if k < 1 or k > t.max_rank:
         raise ValueError(f"rank {k} outside 1..2j = {t.max_rank}")
-    coeffs = np.zeros(2 * k + 1, dtype=complex)
-    for q in range(-k, k + 1):
-        coeffs[k - q] = math.sqrt(math.comb(2 * k, k + q)) * t.component(k, q)
-    return coeffs
+    return (_root_binomials(k) * t.rank_components(k))[::-1]
+
+
+@lru_cache(maxsize=None)
+def _root_binomials(k: int) -> np.ndarray:
+    """sqrt(C(2k, k+q)) for q = -k .. k."""
+    out = np.sqrt([float(math.comb(2 * k, k + q)) for q in range(-k, k + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def axis_tensor(thetas, phis) -> np.ndarray:
+    """Rank-k tensor of k unit vectors (theta_i, phi_i), components ascending in q.
+
+    The MAR polynomial of the axes is the product of one quadratic per axis,
+    (a Z - b)(a + conj(b) Z) with a = cos(theta/2), b = sin(theta/2) e^{i phi};
+    component q is 2^{k/2} times its Z^{k-q} coefficient over sqrt(C(2k, k+q)).
+    This is the stretched coupling ((Q1 x Q2)^2 x ... )^k of the unit vectors,
+    which ``angular.couple_axis_chain`` builds by Clebsch-Gordan recursion.
+    """
+    half = 0.5 * np.asarray(thetas, dtype=float)
+    a = np.cos(half)
+    b = np.sin(half) * np.exp(1j * np.asarray(phis, dtype=float))
+    k = len(a)
+    if k == 0:
+        raise ValueError("need at least one direction")
+    poly = np.ones(1, dtype=complex)
+    for quad in zip(-a * b, a * a - np.abs(b) ** 2, a * np.conj(b)):
+        poly = np.convolve(poly, quad)
+    return poly[::-1] * (2.0 ** (0.5 * k) / _root_binomials(k))
 
 
 def _pair_antipodes(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
@@ -226,10 +268,8 @@ def _pair_antipodes(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
     n = len(vectors)
     if n % 2 != 0:
         raise AxisPairingError("odd number of points cannot pair", vectors)
-
-    def mismatch(i: int, l: int) -> float:
-        d = -float(np.dot(vectors[i], vectors[l]))
-        return math.acos(max(-1.0, min(1.0, d)))
+    v = np.array(vectors)
+    mismatch = np.arccos(np.clip(-(v @ v.T), -1.0, 1.0))
 
     # Greedy nearest-antipode matching.
     remaining = list(range(n))
@@ -237,23 +277,19 @@ def _pair_antipodes(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
     ok = True
     while remaining:
         i = remaining.pop(0)
-        best_l, best_val = None, math.inf
-        for l in remaining:
-            val = mismatch(i, l)
-            if val < best_val:
-                best_l, best_val = l, val
-        if best_l is None or best_val > tol:
+        if not remaining:
             ok = False
             break
-        remaining.remove(best_l)
-        pairs.append((i, best_l))
+        best = int(np.argmin(mismatch[i, remaining]))
+        if mismatch[i, remaining[best]] > tol:
+            ok = False
+            break
+        pairs.append((i, remaining.pop(best)))
 
     if not ok:
         # Optimal assignment fallback for degenerate clusters.
-        cost = np.empty((n, n))
-        for i in range(n):
-            for l in range(n):
-                cost[i, l] = math.inf if i == l else mismatch(i, l)
+        cost = mismatch.copy()
+        np.fill_diagonal(cost, math.inf)
         rows, cols = linear_sum_assignment(cost)
         match = dict(zip(rows.tolist(), cols.tolist()))
         pairs = []
@@ -263,7 +299,7 @@ def _pair_antipodes(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
             if i in used:
                 continue
             l = match[i]
-            if match.get(l) != i or mismatch(i, l) > tol:
+            if match.get(l) != i or mismatch[i, l] > tol:
                 bad.append(vectors[i])
                 continue
             used.update((i, l))
@@ -291,26 +327,86 @@ def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.n
             i = parent[i]
         return i
 
-    for i in range(n):
-        for l in range(i + 1, n):
-            d = abs(float(np.dot(vectors[i], vectors[l])))
-            if math.acos(min(1.0, d)) <= tol:
-                ri, rl = find(i), find(l)
-                if ri != rl:
-                    parent[rl] = ri
+    rows, cols = np.triu_indices(n, 1)
+    for pair in np.flatnonzero(np.arccos(line_cosines(vectors)) <= tol):
+        ri, rl = find(int(rows[pair])), find(int(cols[pair]))
+        if ri != rl:
+            parent[rl] = ri
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        ref = vectors[members[0]]
-        acc = np.zeros(3)
-        for i in members:
-            v = vectors[i]
-            acc += v if float(np.dot(v, ref)) >= 0.0 else -v
-        out.append((acc / np.linalg.norm(acc), len(members)))
+    return [(_mean_line(vectors, members), len(members)) for members in groups.values()]
+
+
+def _mean_line(vectors: list[np.ndarray], members) -> np.ndarray:
+    """Unit mean of the member lines, each flipped onto the first one's head."""
+    ref = vectors[members[0]]
+    acc = np.zeros(3)
+    for i in members:
+        v = vectors[i]
+        acc += v if float(np.dot(v, ref)) >= 0.0 else -v
+    return acc / np.linalg.norm(acc)
+
+
+def multiple_axis_groups(vectors: list[np.ndarray],
+                         floor_tol: float) -> list[tuple[np.ndarray, int]] | None:
+    """Group line directions, first gathering the lines of each m-fold axis.
+
+    An m-fold axis reaches the solver as m lines spread over up to
+    ``MULTIPLE_SCATTER * eps^(1/m)`` rad (at most ``MULTIPLE_SPREAD_MAX``),
+    wider than ``floor_tol`` from m = 5 on.  Repeatedly take the largest m for which some line and its m - 1 nearest
+    free lines span no more than that; the lines left over are clustered at
+    ``floor_tol``.  Returns None when no such group exists, that is when
+    this grouping is ``cluster_directions(vectors, floor_tol)``.
+    """
+    limit, cos_limit = _group_limits(len(vectors), floor_tol)
+    v = np.array(vectors)
+    free = np.arange(len(v))
+    groups = []
+    while len(free) > 1 and limit[len(free) - 1] > 0.0:
+        w = v[free]
+        cosines = np.abs(w @ w.T)
+        # a group of m needs a line whose m - 1 nearest lie within limit[m - 1]
+        if not (-np.sort(-cosines, axis=1) >= cos_limit[: len(free)]).any():
+            break
+        angles = np.arccos(np.clip(cosines, 0.0, 1.0))
+        order = np.argsort(angles, axis=1)
+        # span[i, m - 1]: largest angle among line i and its m - 1 nearest
+        near = angles[order[:, :, None], order[:, None, :]]
+        span = np.maximum.accumulate(np.triu(near).max(axis=1), axis=1)
+        fits = span <= limit[: len(free)]
+        found = np.flatnonzero(fits.any(axis=0))
+        if not len(found):
+            break
+        m = int(found[-1]) + 1
+        seed = int(np.argmin(np.where(fits[:, m - 1], span[:, m - 1], np.inf)))
+        members = free[order[seed, :m]]
+        groups.append(members.tolist())
+        free = np.setdiff1d(free, members)
+    if not groups:
+        return None
+    out = [(_mean_line(vectors, members), len(members)) for members in groups]
+    if len(free):
+        out.extend(cluster_directions([vectors[i] for i in free], floor_tol))
     return out
+
+
+@lru_cache(maxsize=None)
+def _group_limits(n: int, floor_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Widest spread of an m-fold axis's lines for m = 1 .. n, and its cosine.
+
+    Sizes whose spread ``floor_tol`` already covers get -1 (cosine 2), so
+    they never form a group here.
+    """
+    sizes = np.arange(1, n + 1)
+    limit = np.minimum(MULTIPLE_SCATTER * np.finfo(float).eps ** (1.0 / sizes),
+                       MULTIPLE_SPREAD_MAX)
+    limit[limit <= floor_tol] = -1.0
+    cos_limit = np.where(limit > 0.0, np.cos(limit), 2.0)
+    limit.flags.writeable = False
+    cos_limit.flags.writeable = False
+    return limit, cos_limit
 
 
 def _ordered_axis_list(clusters: list[tuple[np.ndarray, int]]) -> tuple:
@@ -320,19 +416,16 @@ def _ordered_axis_list(clusters: list[tuple[np.ndarray, int]]) -> tuple:
 
 
 def fit_rk(components: np.ndarray, axes: tuple) -> tuple[float, float]:
-    """Least-squares magnitude of t^k over the sequentially coupled axis tensor.
+    """Least-squares magnitude of t^k over the axis tensor of ``axes``.
 
-    Axes are coupled in descending-multiplicity, then (theta, phi) order;
-    the head-flip phase freedom is absorbed by reporting a magnitude.
+    The head-flip phase freedom is absorbed by reporting a magnitude.
     Returns (r_k, max-residual).
     """
-    directions: list[tuple[float, float]] = []
-    for axis, mult in sorted(axes, key=lambda am: (-am[1], am[0].theta, am[0].phi)):
-        directions.extend([(axis.theta, axis.phi)] * mult)
-    k = len(directions)
-    if len(components) != 2 * k + 1:
+    mults = [m for _, m in axes]
+    if len(components) != 2 * sum(mults) + 1:
         raise ValueError("total axis multiplicity must equal the rank")
-    coupled = couple_axis_chain(directions)
+    coupled = axis_tensor(np.repeat([a.theta for a, _ in axes], mults),
+                          np.repeat([a.phi for a, _ in axes], mults))
     denom = float(np.sum(np.abs(coupled) ** 2))
     if denom < 1e-14:
         raise DegenerateFitError("coupled axis tensor vanished")
@@ -355,10 +448,7 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
         x0 += [axis.theta, axis.phi]
 
     def residual_vec(x):
-        directions = []
-        for i, mult in enumerate(mults):
-            directions.extend([(x[2 * i], x[2 * i + 1])] * mult)
-        coupled = couple_axis_chain(directions)
+        coupled = axis_tensor(np.repeat(x[0::2], mults), np.repeat(x[1::2], mults))
         denom = float(np.sum(np.abs(coupled) ** 2))
         if denom < 1e-14:
             return np.full(2 * len(comp), 1e3)
@@ -416,15 +506,18 @@ def solve_axes(
         raise AxisPairingError(
             f"rank {k}: expected {k} axes, built {len(lines)}", vectors)
 
-    # Cluster coarse-to-fine: accept the coarsest grouping that the tensor
-    # itself validates (tiny residual after refinement); over-merging
-    # distinct axes cannot fit, so it falls through to a finer tolerance.
+    # Accept the coarsest grouping that the tensor itself validates (tiny
+    # residual after refinement), the m-fold axes gathered first;
+    # over-merging distinct axes cannot fit, so it falls through to a finer
+    # one.
     accept = 1e-9 * max(1.0, scale)
+    tols = [c for c in (1e-2, 1e-3, 1e-4, 1e-5) if c > pair_tol]
+    tols.append(pair_tol)
+    multiple = multiple_axis_groups(lines, tols[0])
     best = None
-    candidates = [c for c in (1e-2, 1e-3, 1e-4, 1e-5) if c > pair_tol]
-    candidates.append(pair_tol)
-    for cluster_tol in candidates:
-        axes = _ordered_axis_list(cluster_directions(lines, cluster_tol))
+    for clusters in itertools.chain([] if multiple is None else [multiple],
+                                    (cluster_directions(lines, tol) for tol in tols)):
+        axes = _ordered_axis_list(clusters)
         r_k, residual = fit_rk(comp, axes)
         if residual > 1e-12 * max(1.0, scale):
             axes = _refine_axes(comp, axes)
@@ -450,13 +543,15 @@ def solve_all_axes(
 
 def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:
     """|cos(angle)| for every unordered pair of axes, multiplicity counted, sorted descending."""
-    vectors: list[np.ndarray] = []
-    for decomp in decompositions:
-        for axis in decomp.expanded_axes():
-            vectors.append(axis.unit_vector)
-    values = []
-    for i in range(len(vectors)):
-        for l in range(i + 1, len(vectors)):
-            values.append(min(1.0, abs(float(np.dot(vectors[i], vectors[l])))))
-    values.sort(reverse=True)
-    return values
+    vectors = [axis.unit_vector for decomp in decompositions
+               for axis in decomp.expanded_axes()]
+    return np.sort(line_cosines(vectors))[::-1].tolist()
+
+
+def line_cosines(vectors: list[np.ndarray]) -> np.ndarray:
+    """min(1, |cos|) of the angle between every unordered pair of lines."""
+    if len(vectors) < 2:
+        return np.zeros(0)
+    v = np.array(vectors)
+    upper = np.triu_indices(len(v), 1)
+    return np.minimum(1.0, np.abs(v @ v.T)[upper])

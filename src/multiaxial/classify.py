@@ -13,6 +13,7 @@ from .axes import (
     RankDecomposition,
     cluster_directions,
     fit_rk,
+    line_cosines,
     pairwise_invariants,
     solve_all_axes,
 )
@@ -183,25 +184,42 @@ def pure_separability_check(
     rho: DensityMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SeparabilityVerdict:
     """The aligned-axes-plus-reference-scalars recipe; pure states only."""
-    report = validate(rho)
-    if abs(report.purity - 1.0) > tolerances.purity:
+    purity = validate(rho).purity
+    mixed = _mixed_verdict(purity, tolerances)
+    if mixed is not None:
+        return mixed
+    return separability_from_signature(class_signature(rho, tolerances), purity, tolerances)
+
+
+def _mixed_verdict(purity: float, tolerances: Tolerances) -> SeparabilityVerdict | None:
+    if abs(purity - 1.0) > tolerances.purity:
         return SeparabilityVerdict(
-            False, False, f"not applicable: mixed state (purity {report.purity:.6f})"
+            False, False, f"not applicable: mixed state (purity {purity:.6f})"
         )
-    signature = class_signature(rho, tolerances)
-    all_axes: list[Axis] = []
-    for decomp in signature.decompositions():
-        all_axes.extend(decomp.expanded_axes())
-    max_angle = 0.0
-    for i in range(len(all_axes)):
-        for l in range(i + 1, len(all_axes)):
-            max_angle = max(max_angle, all_axes[i].angle_to(all_axes[l]))
+    return None
+
+
+def separability_from_signature(
+    signature: ClassSignature, purity: float,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> SeparabilityVerdict:
+    """The pure-state recipe judged from an already computed signature.
+
+    ``purity`` is Tr(rho^2) of the state the signature belongs to.
+    """
+    mixed = _mixed_verdict(purity, tolerances)
+    if mixed is not None:
+        return mixed
+    vectors = [axis.unit_vector for decomp in signature.decompositions()
+               for axis in decomp.expanded_axes()]
+    cosines = line_cosines(vectors)
+    max_angle = math.acos(float(cosines.min())) if len(cosines) else 0.0
     if max_angle > tolerances.angle:
         return SeparabilityVerdict(
             False, True,
             f"axes not all collinear (max pairwise angle {max_angle:.3e} rad)",
         )
-    reference = separable_reference_r(rho.j.twice)
+    reference = separable_reference_r(signature.j.twice)
     r_values = signature.r_values
     for k, r_ref in reference.items():
         r_here = r_values.get(k, 0.0)

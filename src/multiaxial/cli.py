@@ -23,6 +23,8 @@ from .classify import (
     class_signature,
     lu_equivalent,
     pure_separability_check,
+    separability_from_signature,
+    signature_from_tensors,
 )
 from .families import FAMILY_PARAMS, FamilyParameterError, family_density, family_ranges
 from .fano import extract_tensors
@@ -55,7 +57,7 @@ def _angles_of(axis) -> dict:
 def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
     report = validate(rho)
     tensors = extract_tensors(rho)
-    signature = class_signature(rho, tolerances)
+    signature = signature_from_tensors(tensors, tolerances)
 
     tensor_table = []
     for k in range(tensors.max_rank + 1):
@@ -76,7 +78,7 @@ def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
         ranks.append(item)
 
     if report.is_pure:
-        verdict = pure_separability_check(rho, tolerances)
+        verdict = separability_from_signature(signature, report.purity, tolerances)
         separability = {
             "method": "pure-recipe",
             "separable": verdict.separable,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,16 +71,44 @@ class SphericalTensorSet:
             )
 
 
-def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
-    """All t^k_q = Tr(rho tau^k_q) for k = 0 .. 2j."""
-    n = rho.j.twice
-    ranks = []
-    for k in range(n + 1):
-        comp = np.empty(2 * k + 1, dtype=complex)
+@lru_cache(maxsize=None)
+def _tau_table(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and weights of every tau^k_q of one spin, k = 0 .. 2j.
+
+    tau^k_q has one non-zero diagonal, <j m+q|tau^k_q|j m>, so the diagonal
+    of rho tau^k_q holds rho[m, m+q] tau[m+q, m] where m+q exists and 0
+    elsewhere.  Row (k, q) of the table holds, in diagonal position m, the
+    flat index of that rho entry and the (real) tau entry, or weight 0.  The
+    row sum then adds the same terms in the same positions as
+    np.trace(rho @ tau) does, so it rounds the same way; degenerate states
+    sit on thresholds that a last-bit change in t^k_q can tip.
+    Rows run k ascending, then q ascending.
+    """
+    j = HalfInteger(twice_j)
+    dim = twice_j + 1
+    index = np.zeros((dim * dim, dim), dtype=np.intp)
+    weight = np.zeros((dim * dim, dim))
+    row = 0
+    for k in range(dim):
         for q in range(-k, k + 1):
-            comp[q + k] = np.trace(rho.matrix @ tau_matrix(rho.j, k, q))
-        ranks.append(comp)
-    return SphericalTensorSet(rho.j, tuple(ranks))
+            tau = tau_matrix(j, k, q)
+            cols = np.arange(max(0, q), min(dim, dim + q))  # ket m
+            rows = cols - q                                  # bra m+q
+            index[row, cols] = cols * dim + rows
+            weight[row, cols] = tau[rows, cols].real
+            row += 1
+    index.flags.writeable = False
+    weight.flags.writeable = False
+    return index, weight
+
+
+def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
+    """All t^k_q = Tr(rho tau^k_q) for k = 0 .. 2j, as one gather over the tau table."""
+    n = rho.j.twice
+    index, weight = _tau_table(n)
+    flat = (np.ravel(rho.matrix)[index] * weight).sum(axis=1)
+    ranks = tuple(flat[k * k: (k + 1) * (k + 1)] for k in range(n + 1))
+    return SphericalTensorSet(rho.j, ranks)
 
 
 def reconstruct_density(t: SphericalTensorSet) -> DensityMatrix:

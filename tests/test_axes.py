@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from multiaxial.angular import couple_axis_chain
 from multiaxial.axes import (
     Axis,
     SpherePoint,
+    _polish_roots,
+    axis_tensor,
+    cluster_directions,
     fit_rk,
     majorana_polynomial,
     majorana_roots,
     mar_polynomial,
+    multiple_axis_groups,
     pairwise_invariants,
     solve_all_axes,
     solve_axes,
@@ -304,3 +309,124 @@ class TestInvariantsAndRigidity:
         axis, _ = d.axes[0]
         assert axis.theta == pytest.approx(0.9, abs=1e-10)
         assert axis.phi == pytest.approx(1.7, abs=1e-10)
+
+
+class TestEquatorialAxes:
+    def test_ghz_equatorial_axes_exact_and_ordered(self):
+        # equal-multiplicity equatorial axes sort by phi alone once theta is
+        # exactly pi/2; an ulp above it would also break the canonical head
+        for n in (4, 8):
+            d = solve_axes(extract_tensors(pure_to_density(make_ghz(n))), n)
+            assert [m for _, m in d.axes] == [2] * (n // 2)
+            assert all(a.theta == math.pi / 2 for a, _ in d.axes)
+            phis = [a.phi for a, _ in d.axes]
+            assert phis == sorted(phis)
+            for a, eph in zip(phis, (2 * np.arange(n // 2) + 1) * math.pi / n):
+                assert a == pytest.approx(eph, abs=1e-6)
+
+    def test_near_equatorial_vector_snaps(self):
+        a = Axis.from_vector(np.array([-1.0, -1.0, 1e-13]))
+        assert a.theta == math.pi / 2
+        assert a.phi == pytest.approx(math.pi / 4, abs=1e-12)
+
+
+def _ring(axis, m, radius, twist=0.3):
+    """m unit lines at angle ``radius`` around ``axis``, as an m-fold root scatters."""
+    axis = axis / np.linalg.norm(axis)
+    u = np.cross(axis, [0.0, 0.0, 1.0] if abs(axis[2]) < 0.9 else [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    w = np.cross(axis, u)
+    return [math.cos(radius) * axis + math.sin(radius) * (math.cos(a) * u + math.sin(a) * w)
+            for a in twist + 2 * math.pi * np.arange(m) / m]
+
+
+class TestMultipleAxisGroups:
+    def test_gathers_a_scattered_ten_fold_axis(self):
+        # eps^(1/10) is about 0.027 rad: wider than the 1e-2 clustering
+        axis = np.array([0.3, -0.5, 0.8])
+        lines = _ring(axis, 10, 0.04) + [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+        assert len(cluster_directions(lines, 1e-2)) == 12
+        groups = multiple_axis_groups(lines, 1e-2)
+        assert sorted(m for _, m in groups) == [1, 1, 10]
+        ten = next(v for v, m in groups if m == 10)
+        assert abs(float(np.dot(ten, axis / np.linalg.norm(axis)))) > 1.0 - 1e-9
+
+    def test_distinct_axes_give_none(self):
+        rng = np.random.default_rng(5)
+        for k in (2, 6, 12, 20):
+            v = rng.normal(size=(k, 3))
+            assert multiple_axis_groups(list(v / np.linalg.norm(v, axis=1)[:, None]), 1e-2) is None
+
+    def test_low_multiplicity_left_to_the_plain_clustering(self):
+        # a 3-fold axis scatters by about eps^(1/3) = 6e-6 rad, well inside 1e-2
+        lines = _ring(np.array([0.0, 0.0, 1.0]), 3, 1e-3)
+        assert multiple_axis_groups(lines, 1e-2) is None
+        assert [m for _, m in cluster_directions(lines, 1e-2)] == [3]
+
+    def test_too_wide_for_its_multiplicity_stays_apart(self):
+        # six lines 0.2 rad around one axis: far wider than a 6-fold root scatters
+        assert multiple_axis_groups(_ring(np.array([0.0, 1.0, 0.0]), 6, 0.2), 1e-2) is None
+
+
+class TestAxisTensor:
+    def test_matches_clebsch_gordan_chain(self):
+        # the polynomial product, scaled by 2^{k/2}, is the sequential CG
+        # coupling, phase included
+        rng = np.random.default_rng(23)
+        for k in range(1, 21):
+            thetas = rng.uniform(0.0, math.pi, k)
+            phis = rng.uniform(0.0, 2.0 * math.pi, k)
+            chain = couple_axis_chain(list(zip(thetas, phis)))
+            poly = axis_tensor(thetas, phis)
+            assert np.max(np.abs(poly - chain)) <= 1e-13 * np.max(np.abs(chain))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            axis_tensor([], [])
+
+
+def _polish_roots_per_root(coeffs_desc, roots, steps=5):
+    """The one-root-at-a-time Newton polish, kept as the oracle."""
+    deriv = np.polyder(coeffs_desc)
+    out = roots.copy()
+    for i, z in enumerate(out):
+        best = z
+        best_val = abs(np.polyval(coeffs_desc, z))
+        for _ in range(steps):
+            d = np.polyval(deriv, z)
+            if abs(d) < 1e-300:
+                break
+            z = z - np.polyval(coeffs_desc, z) / d
+            val = abs(np.polyval(coeffs_desc, z))
+            if val < best_val:
+                best, best_val = z, val
+        out[i] = best
+    return out
+
+
+class TestPolishRoots:
+    def test_matches_per_root_loop(self):
+        rng = np.random.default_rng(31)
+        for degree in (1, 2, 5, 12, 24, 40):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            roots = np.roots(coeffs)
+            got = _polish_roots(coeffs, roots)
+            want = _polish_roots_per_root(coeffs, roots)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_multiple_roots_match_per_root_loop(self):
+        # (Z - 0.3 - 0.4i)^6 (Z + 2)^3: Newton stalls and keep-best matters
+        coeffs = np.poly([0.3 + 0.4j] * 6 + [-2.0] * 3)
+        roots = np.roots(coeffs)
+        got = _polish_roots(coeffs, roots)
+        want = _polish_roots_per_root(coeffs, roots)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_vanishing_derivative_stops_that_root_only(self):
+        # Z^2 - 1: p'(0) = 0, so a root guess at 0 stays put; the others move
+        coeffs = np.array([1.0, 0.0, -1.0], dtype=complex)
+        roots = np.array([0.0, 1.1, -0.9], dtype=complex)
+        got = _polish_roots(coeffs, roots)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], [1.0, -1.0], atol=1e-12)
+        np.testing.assert_array_equal(got, _polish_roots_per_root(coeffs, roots))

@@ -1,10 +1,12 @@
 """Degeneracy configurations, signatures, separability and LU equivalence."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from multiaxial.angular import couple_axis_chain
 from multiaxial.classify import (
     DegeneracyConfiguration,
     Tolerances,
@@ -130,6 +132,21 @@ class TestSeparability:
         assert ref32[1] == pytest.approx(3.0 / math.sqrt(5.0), abs=1e-12)
         assert ref32[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
+    def test_reference_matches_clebsch_gordan_chain(self):
+        # r_k over the CG-coupled z-axis tensor, the construction the
+        # polynomial product replaced
+        chains = {k: couple_axis_chain([(0.0, 0.0)] * k) for k in range(1, 21)}
+        for twice_j in range(1, 21):
+            dim = twice_j + 1
+            top = np.zeros((dim, dim), dtype=complex)
+            top[0, 0] = 1.0
+            t = extract_tensors(DensityMatrix(HalfInteger(twice_j), top))
+            ref = separable_reference_r(twice_j)
+            for k in range(1, twice_j + 1):
+                chain = chains[k]
+                scale = np.vdot(chain, t.rank_components(k)) / np.vdot(chain, chain)
+                assert abs(ref[k] - abs(scale)) < 1e-12
+
     def test_top_dicke_separable(self):
         verdict = pure_separability_check(pure_to_density(make_dicke(1, 1)))
         assert verdict.applicable and verdict.separable
@@ -234,6 +251,49 @@ class TestLUEquivalence:
         a = pure_to_density(make_ghz(3))
         b = rotate_density(a, EulerAngles(0.2, 0.8, 1.4))
         assert lu_equivalent(a, b).verdict == lu_equivalent(b, a).verdict
+
+
+class TestHighMultiplicity:
+    """m-fold axes whose roots scatter wider than the 1e-2 clustering (m >= 7)."""
+
+    @staticmethod
+    def _collinear(sig):
+        return [e.configuration.partition for e in sig.entries] == \
+            [(e.k,) for e in sig.entries]
+
+    def test_generic_coherent_all_k_fold_and_separable(self):
+        for tj in range(2, 13):
+            rho = pure_to_density(make_coherent(HalfInteger(tj), 0.7, 1.3))
+            start = time.perf_counter()
+            assert self._collinear(class_signature(rho)), tj
+            assert pure_separability_check(rho).separable, tj
+            assert time.perf_counter() - start < 2.0
+
+    def test_near_z_axis_trimmed_to_z(self):
+        # at theta = 0.036 the lowest coefficients of ranks 7..10 fall under
+        # the trimming threshold, so one line per rank is pinned to z
+        rho = pure_to_density(make_coherent(HalfInteger(10), 0.036, 2.0))
+        assert self._collinear(class_signature(rho))
+        assert pure_separability_check(rho).separable
+
+    @pytest.mark.parametrize("name", ["ghz", "w", "dicke", "coherent"])
+    def test_rotated_copies_equivalent(self, name):
+        rng = np.random.default_rng(67)
+        for tj in range(7, 11):
+            psi = {"ghz": lambda: make_ghz(tj),
+                   "w": lambda: make_w(tj),
+                   "dicke": lambda: make_dicke(HalfInteger(tj), HalfInteger(tj % 2)),
+                   "coherent": lambda: make_coherent(HalfInteger(tj), 0.7, 1.3)}[name]()
+            rho = pure_to_density(psi)
+            for _ in range(2):
+                g = EulerAngles(*rng.uniform(0, 2 * math.pi, 3))
+                target = rotate_density(rho, g)
+                start = time.perf_counter()
+                result = lu_equivalent(rho, target)
+                assert time.perf_counter() - start < 2.0
+                assert result.verdict == "equivalent", (tj, result.reason)
+                mapped = rotate_density(rho, result.witness)
+                assert np.max(np.abs(mapped.matrix - target.matrix)) < 1e-6
 
 
 class TestTolerances:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from multiaxial.cli import main
-from multiaxial.families import make_ghz, make_w
+from multiaxial import classify, cli
+from multiaxial.cli import build_report, main
+from multiaxial.families import make_coherent, make_ghz, make_w
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
@@ -84,6 +85,41 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["validation"]["is_valid"] is False
+
+
+class TestOnePass:
+    def test_pure_report_extracts_and_solves_once(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        psi = rng.normal(size=7) + 1j * rng.normal(size=7)
+        psi /= np.linalg.norm(psi)
+        rho = DensityMatrix(HalfInteger(6), np.outer(psi, psi.conj()))
+        tolerances = classify.Tolerances()
+        classify.separable_reference_r(6)  # cached reference, built outside the count
+        calls = {"extract_tensors": 0, "solve_all_axes": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, classify):
+            counting(module, "extract_tensors")
+        counting(classify, "solve_all_axes")
+        doc = build_report(rho, tolerances)
+        assert doc["separability"]["method"] == "pure-recipe"
+        assert calls == {"extract_tensors": 1, "solve_all_axes": 1}
+
+    def test_pure_verdict_matches_standalone_check(self):
+        for rho in (pure_to_density(make_ghz(3)), pure_to_density(make_w(4)),
+                    pure_to_density(make_coherent(HalfInteger(5), 0.7, 1.3))):
+            doc = build_report(rho, classify.Tolerances())
+            verdict = classify.pure_separability_check(rho)
+            assert doc["separability"] == {"method": "pure-recipe",
+                                           "separable": verdict.separable,
+                                           "reason": verdict.reason}
 
 
 class TestCompare:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from multiaxial.angular import SpinTooLargeError, tau_matrix
 from multiaxial.families import make_bell, make_ghz, make_w
 from multiaxial.fano import (
     SphericalTensorSet,
@@ -214,3 +215,21 @@ class TestTensorFiles:
         with pytest.raises(TensorFormatError):
             tensors_from_json({"j": "1", "tensors": {
                 "1": [{"q": 1, "re": 0.3, "im": 0.0}]}})
+
+
+class TestTauTable:
+    def test_matches_trace_oracle_every_spin(self):
+        # one gather over the cached table against Tr(rho tau^k_q) per component
+        rng = np.random.default_rng(61)
+        for twice_j in range(1, 21):
+            j = HalfInteger(twice_j)
+            rho = _random_density(rng, twice_j + 1)
+            t = extract_tensors(DensityMatrix(j, rho))
+            for k in range(twice_j + 1):
+                for q in range(-k, k + 1):
+                    expected = np.trace(rho @ tau_matrix(j, k, q))
+                    assert abs(t.component(k, q) - expected) < 1e-13
+
+    def test_spin_cap_still_raises(self):
+        with pytest.raises(SpinTooLargeError):
+            extract_tensors(DensityMatrix(HalfInteger(22), np.eye(23) / 23))
