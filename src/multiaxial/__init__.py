@@ -66,10 +66,8 @@ from .fano import (
     extract_tensors,
     purity_from_tensors,
     rank_norm,
-    read_tensors,
     reconstruct_density,
     rotate_tensors,
-    write_tensors,
 )
 from .halfint import HalfInteger
 from .states import (

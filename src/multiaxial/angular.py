@@ -100,24 +100,6 @@ def clebsch_gordan(j1, j2, j3, m1, m2, m3) -> float:
     return _cg_twice(j1.twice, j2.twice, j3.twice, m1.twice, m2.twice, m3.twice)
 
 
-def cg_stretched(c, b) -> float:
-    """Closed form C(c b c; c 0 c) = (2c)! sqrt((2c+1) / ((2c-b)! (2c+b+1)!))."""
-    c = HalfInteger.of(c)
-    b = HalfInteger.of(b)
-    _check_spin(c)
-    if not b.is_integer or b.twice < 0:
-        raise ValueError(f"rank must be a non-negative integer, got {b}")
-    if b.twice > 2 * c.twice:
-        return 0.0
-    two_c = c.twice
-    rank = int(b)
-    inner = Fraction(
-        _fact(two_c) ** 2 * (two_c + 1),
-        _fact(two_c - rank) * _fact(two_c + rank + 1),
-    )
-    return math.sqrt(float(inner))
-
-
 def wigner_small_d(j, mprime, m, beta: float) -> float:
     """Reduced rotation matrix element d^j_{m' m}(beta)."""
     j = HalfInteger.of(j)

@@ -11,18 +11,22 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
 from .fano import SphericalTensorSet
-from .halfint import HalfInteger, projections
+from .halfint import projections
 from .states import PureState
 
 ZERO_TOL = 1e-12
 PAIR_TOL = 1e-6
+#: Components of a unit vector up to this size count as zero in ``Axis.from_vector``.
+FLAT_TOL = 1e-12
+#: Newton steps when polishing the roots numpy returns.
+POLISH_STEPS = 5
 #: The lines of an m-fold axis spread over up to about 4.6 eps^(1/m) rad
 #: (m = 6..20, rotated coherent, W and Dicke states up to 2j = 20), more
 #: when a near-z axis has lost a root pair to the z-axis trimming.
@@ -79,11 +83,7 @@ class SpherePoint:
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
 
-    def antipode(self) -> "SpherePoint":
-        return SpherePoint.create(math.pi - self.theta, self.phi + math.pi)
 
-
-NORTH_POLE = SpherePoint(0.0, 0.0)
 SOUTH_POLE = SpherePoint(math.pi, 0.0)
 
 
@@ -98,14 +98,14 @@ class Axis:
     representative: SpherePoint
 
     @staticmethod
-    def from_vector(v: np.ndarray, flat_tol: float = 1e-12) -> "Axis":
+    def from_vector(v: np.ndarray) -> "Axis":
         v = np.asarray(v, dtype=float)
         v = v / np.linalg.norm(v)
-        if v[2] < -flat_tol:
+        if v[2] < -FLAT_TOL:
             v = -v
-        elif abs(v[2]) <= flat_tol:
+        elif abs(v[2]) <= FLAT_TOL:
             # Equatorial axis: pick the head with phi in [0, pi).
-            if v[1] < -flat_tol or (abs(v[1]) <= flat_tol and v[0] < 0.0):
+            if v[1] < -FLAT_TOL or (abs(v[1]) <= FLAT_TOL and v[0] < 0.0):
                 v = -v
             # acos(z) would land an ulp either side of pi/2 and break both
             # the canonical-head rule and the (theta, phi) ordering.
@@ -128,9 +128,6 @@ class Axis:
         """Angle between the two lines, in [0, pi/2]."""
         d = abs(float(np.dot(self.unit_vector, other.unit_vector)))
         return math.acos(min(1.0, d))
-
-
-Z_AXIS = Axis(NORTH_POLE)
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,7 @@ class RankDecomposition:
 # Polynomial machinery
 
 
-def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray,
-                  steps: int = 5) -> np.ndarray:
+def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Newton steps on all roots at once; each root keeps its best iterate
     and stops for good once the derivative at it underflows."""
     deriv = np.polyder(coeffs_desc)
@@ -167,7 +163,7 @@ def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray,
     best = z.copy()
     best_val = np.abs(pz)
     live = np.ones(len(z), dtype=bool)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         d = np.polyval(deriv, z)
         live &= np.abs(d) >= 1e-300
         if not live.any():
@@ -441,10 +437,9 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
     scales like eps^(1/multiplicity); minimizing the fit residual over the
     distinct (theta, phi) recovers them to near machine precision.
     """
-    ordered = sorted(axes, key=lambda am: (-am[1], am[0].theta, am[0].phi))
-    mults = [m for _, m in ordered]
+    mults = [m for _, m in axes]
     x0 = []
-    for axis, _ in ordered:
+    for axis, _ in axes:
         x0 += [axis.theta, axis.phi]
 
     def residual_vec(x):
@@ -457,12 +452,9 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
         return np.concatenate([diff.real, diff.imag])
 
     sol = least_squares(residual_vec, x0, xtol=3e-16, ftol=3e-16, gtol=3e-16)
-    refined = tuple(
-        (Axis.from_vector(SpherePoint.create(sol.x[2 * i],
-                                             sol.x[2 * i + 1]).unit_vector), m)
-        for i, m in enumerate(mults)
-    )
-    return _ordered_axis_list([(a.unit_vector, m) for a, m in refined])
+    return _ordered_axis_list(
+        [(SpherePoint.create(sol.x[2 * i], sol.x[2 * i + 1]).unit_vector, m)
+         for i, m in enumerate(mults)])
 
 
 def solve_axes(

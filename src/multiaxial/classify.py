@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +11,6 @@ import numpy as np
 from .axes import (
     Axis,
     RankDecomposition,
-    cluster_directions,
     fit_rk,
     line_cosines,
     pairwise_invariants,
@@ -21,6 +20,10 @@ from .fano import SphericalTensorSet, extract_tensors
 from .halfint import HalfInteger
 from .states import DensityMatrix, EulerAngles, rotate_density, validate
 
+#: r_k and pairwise-cosine comparisons, between two states or against the
+#: separable reference.
+FINGERPRINT_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -28,8 +31,6 @@ class Tolerances:
 
     zero: float = 1e-12        # |t^k_q| below which a rank is absent
     angle: float = 1e-6        # radians; identical-axis and pairing threshold
-    fingerprint: float = 1e-7  # r_k and pairwise-cosine comparisons
-    purity: float = 1e-8       # Tr(rho^2) = 1 test for the pure recipe
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -56,43 +57,12 @@ class DegeneracyConfiguration:
         return f"D^{self.k}_" + ",".join(str(n) for n in self.partition)
 
 
-def degeneracy_configuration(
-    decomp: RankDecomposition, angular_tol: float
-) -> DegeneracyConfiguration:
-    """Cluster the axes of one rank by angle and read off the partition."""
+def degeneracy_configuration(decomp: RankDecomposition) -> DegeneracyConfiguration:
+    """The partition of one rank: the axis multiplicities its fit validated."""
     if not decomp.present:
         raise ValueError(f"rank {decomp.k} is absent; no configuration")
-    vectors = []
-    mults = []
-    for axis, mult in decomp.axes:
-        vectors.append(axis.unit_vector)
-        mults.append(mult)
-    merged = _merge_multiplicities(vectors, mults, angular_tol)
-    partition = tuple(sorted(merged, reverse=True))
+    partition = tuple(sorted((mult for _, mult in decomp.axes), reverse=True))
     return DegeneracyConfiguration(decomp.k, partition)
-
-
-def _merge_multiplicities(vectors, mults, tol) -> list[int]:
-    clusters = cluster_directions(vectors, tol)
-    if len(clusters) == len(vectors):
-        return list(mults)
-    # cluster_directions loses the per-entry weights; redo the grouping by
-    # assigning every input to its cluster representative.
-    totals = []
-    for rep, _ in clusters:
-        total = 0
-        for v, m in zip(vectors, mults):
-            if math.acos(min(1.0, abs(float(np.dot(v, rep))))) <= 2 * tol:
-                total += m
-        totals.append(total)
-    if sum(totals) != sum(mults):
-        # Overlapping assignment; fall back to exhaustive union-find on
-        # expanded axes.
-        expanded = []
-        for v, m in zip(vectors, mults):
-            expanded.extend([v] * m)
-        return [m for _, m in cluster_directions(expanded, tol)]
-    return totals
 
 
 @dataclass(frozen=True)
@@ -139,7 +109,7 @@ def signature_from_tensors(
     entries = []
     for decomp in decomps:
         if decomp.present:
-            config = degeneracy_configuration(decomp, tolerances.angle)
+            config = degeneracy_configuration(decomp)
             entries.append(RankEntry(decomp.k, True, config, decomp.r_k, decomp))
         else:
             entries.append(RankEntry(decomp.k, False, None, 0.0, None))
@@ -184,32 +154,18 @@ def pure_separability_check(
     rho: DensityMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SeparabilityVerdict:
     """The aligned-axes-plus-reference-scalars recipe; pure states only."""
-    purity = validate(rho).purity
-    mixed = _mixed_verdict(purity, tolerances)
-    if mixed is not None:
-        return mixed
-    return separability_from_signature(class_signature(rho, tolerances), purity, tolerances)
-
-
-def _mixed_verdict(purity: float, tolerances: Tolerances) -> SeparabilityVerdict | None:
-    if abs(purity - 1.0) > tolerances.purity:
+    report = validate(rho)
+    if not report.is_pure:
         return SeparabilityVerdict(
-            False, False, f"not applicable: mixed state (purity {purity:.6f})"
+            False, False, f"not applicable: mixed state (purity {report.purity:.6f})"
         )
-    return None
+    return separability_from_signature(class_signature(rho, tolerances), tolerances)
 
 
 def separability_from_signature(
-    signature: ClassSignature, purity: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    signature: ClassSignature, tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> SeparabilityVerdict:
-    """The pure-state recipe judged from an already computed signature.
-
-    ``purity`` is Tr(rho^2) of the state the signature belongs to.
-    """
-    mixed = _mixed_verdict(purity, tolerances)
-    if mixed is not None:
-        return mixed
+    """The pure-state recipe judged from the signature of a pure state."""
     vectors = [axis.unit_vector for decomp in signature.decompositions()
                for axis in decomp.expanded_axes()]
     cosines = line_cosines(vectors)
@@ -223,7 +179,7 @@ def separability_from_signature(
     r_values = signature.r_values
     for k, r_ref in reference.items():
         r_here = r_values.get(k, 0.0)
-        if abs(r_here - r_ref) > 1e-7:
+        if abs(r_here - r_ref) > FINGERPRINT_TOL:
             return SeparabilityVerdict(
                 False, True,
                 f"r_{k} = {r_here:.9f} differs from separable reference "
@@ -253,13 +209,13 @@ def _configurations_match(a: ClassSignature, b: ClassSignature) -> bool:
     return True
 
 
-def _fingerprints_match(a: ClassSignature, b: ClassSignature, tol: float) -> bool:
+def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
     for ea, eb in zip(a.entries, b.entries):
-        if abs(ea.r_k - eb.r_k) > tol:
+        if abs(ea.r_k - eb.r_k) > FINGERPRINT_TOL:
             return False
     if len(a.pairwise) != len(b.pairwise):
         return False
-    return all(abs(x - y) <= tol for x, y in zip(a.pairwise, b.pairwise))
+    return all(abs(x - y) <= FINGERPRINT_TOL for x, y in zip(a.pairwise, b.pairwise))
 
 
 def _rank_axis_table(sig: ClassSignature) -> list[tuple[int, np.ndarray, int]]:
@@ -427,7 +383,7 @@ def lu_equivalent(
             "inequivalent",
             f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
         )
-    if not _fingerprints_match(sig_a, sig_b, tolerances.fingerprint):
+    if not _fingerprints_match(sig_a, sig_b):
         return EquivalenceResult(
             "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ"
         )

@@ -18,6 +18,8 @@ import sys
 
 import numpy as np
 
+from .angular import SpinTooLargeError
+from .axes import AxisPairingError, DegenerateFitError
 from .classify import (
     Tolerances,
     class_signature,
@@ -28,7 +30,6 @@ from .classify import (
 )
 from .families import FAMILY_PARAMS, FamilyParameterError, family_density, family_ranges
 from .fano import extract_tensors
-from .halfint import HalfInteger
 from .states import (
     DensityMatrix,
     StateFormatError,
@@ -43,6 +44,9 @@ from .states import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
+
+#: Inputs the classifier cannot handle; reported on one line with exit 2.
+CLASSIFIER_ERRORS = (SpinTooLargeError, AxisPairingError, DegenerateFitError)
 
 
 def _angles_of(axis) -> dict:
@@ -78,7 +82,7 @@ def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
         ranks.append(item)
 
     if report.is_pure:
-        verdict = separability_from_signature(signature, report.purity, tolerances)
+        verdict = separability_from_signature(signature, tolerances)
         separability = {
             "method": "pure-recipe",
             "separable": verdict.separable,
@@ -264,10 +268,7 @@ def _sweep_metrics(family: str, params: dict, reports: list[str],
             ppt.min_eigenvalue if ppt.applicable else "undetermined"
         )
     if "class" in reports:
-        try:
-            row["class"] = class_signature(rho, tolerances).render()
-        except Exception as exc:  # non-decomposable point: keep sweeping
-            row["class"] = f"error: {exc}"
+        row["class"] = class_signature(rho, tolerances).render()
     return row
 
 
@@ -433,7 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CLASSIFIER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

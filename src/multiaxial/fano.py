@@ -6,23 +6,25 @@ rho = (1/(2j+1)) sum_{k q} t^k_q tau^{k+}_q, with t^k_q = Tr(rho tau^k_q).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .angular import tau_matrix, wigner_d
+from .angular import MAX_SPIN, SpinTooLargeError, tau_matrix, wigner_d
 from .halfint import HalfInteger, dimension
 from .states import DensityMatrix, EulerAngles
 
 CONJUGATION_TOL = 1e-10
-#: Looser bound when reading hand-authored tensor files.
+#: Looser bound for tensor sets handed to ``reconstruct_density``.
 FILE_CONJUGATION_TOL = 1e-8
+#: Largest state spin: every rank k <= 2j needs Clebsch-Gordan coefficients
+#: C(j k j; ...) with k within ``MAX_SPIN``.
+MAX_STATE_SPIN = HalfInteger(MAX_SPIN.twice // 2)
 
 
 class TensorFormatError(ValueError):
-    """A tensor set or tensor file violates its structural constraints."""
+    """A tensor set violates its structural constraints."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,10 @@ def _tau_table(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
 def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
     """All t^k_q = Tr(rho tau^k_q) for k = 0 .. 2j, as one gather over the tau table."""
     n = rho.j.twice
+    if rho.j > MAX_STATE_SPIN:
+        raise SpinTooLargeError(
+            f"spin {rho.j} exceeds supported maximum {MAX_STATE_SPIN} "
+            f"(ranks up to 2j must stay within the Clebsch-Gordan cap {MAX_SPIN})")
     index, weight = _tau_table(n)
     flat = (np.ravel(rho.matrix)[index] * weight).sum(axis=1)
     ranks = tuple(flat[k * k: (k + 1) * (k + 1)] for k in range(n + 1))
@@ -156,61 +162,3 @@ def rank_norm(t: SphericalTensorSet, k: int) -> float:
 def purity_from_tensors(t: SphericalTensorSet) -> float:
     """Tr(rho^2) = (1/(2j+1)) sum_k t^k . t^k."""
     return sum(rank_norm(t, k) for k in range(t.max_rank + 1)) / dimension(t.j)
-
-
-# ---------------------------------------------------------------------------
-# Tensor file format
-
-
-def tensors_to_json(t: SphericalTensorSet) -> dict:
-    tensors = {}
-    for k in range(t.max_rank + 1):
-        tensors[str(k)] = [
-            {
-                "q": q,
-                "re": float(t.component(k, q).real),
-                "im": float(t.component(k, q).imag),
-            }
-            for q in range(-k, k + 1)
-        ]
-    return {"j": str(t.j), "tensors": tensors}
-
-
-def tensors_from_json(doc: dict) -> SphericalTensorSet:
-    try:
-        j = HalfInteger.of(doc["j"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TensorFormatError(f"bad or missing 'j': {exc}") from exc
-    n = j.twice
-    ranks = [np.zeros(2 * k + 1, dtype=complex) for k in range(n + 1)]
-    ranks[0][0] = 1.0
-    table = doc.get("tensors", {})
-    for key, entries in table.items():
-        k = int(key)
-        if k < 0 or k > n:
-            raise TensorFormatError(f"rank {k} outside 0..2j for j={j}")
-        for entry in entries:
-            q = int(entry["q"])
-            if abs(q) > k:
-                raise TensorFormatError(f"|q|={abs(q)} exceeds rank {k}")
-            ranks[k][q + k] = complex(
-                float(entry.get("re", 0.0)), float(entry.get("im", 0.0))
-            )
-    t = SphericalTensorSet(j, tuple(ranks))
-    try:
-        t.check(FILE_CONJUGATION_TOL)
-    except TensorFormatError:
-        raise
-    return t
-
-
-def write_tensors(path, t: SphericalTensorSet) -> None:
-    with open(path, "w") as fh:
-        json.dump(tensors_to_json(t), fh, indent=2)
-        fh.write("\n")
-
-
-def read_tensors(path) -> SphericalTensorSet:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return tensors_from_json(doc)

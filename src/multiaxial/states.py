@@ -20,6 +20,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-10
 NORM_TOL = 1e-10
+#: |Tr(rho^2) - 1| up to which a state counts as pure.
+PURITY_TOL = 1e-8
 #: Looser bound for hand-authored files with decimal-rounded entries.
 FILE_HERMITICITY_TOL = 1e-8
 
@@ -35,12 +37,6 @@ class EulerAngles:
     alpha: float
     beta: float
     gamma: float
-
-    def canonical(self) -> "EulerAngles":
-        two_pi = 2.0 * math.pi
-        return EulerAngles(
-            self.alpha % two_pi, self.beta % two_pi, self.gamma % two_pi
-        )
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class ValidationReport:
 
     @property
     def is_pure(self) -> bool:
-        return abs(self.purity - 1.0) <= 1e-8
+        return abs(self.purity - 1.0) <= PURITY_TOL
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:

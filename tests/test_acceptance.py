@@ -121,7 +121,7 @@ def test_acceptance_3_ghz_structure(capsys):
                 for a, m in d.axes if a.theta < 1e-8)
             expected = j * j - 0.25 if n % 2 else j * (j - 1)
             assert z_below_top == expected
-            top = degeneracy_configuration(decomps[-1], 1e-6)
+            top = degeneracy_configuration(decomps[-1])
             assert top.partition == ((1,) * n if n % 2 else (2,) * (n // 2))
             coeffs = mar_polynomial(t, n)
             coeffs = coeffs / coeffs[0]

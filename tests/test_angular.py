@@ -1,6 +1,7 @@
 """Angular-momentum special functions against independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from sympy.physics.quantum.cg import CG
 from multiaxial.angular import (
     MAX_SPIN,
     SpinTooLargeError,
-    cg_stretched,
     clebsch_gordan,
     couple_axis_chain,
     couple_pair,
@@ -30,6 +30,15 @@ def _h(x):
 def _sympy_cg(j1, m1, j2, m2, j3, m3) -> float:
     return float(CG(Rational(j1), Rational(m1), Rational(j2), Rational(m2),
                     Rational(j3), Rational(m3)).doit().evalf(30))
+
+
+def _cg_stretched(twice_c: int, b: int) -> float:
+    """Closed form C(c b c; c 0 c) = (2c)! sqrt((2c+1) / ((2c-b)! (2c+b+1)!)), 0 for b > 2c."""
+    if b > twice_c:
+        return 0.0
+    inner = Fraction(math.factorial(twice_c) ** 2 * (twice_c + 1),
+                     math.factorial(twice_c - b) * math.factorial(twice_c + b + 1))
+    return math.sqrt(float(inner))
 
 
 def _halves(maximum):
@@ -98,19 +107,23 @@ class TestStretched:
             c = HalfInteger(twice_c)
             for b in range(0, twice_c + 1):
                 full = clebsch_gordan(c, b, c, c, 0, c)
-                closed = cg_stretched(c, b)
+                closed = _cg_stretched(twice_c, b)
                 assert abs(closed - full) <= 1e-12 * max(1.0, abs(full))
 
     def test_normalization(self):
         for twice_c in range(0, 9):
-            assert cg_stretched(HalfInteger(twice_c), 0) == pytest.approx(
-                1.0, abs=1e-14)
+            c = HalfInteger(twice_c)
+            assert _cg_stretched(twice_c, 0) == pytest.approx(1.0, abs=1e-14)
+            assert clebsch_gordan(c, 0, c, c, 0, c) == pytest.approx(1.0, abs=1e-14)
 
     def test_beyond_domain_is_zero(self):
-        assert cg_stretched(_h(1), 3) == 0.0
+        assert _cg_stretched(2, 3) == 0.0
+        assert clebsch_gordan(_h(1), 3, _h(1), _h(1), 0, _h(1)) == 0.0
 
     def test_value_3half_2(self):
-        assert math.sqrt(5.0) * cg_stretched(_h("3/2"), 2) == pytest.approx(
+        c = _h("3/2")
+        assert math.sqrt(5.0) * _cg_stretched(3, 2) == pytest.approx(1.0, abs=1e-13)
+        assert math.sqrt(5.0) * clebsch_gordan(c, 2, c, c, 0, c) == pytest.approx(
             1.0, abs=1e-13)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from multiaxial.angular import couple_axis_chain
 from multiaxial.classify import (
+    FINGERPRINT_TOL,
     DegeneracyConfiguration,
     Tolerances,
     class_signature,
@@ -59,27 +60,38 @@ class TestConfiguration:
 
     def test_bell_rank2(self):
         t = extract_tensors(pure_to_density(make_bell()))
-        cfg = degeneracy_configuration(solve_axes(t, 2), 1e-6)
+        cfg = degeneracy_configuration(solve_axes(t, 2))
         assert cfg.partition == (2,)
         assert cfg.render() == "D^2_2"
 
     def test_ghz3_rank3(self):
         t = extract_tensors(pure_to_density(make_ghz(3)))
-        cfg = degeneracy_configuration(solve_axes(t, 3), 1e-6)
+        cfg = degeneracy_configuration(solve_axes(t, 3))
         assert cfg.partition == (1, 1, 1)
 
     def test_ghz4_rank4(self):
         t = extract_tensors(pure_to_density(make_ghz(4)))
-        cfg = degeneracy_configuration(solve_axes(t, 4), 1e-6)
+        cfg = degeneracy_configuration(solve_axes(t, 4))
         assert cfg.partition == (2, 2)
 
     def test_biaxial_angles(self):
         t = extract_tensors(make_biaxial(0.4, math.pi / 4).rho)
-        cfg = degeneracy_configuration(solve_axes(t, 2), 1e-6)
+        cfg = degeneracy_configuration(solve_axes(t, 2))
         assert cfg.partition == (1, 1)
         t = extract_tensors(make_biaxial(0.4, math.pi / 2).rho)
-        cfg = degeneracy_configuration(solve_axes(t, 2), 1e-6)
+        cfg = degeneracy_configuration(solve_axes(t, 2))
         assert cfg.partition == (2,)
+
+    @pytest.mark.parametrize("theta", [4e-3, 5e-4])
+    def test_biaxial_close_axes_split_by_solver(self, theta):
+        # the two axes lie 2 theta apart, 8e-3 and 1e-3 rad: the solver
+        # resolves them only at its 1e-3 and 1e-4 groupings, not the first
+        # one tried
+        decomp = solve_axes(extract_tensors(make_biaxial(0.5, theta).rho), 2)
+        assert degeneracy_configuration(decomp).render() == "D^2_1,1"
+        axes = sorted((axis.phi, axis.theta) for axis, _ in decomp.axes)
+        assert axes[0] == pytest.approx((0.0, theta), abs=1e-9)
+        assert axes[1] == pytest.approx((math.pi, theta), abs=1e-9)
 
 
 class TestSignature:
@@ -301,4 +313,4 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.zero == 1e-12
         assert tol.angle == 1e-6
-        assert tol.fingerprint == 1e-7
+        assert FINGERPRINT_TOL == 1e-7

@@ -27,6 +27,19 @@ def ghz3_file(tmp_path):
 
 
 @pytest.fixture
+def ghz21_file(tmp_path):
+    # j = 21/2: above the spin cap j <= 10
+    path = tmp_path / "ghz21.json"
+    write_state(path, make_ghz(21))
+    return str(path)
+
+
+def _one_spin_cap_error(err: str) -> bool:
+    return (err.count("\n") == 1 and err.startswith("error: ")
+            and "spin 21/2 exceeds supported maximum 10" in err)
+
+
+@pytest.fixture
 def w_file(tmp_path):
     path = tmp_path / "w.json"
     write_state(path, make_w(3))
@@ -86,6 +99,12 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["validation"]["is_valid"] is False
 
+    def test_spin_above_cap_exit_2(self, ghz21_file, capsys):
+        assert main(["analyze", ghz21_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_spin_cap_error(captured.err)
+
 
 class TestOnePass:
     def test_pure_report_extracts_and_solves_once(self, monkeypatch):
@@ -143,6 +162,12 @@ class TestCompare:
         other = tmp_path / "ghz4.json"
         write_state(other, pure_to_density(make_ghz(4)))
         assert main(["compare", ghz3_file, str(other)]) == 1
+
+    def test_spin_above_cap_exit_2(self, ghz21_file, capsys):
+        assert main(["compare", ghz21_file, ghz21_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_spin_cap_error(captured.err)
 
 
 class TestGenerate:
@@ -219,6 +244,13 @@ class TestSweep:
         with open(out) as fh:
             rows = [r for r in csv.DictReader(fh) if r["row_type"] == "grid"]
         assert all(r["ppt_min_eigenvalue"] == "undetermined" for r in rows)
+
+    def test_spin_above_cap_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "ghz", "--vary", "N=20:22:3",
+                     "--report", "class", "--out", str(out)]) == 2
+        assert _one_spin_cap_error(capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_spec_exit_1(self):
         assert main(["sweep", "--family", "uniaxial",

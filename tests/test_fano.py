@@ -13,11 +13,8 @@ from multiaxial.fano import (
     extract_tensors,
     purity_from_tensors,
     rank_norm,
-    read_tensors,
     reconstruct_density,
     rotate_tensors,
-    tensors_from_json,
-    write_tensors,
 )
 from multiaxial.halfint import HalfInteger, dimension
 from multiaxial.states import (
@@ -194,27 +191,6 @@ class TestInvariants:
             t = extract_tensors(rho)
             total = sum(rank_norm(t, k) for k in range(tj + 1))
             assert total == pytest.approx(dimension(HalfInteger(tj)), abs=1e-8)
-
-
-class TestTensorFiles:
-    def test_round_trip(self, tmp_path):
-        t = extract_tensors(pure_to_density(make_w(3)))
-        path = tmp_path / "tensors.json"
-        write_tensors(path, t)
-        back = read_tensors(path)
-        for k in range(4):
-            assert np.allclose(back.rank_components(k), t.rank_components(k),
-                               atol=1e-15)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(TensorFormatError):
-            tensors_from_json({"j": "1", "tensors": {
-                "5": [{"q": 0, "re": 0.1, "im": 0.0}]}})
-
-    def test_rejects_conjugation_violation(self):
-        with pytest.raises(TensorFormatError):
-            tensors_from_json({"j": "1", "tensors": {
-                "1": [{"q": 1, "re": 0.3, "im": 0.0}]}})
 
 
 class TestTauTable:
