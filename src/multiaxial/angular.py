@@ -1,16 +1,16 @@
 """Angular momentum special functions.
 
-Clebsch-Gordan coefficients (Condon-Shortley convention, exact rational
-arithmetic inside the square roots), Wigner rotation matrices, irreducible
-tensor operator matrices and sequential tensor coupling of unit vectors
-(the last kept as a reference for the polynomial form in ``axes``).
+Clebsch-Gordan coefficients (Condon-Shortley convention, exact integer
+arithmetic in the Racah sum and inside the square root), Wigner rotation
+matrices, irreducible tensor operator matrices and sequential tensor
+coupling of unit vectors (the last kept as a reference for the polynomial
+form in ``axes``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -56,35 +56,36 @@ def _cg_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> flo
     a = (tj1 + tj2 - tj3) // 2
     b = (tj1 - tj2 + tj3) // 2
     c = (-tj1 + tj2 + tj3) // 2
-    pref = Fraction(
-        (tj3 + 1) * _fact(a) * _fact(b) * _fact(c),
-        _fact((tj1 + tj2 + tj3) // 2 + 1),
-    )
-    pref *= (
-        _fact((tj1 + tm1) // 2)
+    num = (
+        (tj3 + 1) * _fact(a) * _fact(b) * _fact(c)
+        * _fact((tj1 + tm1) // 2)
         * _fact((tj1 - tm1) // 2)
         * _fact((tj2 + tm2) // 2)
         * _fact((tj2 - tm2) // 2)
         * _fact((tj3 + tm3) // 2)
         * _fact((tj3 - tm3) // 2)
     )
+    den = _fact((tj1 + tj2 + tj3) // 2 + 1)
 
     s_min = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
     s_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for s in range(s_min, s_max + 1):
-        denom = (
-            _fact(s)
-            * _fact(a - s)
-            * _fact((tj1 - tm1) // 2 - s)
-            * _fact((tj2 + tm2) // 2 - s)
-            * _fact((tj3 - tj2 + tm1) // 2 + s)
-            * _fact((tj3 - tj1 - tm2) // 2 + s)
-        )
-        total += Fraction(-1 if s % 2 else 1, denom)
+    denoms = [
+        _fact(s)
+        * _fact(a - s)
+        * _fact((tj1 - tm1) // 2 - s)
+        * _fact((tj2 + tm2) // 2 - s)
+        * _fact((tj3 - tj2 + tm1) // 2 + s)
+        * _fact((tj3 - tj1 - tm2) // 2 + s)
+        for s in range(s_min, s_max + 1)
+    ]
+    # sum (-1)^s / D_s over the common multiple L of the D_s, in integers;
+    # int / int rounds correctly, as float(Fraction) does
+    common = math.lcm(*denoms)
+    total = sum(-(common // d) if s % 2 else common // d
+                for s, d in enumerate(denoms, start=s_min))
     if total == 0:
         return 0.0
-    return float(total) * math.sqrt(float(pref))
+    return (total / common) * math.sqrt(num / den)
 
 
 def clebsch_gordan(j1, j2, j3, m1, m2, m3) -> float:

@@ -13,9 +13,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares, linear_sum_assignment
 
 from .fano import SphericalTensorSet
 from .halfint import projections
@@ -34,6 +34,10 @@ MULTIPLE_SCATTER = 20.0
 #: Widest spread gathered as one axis, about that of a 14-fold axis; wider
 #: groups of lines are as likely to be distinct axes.
 MULTIPLE_SPREAD_MAX = 0.35
+#: Stop tolerance of the axis refinement on the cost change, the step
+#: length (relative to the parameters) and the cosine between the residual
+#: and each Jacobian column.
+REFINE_TOL = 3e-16
 
 
 class AxisPairingError(RuntimeError):
@@ -283,7 +287,10 @@ def _pair_antipodes(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
         pairs.append((i, remaining.pop(best)))
 
     if not ok:
-        # Optimal assignment fallback for degenerate clusters.
+        # Optimal assignment fallback for degenerate clusters; the only
+        # use of scipy, imported here so the library loads without it.
+        from scipy.optimize import linear_sum_assignment
+
         cost = mismatch.copy()
         np.fill_diagonal(cost, math.inf)
         rows, cols = linear_sum_assignment(cost)
@@ -430,30 +437,131 @@ def fit_rk(components: np.ndarray, axes: tuple) -> tuple[float, float]:
     return abs(scale), residual
 
 
+class LeastSquaresResult(NamedTuple):
+    x: np.ndarray
+    nfev: int  # residual-plus-Jacobian evaluations
+
+
+def least_squares(fun, x0) -> LeastSquaresResult:
+    """Levenberg-Marquardt minimisation of ||f(x)||^2, where fun(x) -> (f, J).
+
+    Damping follows Nielsen: mu starts at 1e-6 max diag(J^T J) (the start is
+    close: polished roots), shrinks by max(1/3, 1 - (2 rho - 1)^3) after a
+    step with gain ratio rho > 0 and grows by nu = 2, 4, 8, ... after each
+    rejected step; every damped step is solved from one SVD of J.  Stops,
+    every tolerance REFINE_TOL, when no column of J has a cosine with f
+    above it (MINPACK's gradient test, blind to the scale of f), when a
+    step is shorter than REFINE_TOL (REFINE_TOL + ||x||), or when an
+    accepted step lowers the cost by less than REFINE_TOL of it with
+    rho > 1/4; at most 100 evaluations per parameter.
+    """
+    x = np.array(x0, dtype=float)
+    f, jac = fun(x)
+    nfev, max_nfev = 1, 100 * len(x)
+    cost = 0.5 * float(f @ f)
+    mu, nu = 1e-6 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
+    while nfev < max_nfev:
+        grad = jac.T @ f
+        if not np.any(np.abs(grad) > REFINE_TOL * np.linalg.norm(jac, axis=0)
+                      * np.linalg.norm(f)):
+            break
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        # a zero singular value (phi of an axis at a pole) takes no step
+        step = -vt.T @ (sv / (sv * sv + mu) * (u.T @ f))
+        if np.linalg.norm(step) < REFINE_TOL * (REFINE_TOL + np.linalg.norm(x)):
+            break
+        f_new, jac_new = fun(x + step)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new)
+        reduction = cost - cost_new
+        if reduction <= 0.0:
+            mu *= nu
+            nu *= 2.0
+            continue
+        # cost reduction the damped linear model predicts
+        predicted = 0.5 * float(step @ (mu * step - grad))
+        rho = reduction / predicted if predicted > 0.0 else 0.0
+        x, f, jac = x + step, f_new, jac_new
+        if reduction < REFINE_TOL * cost and rho > 0.25:
+            break
+        cost = cost_new
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = 2.0
+    return LeastSquaresResult(x, nfev)
+
+
+def _fit_residual(x: np.ndarray, mults: list[int],
+                  comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of ``comp`` against its projection on the axis tensor, and
+    the residual's Jacobian.
+
+    x = (theta_1, phi_1, theta_2, ...) holds the distinct axes, ``mults``
+    their multiplicities; the residual comp - s c(x) with the least-squares
+    scale s = c^H comp / c^H c is returned as real parts over imaginary
+    parts.  With q_i = (a_i Z - b_i)(a_i + conj(b_i) Z) the axis polynomial
+    is prod_i q_i^{m_i}, so its derivative in theta_i or phi_i is
+    m_i q_i^{m_i - 1} dq_i prod_{j != i} q_j^{m_j}, normalised as in
+    ``axis_tensor``.
+    """
+    n = len(comp)
+    coupled = axis_tensor(np.repeat(x[0::2], mults), np.repeat(x[1::2], mults))
+    denom = float(np.sum(np.abs(coupled) ** 2))
+    if denom < 1e-14:
+        return np.full(2 * n, 1e3), np.zeros((2 * n, len(x)))
+    s = complex(np.sum(np.conj(coupled) * comp)) / denom
+    diff = comp - s * coupled
+
+    # q_i = -(sin(theta_i)/2) e^{i phi_i} + cos(theta_i) Z
+    #       + (sin(theta_i)/2) e^{-i phi_i} Z^2 and its derivatives, at the
+    # n-th roots of unity, where products are pointwise; one FFT gives back
+    # the coefficients.
+    sin, cos = np.sin(x[0::2, None]), np.cos(x[0::2, None])
+    e = np.exp(1j * x[1::2, None])
+    z = _unit_roots(n)
+    quads = -0.5 * sin * e + cos * z + 0.5 * sin * np.conj(e) * z * z
+    d_theta = -0.5 * cos * e - sin * z + 0.5 * cos * np.conj(e) * z * z
+    d_phi = -0.5j * sin * (e + np.conj(e) * z * z)
+    m = np.array(mults)[:, None]
+    lower = quads ** (m - 1)
+    full = lower * quads
+    ones = np.ones((1, n), dtype=complex)
+    # rest[i] = m_i q_i^(m_i - 1) prod_{j != i} q_j^(m_j)
+    rest = (m * lower * np.cumprod(np.vstack([ones, full[:-1]]), axis=0)
+            * np.cumprod(np.vstack([ones, full[:0:-1]]), axis=0)[::-1])
+    values = np.stack([rest * d_theta, rest * d_phi], axis=1).reshape(len(x), n)
+    k = n // 2
+    d_coupled = (np.fft.fft(values, axis=1)[:, ::-1].T
+                 * (2.0 ** (0.5 * k) / n / _root_binomials(k))[:, None])
+    # ds = (dc^H comp - 2 s Re(dc^H c)) / c^H c
+    d_scale = (d_coupled.conj().T @ comp
+               - 2.0 * s * (d_coupled.conj().T @ coupled).real) / denom
+    d_diff = -(np.outer(coupled, d_scale) + s * d_coupled)
+    return (np.concatenate([diff.real, diff.imag]),
+            np.concatenate([d_diff.real, d_diff.imag]))
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(n: int) -> np.ndarray:
+    out = np.exp(2j * np.pi * np.arange(n) / n)
+    out.flags.writeable = False
+    return out
+
+
 def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
     """Polish the clustered axis directions against the tensor components.
 
     Multiple roots come out of the polynomial solver with an error that
     scales like eps^(1/multiplicity); minimizing the fit residual over the
-    distinct (theta, phi) recovers them to near machine precision.
+    distinct (theta, phi), multiplicities held fixed, recovers them to near
+    machine precision.
     """
     mults = [m for _, m in axes]
-    x0 = []
-    for axis, _ in axes:
-        x0 += [axis.theta, axis.phi]
-
-    def residual_vec(x):
-        coupled = axis_tensor(np.repeat(x[0::2], mults), np.repeat(x[1::2], mults))
-        denom = float(np.sum(np.abs(coupled) ** 2))
-        if denom < 1e-14:
-            return np.full(2 * len(comp), 1e3)
-        s = complex(np.sum(np.conj(coupled) * comp)) / denom
-        diff = comp - s * coupled
-        return np.concatenate([diff.real, diff.imag])
-
-    sol = least_squares(residual_vec, x0, xtol=3e-16, ftol=3e-16, gtol=3e-16)
+    x0 = [angle for axis, _ in axes for angle in (axis.theta, axis.phi)]
+    sol = least_squares(lambda x: _fit_residual(x, mults, comp), x0)
+    # Not SpherePoint.create: a fit may cross a pole to theta < 0, which
+    # names the right line but would be clamped onto the pole.
     return _ordered_axis_list(
-        [(SpherePoint.create(sol.x[2 * i], sol.x[2 * i + 1]).unit_vector, m)
+        [(SpherePoint(sol.x[2 * i], sol.x[2 * i + 1]).unit_vector, m)
          for i, m in enumerate(mults)])
 
 

@@ -11,6 +11,7 @@ from sympy.physics.quantum.cg import CG
 from multiaxial.angular import (
     MAX_SPIN,
     SpinTooLargeError,
+    _cg_twice,
     clebsch_gordan,
     couple_axis_chain,
     couple_pair,
@@ -39,6 +40,31 @@ def _cg_stretched(twice_c: int, b: int) -> float:
     inner = Fraction(math.factorial(twice_c) ** 2 * (twice_c + 1),
                      math.factorial(twice_c - b) * math.factorial(twice_c + b + 1))
     return math.sqrt(float(inner))
+
+
+def _cg_twice_fraction(tj1, tj2, tj3, tm1, tm2, tm3) -> float:
+    """The Racah sum in exact fractions, arguments doubled: the oracle for
+    the integer sum in ``_cg_twice``.  Call only where the selection rules hold."""
+    fact = math.factorial
+    a = (tj1 + tj2 - tj3) // 2
+    b = (tj1 - tj2 + tj3) // 2
+    c = (-tj1 + tj2 + tj3) // 2
+    pref = Fraction((tj3 + 1) * fact(a) * fact(b) * fact(c),
+                    fact((tj1 + tj2 + tj3) // 2 + 1))
+    pref *= (fact((tj1 + tm1) // 2) * fact((tj1 - tm1) // 2)
+             * fact((tj2 + tm2) // 2) * fact((tj2 - tm2) // 2)
+             * fact((tj3 + tm3) // 2) * fact((tj3 - tm3) // 2))
+    s_min = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
+    s_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for s in range(s_min, s_max + 1):
+        denom = (fact(s) * fact(a - s) * fact((tj1 - tm1) // 2 - s)
+                 * fact((tj2 + tm2) // 2 - s) * fact((tj3 - tj2 + tm1) // 2 + s)
+                 * fact((tj3 - tj1 - tm2) // 2 + s))
+        total += Fraction(-1 if s % 2 else 1, denom)
+    if total == 0:
+        return 0.0
+    return float(total) * math.sqrt(float(pref))
 
 
 def _halves(maximum):
@@ -99,6 +125,23 @@ class TestClebschGordan:
     def test_spin_cap(self):
         with pytest.raises(SpinTooLargeError):
             clebsch_gordan(MAX_SPIN + 1, 0, MAX_SPIN + 1, 0, 0, 0)
+
+
+class TestRacahSum:
+    def test_equals_fraction_oracle_on_every_tau_entry(self):
+        # every C(j k j; m q m+q) the tau tables use, 2j = 1..20: the integer
+        # sum over a common denominator rounds exactly as the fraction does
+        count = 0
+        for tj in range(1, 21):
+            for tk in range(0, 2 * tj + 1, 2):
+                for tq in range(-tk, tk + 1, 2):
+                    for tm in range(-tj, tj + 1, 2):
+                        if abs(tm + tq) > tj:
+                            continue
+                        args = (tj, tk, tj, tm, tq, tm + tq)
+                        assert _cg_twice(*args) == _cg_twice_fraction(*args), args
+                        count += 1
+        assert count == 35650
 
 
 class TestStretched:

@@ -9,10 +9,14 @@ from multiaxial.angular import couple_axis_chain
 from multiaxial.axes import (
     Axis,
     SpherePoint,
+    _fit_residual,
+    _pair_antipodes,
     _polish_roots,
+    _refine_axes,
     axis_tensor,
     cluster_directions,
     fit_rk,
+    least_squares,
     majorana_polynomial,
     majorana_roots,
     mar_polynomial,
@@ -430,3 +434,110 @@ class TestPolishRoots:
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], [1.0, -1.0], atol=1e-12)
         np.testing.assert_array_equal(got, _polish_roots_per_root(coeffs, roots))
+
+
+class TestPairAntipodes:
+    def test_assignment_recovers_the_pair_the_greedy_pass_stole(self, monkeypatch):
+        # Around z, at 1e-3 rad tolerance: point 0's nearest antipode is 3
+        # (2e-4 off), so the greedy pass takes it and leaves 1 with 2, which
+        # is 1.3e-3 off; the assignment pairs 0-2 (3e-4) and 1-3 (8e-4).
+        import scipy.optimize
+
+        calls = []
+        original = scipy.optimize.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return original(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+
+        def tilted(angle):
+            return np.array([math.sin(angle), 0.0, math.cos(angle)])
+
+        vectors = [tilted(0.0), tilted(1e-3), -tilted(-3e-4), -tilted(2e-4)]
+        lines = _pair_antipodes(vectors, 1e-3)
+        assert calls == [(4, 4)]
+        expected = [vectors[0] - vectors[2], vectors[1] - vectors[3]]
+        for line, want in zip(lines, expected):
+            np.testing.assert_allclose(line, want / np.linalg.norm(want), atol=1e-15)
+
+
+def _line_angle(u, v):
+    """Angle between two lines, accurate near 0."""
+    return float(np.linalg.norm(np.cross(u, v)))
+
+
+class TestLeastSquares:
+    def test_rosenbrock(self):
+        def fun(x):
+            f = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+            jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+            return f, jac
+
+        sol = least_squares(fun, [-1.2, 1.0])
+        np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-12)
+        assert 1 < sol.nfev <= 200
+
+    def test_evaluation_cap(self):
+        # exp(-x) has its infimum at infinity: every step is accepted and
+        # cuts the cost by the same factor, so only the cap of 100
+        # evaluations per parameter stops it
+        def fun(x):
+            f = np.exp(-x)
+            return f, -np.diag(f)
+
+        assert least_squares(fun, [0.0]).nfev == 100
+
+
+class TestRefineAxes:
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(41)
+        h = 1e-6
+        for _ in range(60):
+            mults = list(rng.integers(1, 6, size=rng.integers(1, 5)))
+            k = sum(mults)
+            x = np.ravel(np.column_stack([rng.uniform(0.0, math.pi, len(mults)),
+                                          rng.uniform(0.0, 2.0 * math.pi, len(mults))]))
+            comp = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+            comp /= np.max(np.abs(comp))
+            _, jac = _fit_residual(x, mults, comp)
+            for c in range(len(x)):
+                dx = np.zeros(len(x))
+                dx[c] = h
+                central = (_fit_residual(x + dx, mults, comp)[0]
+                           - _fit_residual(x - dx, mults, comp)[0]) / (2.0 * h)
+                assert np.max(np.abs(jac[:, c] - central)) <= 1e-8, (mults, c)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("at_pole", [False, True])
+    def test_recovers_planted_axes(self, m, at_pole):
+        # an m-fold axis (at the north pole, where phi has no gradient, or
+        # generic) beside a single and a double one, each started 1e-3 rad off
+        rng = np.random.default_rng(100 + m)
+        planted = [((0.0, 0.0) if at_pole else (1.1, 0.4), m), ((2.0, 2.5), 1),
+                   ((0.6, 4.0), 2)]
+        thetas = np.repeat([p[0][0] for p in planted], [p[1] for p in planted])
+        phis = np.repeat([p[0][1] for p in planted], [p[1] for p in planted])
+        comp = 0.3 * np.exp(0.7j) * axis_tensor(thetas, phis)
+        start = []
+        for (theta, phi), mult in planted:
+            v = SpherePoint.create(theta, phi).unit_vector
+            kick = np.cross(v, rng.normal(size=3))
+            kick /= np.linalg.norm(kick)
+            start.append((Axis.from_vector(math.cos(1e-3) * v + math.sin(1e-3) * kick), mult))
+        refined = _refine_axes(comp, tuple(start))
+        assert sorted(mult for _, mult in refined) == sorted(mult for _, mult in planted)
+        for (theta, phi), mult in planted:
+            v = SpherePoint.create(theta, phi).unit_vector
+            assert min(_line_angle(axis.unit_vector, v) for axis, n in refined
+                       if n == mult) <= 1e-10
+
+    def test_fit_through_the_pole(self):
+        # a double axis 1e-5 rad from z, started on the far side of the pole:
+        # the fit ends at theta < 0, which is the same line
+        comp = axis_tensor([1e-5, 1e-5, 1.0], [0.0, 0.0, 2.0])
+        start = ((Axis(SpherePoint(1e-3, math.pi)), 2), (Axis(SpherePoint(1.0005, 2.0)), 1))
+        refined = _refine_axes(comp, start)
+        near_z = next(axis for axis, mult in refined if mult == 2)
+        assert _line_angle(near_z.unit_vector, SpherePoint(1e-5, 0.0).unit_vector) <= 1e-12

@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import multiaxial
 from multiaxial import classify, cli
 from multiaxial.cli import build_report, main
 from multiaxial.families import make_coherent, make_ghz, make_w
@@ -275,3 +279,15 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the rare root-pairing fallback and is imported there
+    src = os.path.dirname(os.path.dirname(multiaxial.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, multiaxial.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
