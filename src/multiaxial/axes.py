@@ -158,22 +158,40 @@ class RankDecomposition:
 # Polynomial machinery
 
 
-def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton steps on all roots at once; each root keeps its best iterate
-    and stops for good once the derivative at it underflows."""
-    deriv = np.polyder(coeffs_desc)
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row i's polynomial (descending coefficients) at row i's points.
+
+    The same operations as ``np.polyval`` on one row; a leading zero
+    coefficient leaves the running value exactly zero, so zero-padding a
+    row to a common degree changes no bit.
+    """
+    y = np.zeros_like(z)
+    for column in coeffs.T[:, :, None]:
+        y = y * z + column
+    return y
+
+
+def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Newton steps on every root of every polynomial at once.
+
+    Row i of ``coeffs`` holds descending coefficients left-padded with zeros
+    to a common degree, row i of ``roots`` its roots; slots where ``live``
+    is False are padding and stay put.  Each root keeps its best iterate and
+    stops for good once the derivative at it underflows.
+    """
+    deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
     z = roots.copy()
-    pz = np.polyval(coeffs_desc, z)
+    pz = _horner(coeffs, z)
     best = z.copy()
     best_val = np.abs(pz)
-    live = np.ones(len(z), dtype=bool)
+    live = live.copy()
     for _ in range(POLISH_STEPS):
-        d = np.polyval(deriv, z)
+        d = _horner(deriv, z)
         live &= np.abs(d) >= 1e-300
         if not live.any():
             break
         z = np.where(live, z - pz / np.where(live, d, 1.0), z)
-        pz = np.polyval(coeffs_desc, z)
+        pz = _horner(coeffs, z)
         val = np.abs(pz)
         better = live & (val < best_val)
         best = np.where(better, z, best)
@@ -181,13 +199,34 @@ def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return best
 
 
-def _roots_ascending(coeffs: np.ndarray) -> np.ndarray:
-    """Finite roots of a polynomial given by ascending coefficients."""
-    desc = coeffs[::-1]
-    roots = np.roots(desc)
-    if len(roots):
-        roots = _polish_roots(desc, roots)
-    return roots
+def _polished_roots(polys: list[np.ndarray]) -> list[np.ndarray]:
+    """Finite roots of each polynomial given by ascending coefficients: one
+    ``np.roots`` each, then one Newton polish over all of them."""
+    found = [np.roots(c[::-1]) for c in polys]
+    counts = [len(r) for r in found]
+    width = max(len(c) for c in polys)
+    coeffs = np.zeros((len(polys), width), dtype=complex)
+    roots = np.zeros((len(polys), max(counts)), dtype=complex)
+    live = np.zeros(roots.shape, dtype=bool)
+    for i, (c, r) in enumerate(zip(polys, found)):
+        coeffs[i, width - len(c):] = c[::-1]
+        roots[i, : len(r)] = r
+        live[i, : len(r)] = True
+    best = _polish_roots(coeffs, roots, live)
+    return [best[i, :n] for i, n in enumerate(counts)]
+
+
+def _root_vectors(z: np.ndarray) -> np.ndarray:
+    """Unit vectors of the roots z = tan(theta/2) e^{i phi}, one row each.
+
+    Follows ``SpherePoint.from_root``: phi wraps into [0, 2 pi), and phi
+    within 1e-9 below 2 pi or at a pole is 0.
+    """
+    theta = np.clip(2.0 * np.arctan(np.abs(z)), 0.0, math.pi)
+    phi = np.mod(np.angle(z), 2.0 * math.pi)
+    phi[(2.0 * math.pi - phi < 1e-9) | (theta == 0.0) | (theta == math.pi)] = 0.0
+    sin = np.sin(theta)
+    return np.stack([sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def majorana_polynomial(psi: PureState) -> np.ndarray:
@@ -218,7 +257,8 @@ def majorana_roots(psi: PureState) -> list[SpherePoint]:
     points = [SOUTH_POLE] * n_infinity
     trimmed = coeffs[: top + 1]
     if top > 0:
-        points.extend(SpherePoint.from_root(z) for z in _roots_ascending(trimmed))
+        (roots,) = _polished_roots([trimmed])
+        points.extend(SpherePoint.from_root(z) for z in roots)
     points.sort(key=lambda p: (p.theta, p.phi))
     return points
 
@@ -565,43 +605,81 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
          for i, m in enumerate(mults)])
 
 
+class RankRoots(NamedTuple):
+    """The root stage's findings for one rank.
+
+    ``vectors`` holds the unit vectors of the roots, one row each, and is
+    None for an absent rank (``scale`` below the zero tolerance).
+    """
+
+    scale: float  # largest |t^k_q|
+    z_axes: int  # axes along z: the trimmed roots at 0 and at infinity
+    vectors: np.ndarray | None
+
+
+def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list[RankRoots]:
+    """Root stage of ``solve_axes`` for several ranks at once.
+
+    Each present rank's MAR polynomial loses its matched roots at 0 and
+    infinity (z axes) and has its other roots found and polished in one
+    sweep over all ranks, then placed on the sphere as unit vectors.
+    """
+    stage, polys = [], []
+    for k in ranks:
+        scale = float(np.max(np.abs(t.rank_components(k))))
+        if scale < zero_tol:
+            stage.append(RankRoots(scale, 0, None))
+            continue
+        coeffs = mar_polynomial(t, k)
+        ctol = float(np.max(np.abs(coeffs))) * 1e-12
+        degree = 2 * k
+        lead = 0
+        while lead < degree and abs(coeffs[degree - lead]) <= ctol:
+            lead += 1
+        trail = 0
+        while trail < degree and abs(coeffs[trail]) <= ctol:
+            trail += 1
+        # Conjugate-reversal symmetry makes the counts equal; strip matched
+        # pairs, each contributing a z-axis (root at 0 plus root at infinity).
+        stripped = min(lead, trail)
+        trimmed = coeffs[stripped: degree - stripped + 1]
+        stage.append(RankRoots(scale, stripped, np.zeros((0, 3))))
+        if len(trimmed) > 1:
+            polys.append((len(stage) - 1, trimmed))
+    if polys:
+        roots = _polished_roots([c for _, c in polys])
+        vectors = np.split(_root_vectors(np.concatenate(roots)),
+                           np.cumsum([len(r) for r in roots[:-1]]))
+        for (i, _), v in zip(polys, vectors):
+            stage[i] = stage[i]._replace(vectors=v)
+    return stage
+
+
 def solve_axes(
     t: SphericalTensorSet,
     k: int,
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
+    roots: RankRoots | None = None,
 ) -> RankDecomposition:
-    """Find the k axes and the invariant scalar r_k of one rank."""
-    comp = t.rank_components(k)
-    scale = float(np.max(np.abs(comp)))
-    if scale < zero_tol:
+    """Find the k axes and the invariant scalar r_k of one rank.
+
+    ``roots`` is this rank's entry of ``rank_roots(t, ...)`` when the caller
+    has run the root stage over several ranks; without it the stage runs
+    for this rank alone.
+    """
+    if roots is None:
+        (roots,) = rank_roots(t, [k], zero_tol)
+    scale, vectors = roots.scale, roots.vectors
+    if vectors is None:
         return RankDecomposition(k, 0.0, ())
-
-    coeffs = mar_polynomial(t, k)
-    ctol = float(np.max(np.abs(coeffs))) * 1e-12
-    degree = 2 * k
-    lead = 0
-    while lead < degree and abs(coeffs[degree - lead]) <= ctol:
-        lead += 1
-    trail = 0
-    while trail < degree and abs(coeffs[trail]) <= ctol:
-        trail += 1
-    # Conjugate-reversal symmetry makes the counts equal; strip matched
-    # pairs, each contributing a z-axis (root at 0 plus root at infinity).
-    stripped = min(lead, trail)
-    n_z_axes = stripped
-    trimmed = coeffs[stripped: degree - stripped + 1]
-
-    vectors: list[np.ndarray] = []
-    if len(trimmed) > 1:
-        roots = _roots_ascending(trimmed)
-        vectors = [SpherePoint.from_root(z).unit_vector for z in roots]
+    comp = t.rank_components(k)
 
     # A root of multiplicity m scatters by about eps^(1/m); allow for the
     # worst case when matching antipodes.
     scatter = 100.0 * np.finfo(float).eps ** (1.0 / max(2, k))
-    lines = _pair_antipodes(vectors, max(pair_tol, scatter)) if vectors else []
-    lines.extend(np.array([0.0, 0.0, 1.0]) for _ in range(n_z_axes))
+    lines = _pair_antipodes(vectors, max(pair_tol, scatter)) if len(vectors) else []
+    lines.extend(np.array([0.0, 0.0, 1.0]) for _ in range(roots.z_axes))
     if len(lines) != k:
         raise AxisPairingError(
             f"rank {k}: expected {k} axes, built {len(lines)}", vectors)
@@ -635,9 +713,10 @@ def solve_all_axes(
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
 ) -> list[RankDecomposition]:
+    ranks = range(1, t.max_rank + 1)
     return [
-        solve_axes(t, k, zero_tol=zero_tol, pair_tol=pair_tol)
-        for k in range(1, t.max_rank + 1)
+        solve_axes(t, k, zero_tol=zero_tol, pair_tol=pair_tol, roots=roots)
+        for k, roots in zip(ranks, rank_roots(t, ranks, zero_tol))
     ]
 
 

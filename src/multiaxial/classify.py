@@ -353,18 +353,26 @@ def _kabsch_refine(rot: np.ndarray, pairs) -> np.ndarray:
 
 
 def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
-    """Euler angles with R = Rz(alpha) Ry(beta) Rz(gamma)."""
-    beta = math.acos(max(-1.0, min(1.0, float(rot[2, 2]))))
-    if math.sin(beta) > 1e-9:
-        alpha = math.atan2(float(rot[1, 2]), float(rot[0, 2]))
-        gamma = math.atan2(float(rot[2, 1]), -float(rot[2, 0]))
-    elif rot[2, 2] > 0.0:
-        alpha = math.atan2(float(rot[1, 0]), float(rot[0, 0]))
-        gamma = 0.0
-    else:
-        alpha = math.atan2(float(rot[1, 0]), -float(rot[0, 0]))
-        gamma = 0.0
-    return EulerAngles(alpha, beta, gamma)
+    """Euler angles with R = Rz(alpha) Ry(beta) Rz(gamma).
+
+    The third row and column hold sin(beta) times the sines and cosines of
+    alpha and gamma, so near a pole rounding swamps those two angles.  R then
+    depends mainly on alpha + gamma (beta near 0) or alpha - gamma (beta
+    near pi), which the upper-left block holds times 1 + cos(beta) or
+    1 - cos(beta).  That combination is read from the block and the other
+    one from the third row and column.
+    """
+    r = np.asarray(rot, dtype=float)
+    beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    alpha = math.atan2(r[1, 2], r[0, 2])
+    gamma = math.atan2(r[2, 1], -r[2, 0])
+    if r[2, 2] >= 0.0:
+        total = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1])
+        shift = 0.5 * math.remainder(total - alpha - gamma, 2.0 * math.pi)
+        return EulerAngles(alpha + shift, beta, gamma + shift)
+    difference = math.atan2(-(r[1, 0] + r[0, 1]), r[1, 1] - r[0, 0])
+    shift = 0.5 * math.remainder(difference - alpha + gamma, 2.0 * math.pi)
+    return EulerAngles(alpha + shift, beta, gamma - shift)
 
 
 def lu_equivalent(

@@ -228,10 +228,16 @@ def cmd_generate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read family spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(spec, dict):
+        print(f"error: family spec must be a JSON object, got {type(spec).__name__}",
+              file=sys.stderr)
+        return EXIT_USAGE
     name = spec.get("family")
     try:
         rho, psd_ok, note = family_density(name, spec.get("params", {}))
-    except (FamilyParameterError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # FamilyParameterError is a ValueError, as is float("abc"); int() of
+        # an infinite parameter overflows
         hint = ""
         if name in FAMILY_PARAMS:
             hint = f" (valid ranges: {family_ranges(name)})"

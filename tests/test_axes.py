@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from multiaxial.angular import couple_axis_chain
+from multiaxial import axes as axes_module
 from multiaxial.axes import (
+    POLISH_STEPS,
     Axis,
     SpherePoint,
     _fit_residual,
     _pair_antipodes,
     _polish_roots,
     _refine_axes,
+    _root_vectors,
     axis_tensor,
     cluster_directions,
     fit_rk,
@@ -22,6 +25,7 @@ from multiaxial.axes import (
     mar_polynomial,
     multiple_axis_groups,
     pairwise_invariants,
+    rank_roots,
     solve_all_axes,
     solve_axes,
 )
@@ -34,7 +38,7 @@ from multiaxial.families import (
 )
 from multiaxial.fano import SphericalTensorSet, extract_tensors, rotate_tensors
 from multiaxial.halfint import HalfInteger
-from multiaxial.states import DensityMatrix, EulerAngles, pure_to_density
+from multiaxial.states import DensityMatrix, EulerAngles, pure_to_density, rotate_density
 
 
 def _h(x):
@@ -408,13 +412,50 @@ def _polish_roots_per_root(coeffs_desc, roots, steps=5):
     return out
 
 
+def _polish_roots_per_rank(coeffs_desc, roots):
+    """The one-polynomial-at-a-time Newton polish, kept as the oracle."""
+    deriv = np.polyder(coeffs_desc)
+    z = roots.copy()
+    pz = np.polyval(coeffs_desc, z)
+    best = z.copy()
+    best_val = np.abs(pz)
+    live = np.ones(len(z), dtype=bool)
+    for _ in range(POLISH_STEPS):
+        d = np.polyval(deriv, z)
+        live &= np.abs(d) >= 1e-300
+        if not live.any():
+            break
+        z = np.where(live, z - pz / np.where(live, d, 1.0), z)
+        pz = np.polyval(coeffs_desc, z)
+        val = np.abs(pz)
+        better = live & (val < best_val)
+        best = np.where(better, z, best)
+        best_val = np.where(better, val, best_val)
+    return best
+
+
+def _polish_batch(polys, roots):
+    """Pad descending coefficient rows and root rows; polish them in one call."""
+    width = max(len(c) for c in polys)
+    count = max(len(r) for r in roots)
+    coeffs = np.zeros((len(polys), width), dtype=complex)
+    z = np.zeros((len(polys), count), dtype=complex)
+    live = np.zeros(z.shape, dtype=bool)
+    for i, (c, r) in enumerate(zip(polys, roots)):
+        coeffs[i, width - len(c):] = c
+        z[i, : len(r)] = r
+        live[i, : len(r)] = True
+    best = _polish_roots(coeffs, z, live)
+    return [best[i, : len(r)] for i, r in enumerate(roots)]
+
+
 class TestPolishRoots:
     def test_matches_per_root_loop(self):
         rng = np.random.default_rng(31)
         for degree in (1, 2, 5, 12, 24, 40):
             coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
             roots = np.roots(coeffs)
-            got = _polish_roots(coeffs, roots)
+            (got,) = _polish_batch([coeffs], [roots])
             want = _polish_roots_per_root(coeffs, roots)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -422,7 +463,7 @@ class TestPolishRoots:
         # (Z - 0.3 - 0.4i)^6 (Z + 2)^3: Newton stalls and keep-best matters
         coeffs = np.poly([0.3 + 0.4j] * 6 + [-2.0] * 3)
         roots = np.roots(coeffs)
-        got = _polish_roots(coeffs, roots)
+        (got,) = _polish_batch([coeffs], [roots])
         want = _polish_roots_per_root(coeffs, roots)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -430,10 +471,129 @@ class TestPolishRoots:
         # Z^2 - 1: p'(0) = 0, so a root guess at 0 stays put; the others move
         coeffs = np.array([1.0, 0.0, -1.0], dtype=complex)
         roots = np.array([0.0, 1.1, -0.9], dtype=complex)
-        got = _polish_roots(coeffs, roots)
+        (got,) = _polish_batch([coeffs], [roots])
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], [1.0, -1.0], atol=1e-12)
         np.testing.assert_array_equal(got, _polish_roots_per_root(coeffs, roots))
+
+    def test_padded_rows_equal_per_rank_polish(self):
+        # rows of degree 2, 9 and 40 in one batch, padded roots in the short
+        # rows, and a guess at 0 where p'(0) underflows (Z^2 - 1)
+        rng = np.random.default_rng(8)
+        polys = [np.array([1.0, 0.0, -1.0], dtype=complex),
+                 np.poly([0.3 + 0.4j] * 6 + [-2.0] * 3).astype(complex),
+                 rng.normal(size=41) + 1j * rng.normal(size=41)]
+        roots = [np.array([0.0, 1.1, -0.9], dtype=complex)]
+        roots += [np.roots(c) for c in polys[1:]]
+        got = _polish_batch(polys, roots)
+        assert got[0][0] == 0.0
+        for c, r, g in zip(polys, roots, got):
+            np.testing.assert_array_equal(g, _polish_roots_per_rank(c, r))
+
+    def test_all_roots_stuck_leaves_them_put(self):
+        # p'(z) = 0 at every guess: no Newton step is taken
+        coeffs = np.array([1.0, 0.0, -1.0], dtype=complex)
+        got = _polish_batch([coeffs, coeffs], [np.zeros(1), np.zeros(2)])
+        assert [g.tolist() for g in got] == [[0.0], [0.0, 0.0]]
+
+
+def _root_stage_states(family_twojs=range(2, 15)):
+    """Tensor sets of seeded random states at 2j = 2..20 and of GHZ, W,
+    Dicke and coherent states at ``family_twojs``, aligned and rotated."""
+    rng = np.random.default_rng(2024)
+    for twoj in range(2, 21):
+        d = twoj + 1
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mixed = g @ g.conj().T
+        yield f"mixed-{twoj}", extract_tensors(
+            DensityMatrix(HalfInteger(twoj), mixed / np.trace(mixed).real))
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        yield f"pure-{twoj}", extract_tensors(
+            DensityMatrix(HalfInteger(twoj), np.outer(psi, psi.conj())))
+    for twoj in family_twojs:
+        j = HalfInteger(twoj)
+        for name, state in (("ghz", make_ghz(twoj)), ("w", make_w(twoj)),
+                            ("dicke", make_dicke(j, HalfInteger(twoj % 2))),
+                            ("coherent", make_coherent(j, 0.7, 1.3))):
+            rho = pure_to_density(state)
+            yield f"{name}-{twoj}", extract_tensors(rho)
+            angles = EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3))
+            yield f"{name}-{twoj}-rotated", extract_tensors(rotate_density(rho, angles))
+
+
+class TestRootStage:
+    def test_batched_polish_equals_per_rank_polish(self, monkeypatch):
+        batches = []
+
+        def recording(coeffs, roots, live):
+            best = _polish_roots(coeffs, roots, live)
+            batches.append((coeffs, roots, live, best))
+            return best
+
+        monkeypatch.setattr(axes_module, "_polish_roots", recording)
+        degrees, padded, rows = set(), 0, 0
+        for _, t in _root_stage_states():
+            batches.clear()
+            stage = rank_roots(t, range(1, t.max_rank + 1))
+            if not batches:
+                continue  # every present rank trimmed to z axes
+            (coeffs, roots, live, best), = batches
+            ranks = [k for k, s in enumerate(stage, 1)
+                     if s.vectors is not None and len(s.vectors)]
+            assert len(ranks) == len(coeffs)
+            for k, c, r, mask, b in zip(ranks, coeffs, roots, live, best):
+                c = c[np.flatnonzero(c)[0]:]  # strip the padding
+                # the rank's MAR polynomial with its z-axis roots trimmed
+                desc = mar_polynomial(t, k)[::-1]
+                cut = stage[k - 1].z_axes
+                np.testing.assert_array_equal(c, desc[cut: len(desc) - cut])
+                n = int(mask.sum())
+                np.testing.assert_array_equal(r[:n], np.roots(c))
+                np.testing.assert_array_equal(b[:n], _polish_roots_per_rank(c, r[:n]))
+                np.testing.assert_array_equal(b[n:], r[n:])
+                degrees.add(len(c) - 1)
+                padded += len(r) - n
+                rows += 1
+        assert rows > 800 and degrees == set(range(2, 41, 2)) and padded > 1000
+
+    def test_solve_axes_alone_equals_solve_all_axes(self):
+        for name, t in _root_stage_states(family_twojs=(3, 8, 12)):
+            together = solve_all_axes(t)
+            for k in range(1, t.max_rank + 1):
+                assert solve_axes(t, k) == together[k - 1], (name, k)
+
+    def test_root_vectors_follow_sphere_point(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate([
+            [0.0, 1e-300, 1.0, -1.0, 1j, -1j, 1e200, -1e200 * 1j, 1e16 + 1e16j],
+            0.7 * np.exp(-1j * np.array([1e-15, 1e-12, 5e-10, 2e-9])),  # snap to 0
+            np.exp(rng.normal(size=200) * 3.0 + 1j * rng.uniform(-4.0, 4.0, 200)),
+        ])
+        got = _root_vectors(z)
+        want = np.array([SpherePoint.from_root(complex(x)).unit_vector for x in z])
+        assert got.shape == (len(z), 3)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_snap_and_poles_match_sphere_point(self):
+        # phi within 1e-9 below 2 pi is 0, and so is phi at a pole
+        for x in (0.7 * np.exp(-1e-12j), 0.0, -0.0 - 0.0j, 1e300 * np.exp(2j)):
+            (v,) = _root_vectors(np.array([x]))
+            p = SpherePoint.from_root(complex(x))
+            assert p.phi == 0.0 and v[1] == 0.0
+            np.testing.assert_allclose(v, p.unit_vector, rtol=0.0, atol=1e-15)
+
+    def test_majorana_roots_equal_per_rank_polish(self):
+        from multiaxial.states import PureState
+        rng = np.random.default_rng(12)
+        for twoj in range(1, 21):
+            amps = rng.normal(size=twoj + 1) + 1j * rng.normal(size=twoj + 1)
+            psi = PureState(HalfInteger(twoj), amps / np.linalg.norm(amps))
+            desc = majorana_polynomial(psi)[::-1]
+            want = sorted((SpherePoint.from_root(z) for z in
+                           _polish_roots_per_rank(desc, np.roots(desc))),
+                          key=lambda p: (p.theta, p.phi))
+            assert majorana_roots(psi) == want
 
 
 class TestPairAntipodes:

@@ -13,6 +13,7 @@ from multiaxial.classify import (
     Tolerances,
     class_signature,
     degeneracy_configuration,
+    euler_zyz_from_matrix,
     lu_equivalent,
     pure_separability_check,
     separable_reference_r,
@@ -222,6 +223,41 @@ class TestLUEquivalence:
     def test_reflexive(self):
         rho = pure_to_density(make_ghz(4))
         assert lu_equivalent(rho, rho).verdict == "equivalent"
+
+    def test_random_state_equivalent_to_itself(self):
+        # the Kabsch rotation is the identity up to rounding; reading its
+        # Euler angles off the rounding noise gave a wrong witness
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = DensityMatrix(HalfInteger(3), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        for other in (rho, rotate_density(rho, EulerAngles(1.1, 0.0, 0.0)),
+                      rotate_density(rho, EulerAngles(0.3, math.pi, -0.5))):
+            result = lu_equivalent(rho, other)
+            assert result.verdict == "equivalent"
+            mapped = rotate_density(rho, result.witness)
+            assert np.max(np.abs(mapped.matrix - other.matrix)) < 1e-6
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-13, 1e-10, 1e-8, 1e-6, 0.7,
+                                      math.pi / 2, math.pi - 1e-8,
+                                      math.pi - 1e-13, math.pi])
+    def test_euler_angles_rebuild_the_rotation(self, beta):
+        rng = np.random.default_rng(3)
+
+        def rz(a):
+            return np.array([[math.cos(a), -math.sin(a), 0.0],
+                             [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]])
+
+        def ry(b):
+            return np.array([[math.cos(b), 0.0, math.sin(b)], [0.0, 1.0, 0.0],
+                             [-math.sin(b), 0.0, math.cos(b)]])
+
+        for alpha, gamma in rng.uniform(-math.pi, math.pi, (20, 2)):
+            rot = rz(alpha) @ ry(beta) @ rz(gamma)
+            # rounding-level asymmetry, as a Kabsch fit leaves it
+            rot = rot + 2e-16 * rng.normal(size=(3, 3))
+            e = euler_zyz_from_matrix(rot)
+            rebuilt = rz(e.alpha) @ ry(e.beta) @ rz(e.gamma)
+            assert np.max(np.abs(rebuilt - rot)) < 1e-14
 
     def test_bell_vs_top_dicke(self):
         result = lu_equivalent(pure_to_density(make_bell()),

@@ -200,6 +200,22 @@ class TestGenerate:
         assert main(["generate", str(spec)]) == 1
         assert "ranges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec_doc", [
+        [1, 2],
+        "ghz",
+        {"family": "uniaxial", "params": {"r1": "abc", "theta1": 0, "phi1": 0}},
+        {"family": "separable_coherent", "params": {"j": 1, "theta": "a", "phi": 0}},
+        {"family": "ghz", "params": {"N": float("inf")}},
+    ], ids=["list", "string", "non-numeric", "non-numeric-angle", "infinite"])
+    def test_malformed_spec_one_error_line_exit_1(self, tmp_path, capsys, spec_doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_doc))
+        assert main(["generate", str(spec)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_generate_analyze_reconstruct(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
