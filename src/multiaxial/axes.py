@@ -9,7 +9,6 @@ antipodal map and pair into k double-headed axes.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,13 +26,18 @@ PAIR_TOL = 1e-6
 FLAT_TOL = 1e-12
 #: Newton steps when polishing the roots numpy returns.
 POLISH_STEPS = 5
-#: The lines of an m-fold axis spread over up to about 4.6 eps^(1/m) rad
-#: (m = 6..20, rotated coherent, W and Dicke states up to 2j = 20), more
-#: when a near-z axis has lost a root pair to the z-axis trimming.
-MULTIPLE_SCATTER = 20.0
-#: Widest spread gathered as one axis, about that of a 14-fold axis; wider
-#: groups of lines are as likely to be distinct axes.
-MULTIPLE_SPREAD_MAX = 0.35
+#: A rank whose every root has a condition number ||t^k|| (1 + |z|^2)^((n-1)/2)
+#: / |p'(z)| below this has only simple roots.  Random states reach a few
+#: hundred; the members of a multiple axis start at about 2.5e4.
+SIMPLE_ROOT_COND = 3e3
+#: The structure stage's matrix counts as singular when sigma_min / sigma_max
+#: is below this many times the relative noise of the polynomial.
+STRUCTURE_NOISE = 10.0
+#: Largest distance of a multiplicity estimate from its integer.
+MULTIPLICITY_TOL = 0.1
+#: Absolute part of the acceptance gate on a rank's fit residual, a few
+#: hundred ulps of Tr rho = 1.
+GATE_FLOOR = 256.0 * np.finfo(float).eps
 #: Stop tolerance of the axis refinement on the cost change, the step
 #: length (relative to the parameters) and the cosine between the residual
 #: and each Jacobian column.
@@ -49,7 +53,8 @@ class AxisPairingError(RuntimeError):
 
 
 class DegenerateFitError(RuntimeError):
-    """The coupled axis tensor vanished; no scale can be fitted."""
+    """No axes fit the rank: the coupled axis tensor vanished, or no
+    proposal passes the acceptance gate."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,9 @@ class SpherePoint:
 
     @staticmethod
     def from_vector(v: np.ndarray) -> "SpherePoint":
+        # atan2, not acos(z / r): theta below about 1e-8 would round to 0
         x, y, z = float(v[0]), float(v[1]), float(v[2])
-        r = math.sqrt(x * x + y * y + z * z)
-        return SpherePoint.create(math.acos(max(-1.0, min(1.0, z / r))),
-                                  math.atan2(y, x))
+        return SpherePoint.create(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
     @property
     def unit_vector(self) -> np.ndarray:
@@ -199,9 +203,10 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, live: np.ndarray) -> np
     return best
 
 
-def _polished_roots(polys: list[np.ndarray]) -> list[np.ndarray]:
+def _polished_roots(polys: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Finite roots of each polynomial given by ascending coefficients: one
-    ``np.roots`` each, then one Newton polish over all of them."""
+    ``np.roots`` each, then one Newton polish over all of them.  Also
+    returns |p'| at each polished root."""
     found = [np.roots(c[::-1]) for c in polys]
     counts = [len(r) for r in found]
     width = max(len(c) for c in polys)
@@ -213,7 +218,9 @@ def _polished_roots(polys: list[np.ndarray]) -> list[np.ndarray]:
         roots[i, : len(r)] = r
         live[i, : len(r)] = True
     best = _polish_roots(coeffs, roots, live)
-    return [best[i, :n] for i, n in enumerate(counts)]
+    slopes = np.abs(_horner(coeffs[:, :-1] * np.arange(width - 1, 0, -1), best))
+    return ([best[i, :n] for i, n in enumerate(counts)],
+            [slopes[i, :n] for i, n in enumerate(counts)])
 
 
 def _root_vectors(z: np.ndarray) -> np.ndarray:
@@ -257,7 +264,7 @@ def majorana_roots(psi: PureState) -> list[SpherePoint]:
     points = [SOUTH_POLE] * n_infinity
     trimmed = coeffs[: top + 1]
     if top > 0:
-        (roots,) = _polished_roots([trimmed])
+        (roots,), _ = _polished_roots([trimmed])
         points.extend(SpherePoint.from_root(z) for z in roots)
     points.sort(key=lambda p: (p.theta, p.phi))
     return points
@@ -271,13 +278,13 @@ def mar_polynomial(t: SphericalTensorSet, k: int) -> np.ndarray:
     """
     if k < 1 or k > t.max_rank:
         raise ValueError(f"rank {k} outside 1..2j = {t.max_rank}")
-    return (_root_binomials(k) * t.rank_components(k))[::-1]
+    return (_sqrt_binomials(2 * k) * t.rank_components(k))[::-1]
 
 
 @lru_cache(maxsize=None)
-def _root_binomials(k: int) -> np.ndarray:
-    """sqrt(C(2k, k+q)) for q = -k .. k."""
-    out = np.sqrt([float(math.comb(2 * k, k + q)) for q in range(-k, k + 1)])
+def _sqrt_binomials(n: int) -> np.ndarray:
+    """sqrt(C(n, i)) for i = 0 .. n; for n = 2k, sqrt(C(2k, k+q)) for q = -k .. k."""
+    out = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
     out.flags.writeable = False
     return out
 
@@ -300,63 +307,29 @@ def axis_tensor(thetas, phis) -> np.ndarray:
     poly = np.ones(1, dtype=complex)
     for quad in zip(-a * b, a * a - np.abs(b) ** 2, a * np.conj(b)):
         poly = np.convolve(poly, quad)
-    return poly[::-1] * (2.0 ** (0.5 * k) / _root_binomials(k))
+    return poly[::-1] * (2.0 ** (0.5 * k) / _sqrt_binomials(2 * k))
 
 
-def _pair_antipodes(vectors: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Pair each point with its antipode; return one line direction per pair."""
-    n = len(vectors)
-    if n % 2 != 0:
-        raise AxisPairingError("odd number of points cannot pair", vectors)
-    v = np.array(vectors)
-    mismatch = np.arccos(np.clip(-(v @ v.T), -1.0, 1.0))
-
-    # Greedy nearest-antipode matching.
-    remaining = list(range(n))
-    pairs: list[tuple[int, int]] = []
-    ok = True
+def _antipodal_pairs(u: np.ndarray, within: float) -> list[tuple[int, int | None]]:
+    """Pair each unit vector, in order, with its nearest free antipode; None
+    where no free one lies within ``within`` rad."""
+    mismatch = np.arccos(np.clip(-(u @ u.T), -1.0, 1.0))
+    remaining = list(range(len(u)))
+    pairs = []
     while remaining:
         i = remaining.pop(0)
-        if not remaining:
-            ok = False
-            break
-        best = int(np.argmin(mismatch[i, remaining]))
-        if mismatch[i, remaining[best]] > tol:
-            ok = False
-            break
-        pairs.append((i, remaining.pop(best)))
-
-    if not ok:
-        # Optimal assignment fallback for degenerate clusters; the only
-        # use of scipy, imported here so the library loads without it.
-        from scipy.optimize import linear_sum_assignment
-
-        cost = mismatch.copy()
-        np.fill_diagonal(cost, math.inf)
-        rows, cols = linear_sum_assignment(cost)
-        match = dict(zip(rows.tolist(), cols.tolist()))
-        pairs = []
-        used = set()
-        bad = []
-        for i in range(n):
-            if i in used:
+        if remaining:
+            best = int(np.argmin(mismatch[i, remaining]))
+            if mismatch[i, remaining[best]] <= within:
+                pairs.append((i, remaining.pop(best)))
                 continue
-            l = match[i]
-            if match.get(l) != i or mismatch[i, l] > tol:
-                bad.append(vectors[i])
-                continue
-            used.update((i, l))
-            pairs.append((i, l))
-        if bad or len(pairs) != n // 2:
-            raise AxisPairingError(
-                f"{n - 2 * len(pairs)} points have no antipodal partner "
-                f"within {tol:g} rad", bad or vectors)
+        pairs.append((i, None))
+    return pairs
 
-    lines = []
-    for i, l in pairs:
-        d = vectors[i] - vectors[l]
-        lines.append(d / np.linalg.norm(d))
-    return lines
+
+def _line(u: np.ndarray, antipode: np.ndarray) -> np.ndarray:
+    d = u - antipode
+    return d / np.linalg.norm(d)
 
 
 def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.ndarray, int]]:
@@ -379,77 +352,13 @@ def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.n
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return [(_mean_line(vectors, members), len(members)) for members in groups.values()]
-
-
-def _mean_line(vectors: list[np.ndarray], members) -> np.ndarray:
-    """Unit mean of the member lines, each flipped onto the first one's head."""
-    ref = vectors[members[0]]
-    acc = np.zeros(3)
-    for i in members:
-        v = vectors[i]
-        acc += v if float(np.dot(v, ref)) >= 0.0 else -v
-    return acc / np.linalg.norm(acc)
-
-
-def multiple_axis_groups(vectors: list[np.ndarray],
-                         floor_tol: float) -> list[tuple[np.ndarray, int]] | None:
-    """Group line directions, first gathering the lines of each m-fold axis.
-
-    An m-fold axis reaches the solver as m lines spread over up to
-    ``MULTIPLE_SCATTER * eps^(1/m)`` rad (at most ``MULTIPLE_SPREAD_MAX``),
-    wider than ``floor_tol`` from m = 5 on.  Repeatedly take the largest m for which some line and its m - 1 nearest
-    free lines span no more than that; the lines left over are clustered at
-    ``floor_tol``.  Returns None when no such group exists, that is when
-    this grouping is ``cluster_directions(vectors, floor_tol)``.
-    """
-    limit, cos_limit = _group_limits(len(vectors), floor_tol)
-    v = np.array(vectors)
-    free = np.arange(len(v))
-    groups = []
-    while len(free) > 1 and limit[len(free) - 1] > 0.0:
-        w = v[free]
-        cosines = np.abs(w @ w.T)
-        # a group of m needs a line whose m - 1 nearest lie within limit[m - 1]
-        if not (-np.sort(-cosines, axis=1) >= cos_limit[: len(free)]).any():
-            break
-        angles = np.arccos(np.clip(cosines, 0.0, 1.0))
-        order = np.argsort(angles, axis=1)
-        # span[i, m - 1]: largest angle among line i and its m - 1 nearest
-        near = angles[order[:, :, None], order[:, None, :]]
-        span = np.maximum.accumulate(np.triu(near).max(axis=1), axis=1)
-        fits = span <= limit[: len(free)]
-        found = np.flatnonzero(fits.any(axis=0))
-        if not len(found):
-            break
-        m = int(found[-1]) + 1
-        seed = int(np.argmin(np.where(fits[:, m - 1], span[:, m - 1], np.inf)))
-        members = free[order[seed, :m]]
-        groups.append(members.tolist())
-        free = np.setdiff1d(free, members)
-    if not groups:
-        return None
-    out = [(_mean_line(vectors, members), len(members)) for members in groups]
-    if len(free):
-        out.extend(cluster_directions([vectors[i] for i in free], floor_tol))
+    out = []
+    for members in groups.values():
+        # each member line flipped onto the first one's head
+        v = np.array([vectors[i] for i in members])
+        mean = np.where(v @ v[0] >= 0.0, 1.0, -1.0) @ v
+        out.append((mean / np.linalg.norm(mean), len(members)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _group_limits(n: int, floor_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Widest spread of an m-fold axis's lines for m = 1 .. n, and its cosine.
-
-    Sizes whose spread ``floor_tol`` already covers get -1 (cosine 2), so
-    they never form a group here.
-    """
-    sizes = np.arange(1, n + 1)
-    limit = np.minimum(MULTIPLE_SCATTER * np.finfo(float).eps ** (1.0 / sizes),
-                       MULTIPLE_SPREAD_MAX)
-    limit[limit <= floor_tol] = -1.0
-    cos_limit = np.where(limit > 0.0, np.cos(limit), 2.0)
-    limit.flags.writeable = False
-    cos_limit.flags.writeable = False
-    return limit, cos_limit
 
 
 def _ordered_axis_list(clusters: list[tuple[np.ndarray, int]]) -> tuple:
@@ -571,7 +480,7 @@ def _fit_residual(x: np.ndarray, mults: list[int],
     values = np.stack([rest * d_theta, rest * d_phi], axis=1).reshape(len(x), n)
     k = n // 2
     d_coupled = (np.fft.fft(values, axis=1)[:, ::-1].T
-                 * (2.0 ** (0.5 * k) / n / _root_binomials(k))[:, None])
+                 * (2.0 ** (0.5 * k) / n / _sqrt_binomials(2 * k))[:, None])
     # ds = (dc^H comp - 2 s Re(dc^H c)) / c^H c
     d_scale = (d_coupled.conj().T @ comp
                - 2.0 * s * (d_coupled.conj().T @ coupled).real) / denom
@@ -615,6 +524,7 @@ class RankRoots(NamedTuple):
     scale: float  # largest |t^k_q|
     z_axes: int  # axes along z: the trimmed roots at 0 and at infinity
     vectors: np.ndarray | None
+    ill: int = 0  # roots whose condition number reaches SIMPLE_ROOT_COND
 
 
 def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list[RankRoots]:
@@ -631,28 +541,90 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
             stage.append(RankRoots(scale, 0, None))
             continue
         coeffs = mar_polynomial(t, k)
-        ctol = float(np.max(np.abs(coeffs))) * 1e-12
-        degree = 2 * k
-        lead = 0
-        while lead < degree and abs(coeffs[degree - lead]) <= ctol:
-            lead += 1
-        trail = 0
-        while trail < degree and abs(coeffs[trail]) <= ctol:
-            trail += 1
-        # Conjugate-reversal symmetry makes the counts equal; strip matched
-        # pairs, each contributing a z-axis (root at 0 plus root at infinity).
-        stripped = min(lead, trail)
-        trimmed = coeffs[stripped: degree - stripped + 1]
+        kept = np.abs(coeffs) > float(np.max(np.abs(coeffs))) * 1e-12
+        # Conjugate-reversal symmetry makes the counts of small leading and
+        # trailing coefficients equal; strip matched pairs, each contributing
+        # a z-axis (root at 0 plus root at infinity).
+        stripped = int(min(np.argmax(kept), np.argmax(kept[::-1])))
+        trimmed = coeffs[stripped: 2 * k - stripped + 1]
         stage.append(RankRoots(scale, stripped, np.zeros((0, 3))))
         if len(trimmed) > 1:
-            polys.append((len(stage) - 1, trimmed))
+            polys.append((len(stage) - 1, trimmed, np.linalg.norm(t.rank_components(k))))
     if polys:
-        roots = _polished_roots([c for _, c in polys])
-        vectors = np.split(_root_vectors(np.concatenate(roots)),
-                           np.cumsum([len(r) for r in roots[:-1]]))
-        for (i, _), v in zip(polys, vectors):
-            stage[i] = stage[i]._replace(vectors=v)
+        roots, slopes = _polished_roots([c for _, c, _ in polys])
+        counts = [len(r) for r in roots]
+        z = np.concatenate(roots)
+        # inf or nan (|p'| = 0, or an overflow far out) counts as ill
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cond = (np.repeat([norm for _, _, norm in polys], counts)
+                    * (1.0 + np.abs(z) ** 2) ** (0.5 * np.repeat(counts, counts) - 0.5)
+                    / np.concatenate(slopes))
+        starts = np.cumsum([0] + counts[:-1])
+        ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
+        for (i, _, _), v, n_ill in zip(polys, np.split(_root_vectors(z), starts[1:]), ill):
+            stage[i] = stage[i]._replace(vectors=v, ill=int(n_ill))
     return stage
+
+
+def _convolution_matrix(c: np.ndarray, width: int) -> np.ndarray:
+    """Matrix of x -> c * x for x of length ``width``: column j is c shifted down by j."""
+    padded = np.concatenate([np.zeros(width - 1), c, np.zeros(width - 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, width)[:, ::-1]
+
+
+def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> list[np.ndarray] | None:
+    """The axes of the rank-k polynomial ``coeffs`` (ascending, formal degree
+    2k) as lines, an m-fold axis as m equal lines, when it has a multiple
+    root; else None.
+
+    Stage 1 of Z. Zeng, "Computing multiple roots of inexact polynomials",
+    Math. Comp. 74 (2005) 869.  With u = gcd(p, p'), p = u v and p' = u w,
+    so p' v - p w = 0; v has one simple root per distinct root of p, and
+    p'/p = w/v = sum_i m_i / (Z - z_i) gives m_i = w(z_i) / v'(z_i).  For
+    d = ``start``, ..., 2k - 1 in turn, the map (v, w) -> p' v - p w with v
+    of degree d is taken between Bombieri-weighted coefficients (c_i /
+    sqrt(C(degree, i))), a norm rotations keep; where its smallest singular
+    value is within ``STRUCTURE_NOISE`` eps / ||p|| of the largest, its null
+    vector gives v and w.  Roots with m_i near 0 (d above the true degree)
+    are dropped.  Of an odd number left, the one nearest Z = 0 has its
+    antipode at infinity, which v leaves out.  Each root pairs with its
+    nearest antipode, which has the same multiplicity, and each axis takes
+    the mean of the two estimates.  The first d whose axis
+    multiplicities lie within ``MULTIPLICITY_TOL`` of positive integers
+    that add up to k, not all 1, gives the structure.
+    """
+    n = 2 * k
+    deriv = coeffs[1:] * np.arange(1, n + 1)
+    noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(n))
+    for d in range(min(start, n), n):
+        weights = np.concatenate([_sqrt_binomials(d), _sqrt_binomials(d - 1)])
+        matrix = (np.hstack([_convolution_matrix(deriv, d + 1), -_convolution_matrix(coeffs, d)])
+                  * weights / _sqrt_binomials(n + d - 1)[:, None])
+        _, sv, vh = np.linalg.svd(matrix)
+        if sv[-1] > noise * sv[0]:
+            continue
+        null = vh[-1].conj() * weights
+        v, w = null[: d + 1], null[d + 1:]
+        roots = np.roots(v[::-1])
+        dv = v[1:] * np.arange(1, d + 1)
+        # an overflow far out gives nan, which counts as multiplicity 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            num, den = _horner(np.stack([w[::-1], dv[::-1]]), np.stack([roots, roots]))
+            estimates = num / den
+        keep = np.abs(estimates) > 0.5
+        roots, estimates = roots[keep], estimates[keep]
+        if len(roots) % 2:  # the antipode of the root nearest 0 lies at infinity
+            i = np.argmin(np.abs(roots))
+            roots, estimates = np.append(roots, np.inf), np.append(estimates, estimates[i])
+        u = _root_vectors(roots)
+        pairs = _antipodal_pairs(u, math.inf)
+        lines = [_line(u[i], u[j]) for i, j in pairs]
+        mults = [0.5 * (estimates[i] + estimates[j]) for i, j in pairs]
+        counts = np.rint(np.real(mults))
+        if (np.all(np.abs(np.subtract(mults, counts)) <= MULTIPLICITY_TOL)
+                and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
+            return [line for line, m in zip(lines, counts.astype(int)) for _ in range(m)]
+    return None
 
 
 def solve_axes(
@@ -667,45 +639,52 @@ def solve_axes(
     ``roots`` is this rank's entry of ``rank_roots(t, ...)`` when the caller
     has run the root stage over several ranks; without it the stage runs
     for this rank alone.
+
+    The axes are proposed as lines with multiplicity: from the structure
+    stage when some root is ill conditioned (``root_structure``), then
+    from the roots themselves.  Lines closer than ``pair_tol`` are merged,
+    the distinct axes are refined with their multiplicities held fixed, and
+    the first proposal whose fit leaves a residual of at most
+    pair_tol^2 ||t^k|| (about the residual of merging two axes pair_tol
+    apart) plus ``GATE_FLOOR`` is accepted.
     """
     if roots is None:
         (roots,) = rank_roots(t, [k], zero_tol)
-    scale, vectors = roots.scale, roots.vectors
-    if vectors is None:
+    if roots.vectors is None:
         return RankDecomposition(k, 0.0, ())
     comp = t.rank_components(k)
-
+    gate = pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR
     # A root of multiplicity m scatters by about eps^(1/m); allow for the
     # worst case when matching antipodes.
-    scatter = 100.0 * np.finfo(float).eps ** (1.0 / max(2, k))
-    lines = _pair_antipodes(vectors, max(pair_tol, scatter)) if len(vectors) else []
-    lines.extend(np.array([0.0, 0.0, 1.0]) for _ in range(roots.z_axes))
-    if len(lines) != k:
-        raise AxisPairingError(
-            f"rank {k}: expected {k} axes, built {len(lines)}", vectors)
-
-    # Accept the coarsest grouping that the tensor itself validates (tiny
-    # residual after refinement), the m-fold axes gathered first;
-    # over-merging distinct axes cannot fit, so it falls through to a finer
-    # one.
-    accept = 1e-9 * max(1.0, scale)
-    tols = [c for c in (1e-2, 1e-3, 1e-4, 1e-5) if c > pair_tol]
-    tols.append(pair_tol)
-    multiple = multiple_axis_groups(lines, tols[0])
-    best = None
-    for clusters in itertools.chain([] if multiple is None else [multiple],
-                                    (cluster_directions(lines, tol) for tol in tols)):
-        axes = _ordered_axis_list(clusters)
+    within = max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
+    for lines in _proposals(t, k, roots, within):
+        axes = _ordered_axis_list(cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
-        if residual > 1e-12 * max(1.0, scale):
+        if residual > GATE_FLOOR:
             axes = _refine_axes(comp, axes)
             r_k, residual = fit_rk(comp, axes)
-        if best is None or residual < best[2]:
-            best = (r_k, axes, residual)
-        if residual <= accept:
-            break
-    r_k, axes, residual = best
-    return RankDecomposition(k, r_k, axes, residual)
+        if residual <= gate:
+            return RankDecomposition(k, r_k, axes, residual)
+    raise DegenerateFitError(
+        f"rank {k}: no axis structure fits; the roots leave a residual of "
+        f"{residual:.3g}, above the gate {gate:.3g}")
+
+
+def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
+    """The structure stage's lines, when some root is ill conditioned and the
+    stage finds a multiple root, then the lines of the roots themselves."""
+    if roots.ill:
+        lines = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
+        if lines is not None:
+            yield lines
+    vectors = roots.vectors
+    pairs = _antipodal_pairs(vectors, within)
+    unpaired = [vectors[i] for i, j in pairs if j is None]
+    if unpaired:
+        raise AxisPairingError(f"rank {k}: {len(unpaired)} points have no antipodal "
+                               f"partner within {within:g} rad", unpaired)
+    yield ([_line(vectors[i], vectors[j]) for i, j in pairs]
+           + [np.array([0.0, 0.0, 1.0])] * roots.z_axes)
 
 
 def solve_all_axes(

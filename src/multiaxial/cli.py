@@ -29,7 +29,7 @@ from .classify import (
     signature_from_tensors,
 )
 from .families import FAMILY_PARAMS, FamilyParameterError, family_density, family_ranges
-from .fano import extract_tensors
+from .fano import check_state_spin, extract_tensors
 from .states import (
     DensityMatrix,
     StateFormatError,
@@ -235,9 +235,10 @@ def cmd_generate(args) -> int:
     name = spec.get("family")
     try:
         rho, psd_ok, note = family_density(name, spec.get("params", {}))
+        check_state_spin(rho.j)
     except (ValueError, TypeError, OverflowError) as exc:
-        # FamilyParameterError is a ValueError, as is float("abc"); int() of
-        # an infinite parameter overflows
+        # FamilyParameterError and SpinTooLargeError are ValueErrors, as is
+        # float("abc"); int() of an infinite parameter overflows
         hint = ""
         if name in FAMILY_PARAMS:
             hint = f" (valid ranges: {family_ranges(name)})"

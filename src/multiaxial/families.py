@@ -183,16 +183,23 @@ FAMILY_PARAMS = {
 
 def family_ranges(name: str) -> str:
     hints = {
-        "dicke": "j half-integer >= 1/2, |m| <= j",
-        "ghz": "N integer >= 2",
-        "w": "N integer >= 2",
+        "dicke": "j half-integer, 1/2 <= j <= 10, |m| <= j",
+        "ghz": "N integer, 2 <= N <= 20",
+        "w": "N integer, 2 <= N <= 20",
         "bell": "no parameters",
-        "separable_coherent": "j half-integer >= 1/2, theta/phi radians",
-        "uniaxial": "0 < r1 <= sqrt(2/3) for PSD; theta1, phi1 radians",
-        "biaxial": "0 < r2 <= sqrt(3); theta radians (PSD range depends on r2)",
-        "triaxial": "r1 real, 0 < r2; theta radians (PSD checked post-construction)",
+        "separable_coherent": "j half-integer, 1/2 <= j <= 10; theta/phi finite radians",
+        "uniaxial": "0 < r1 <= sqrt(2/3) for PSD; theta1, phi1 finite radians",
+        "biaxial": "0 < r2 <= sqrt(3); theta finite radians (PSD range depends on r2)",
+        "triaxial": "r1 finite, 0 < r2; theta finite radians (PSD checked post-construction)",
     }
     return hints[name]
+
+
+def _real(params: dict, name: str) -> float:
+    value = float(params[name])
+    if not math.isfinite(value):
+        raise FamilyParameterError(f"parameter {name!r} must be finite, got {value}")
+    return value
 
 
 def build_family(name: str, params: dict) -> PureState | FamilyState:
@@ -221,15 +228,15 @@ def build_family(name: str, params: dict) -> PureState | FamilyState:
     if name == "bell":
         return make_bell()
     if name == "separable_coherent":
-        return make_coherent(params["j"], float(params["theta"]), float(params["phi"]))
+        return make_coherent(params["j"], _real(params, "theta"), _real(params, "phi"))
     if name == "uniaxial":
         return make_uniaxial(
-            float(params["r1"]), float(params["theta1"]), float(params["phi1"])
+            _real(params, "r1"), _real(params, "theta1"), _real(params, "phi1")
         )
     if name == "biaxial":
-        return make_biaxial(float(params["r2"]), float(params["theta"]))
+        return make_biaxial(_real(params, "r2"), _real(params, "theta"))
     return make_triaxial(
-        float(params["r1"]), float(params["r2"]), float(params["theta"])
+        _real(params, "r1"), _real(params, "r2"), _real(params, "theta")
     )
 
 

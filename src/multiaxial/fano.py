@@ -104,13 +104,18 @@ def _tau_table(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     return index, weight
 
 
+def check_state_spin(j: HalfInteger) -> None:
+    """Raise SpinTooLargeError for a state spin above ``MAX_STATE_SPIN``."""
+    if j > MAX_STATE_SPIN:
+        raise SpinTooLargeError(
+            f"spin {j} exceeds supported maximum {MAX_STATE_SPIN} "
+            f"(ranks up to 2j must stay within the Clebsch-Gordan cap {MAX_SPIN})")
+
+
 def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
     """All t^k_q = Tr(rho tau^k_q) for k = 0 .. 2j, as one gather over the tau table."""
     n = rho.j.twice
-    if rho.j > MAX_STATE_SPIN:
-        raise SpinTooLargeError(
-            f"spin {rho.j} exceeds supported maximum {MAX_STATE_SPIN} "
-            f"(ranks up to 2j must stay within the Clebsch-Gordan cap {MAX_SPIN})")
+    check_state_spin(rho.j)
     index, weight = _tau_table(n)
     flat = (np.ravel(rho.matrix)[index] * weight).sum(axis=1)
     ranks = tuple(flat[k * k: (k + 1) * (k + 1)] for k in range(n + 1))

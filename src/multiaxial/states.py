@@ -7,6 +7,7 @@ entanglement test.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -181,12 +182,16 @@ def _complex_to_json(z: complex) -> dict:
 
 
 def _complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
     try:
-        return complex(float(obj["re"]), float(obj.get("im", 0.0)))
+        if isinstance(obj, (int, float)):
+            z = complex(obj)
+        else:
+            z = complex(float(obj["re"]), float(obj.get("im", 0.0)))
     except (TypeError, KeyError) as exc:
         raise StateFormatError(f"malformed complex entry: {obj!r}") from exc
+    if not cmath.isfinite(z):
+        raise StateFormatError(f"non-finite complex entry: {obj!r}")
+    return z
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:

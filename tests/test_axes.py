@@ -12,18 +12,15 @@ from multiaxial.axes import (
     Axis,
     SpherePoint,
     _fit_residual,
-    _pair_antipodes,
     _polish_roots,
     _refine_axes,
     _root_vectors,
     axis_tensor,
-    cluster_directions,
     fit_rk,
     least_squares,
     majorana_polynomial,
     majorana_roots,
     mar_polynomial,
-    multiple_axis_groups,
     pairwise_invariants,
     rank_roots,
     solve_all_axes,
@@ -338,44 +335,6 @@ class TestEquatorialAxes:
         assert a.phi == pytest.approx(math.pi / 4, abs=1e-12)
 
 
-def _ring(axis, m, radius, twist=0.3):
-    """m unit lines at angle ``radius`` around ``axis``, as an m-fold root scatters."""
-    axis = axis / np.linalg.norm(axis)
-    u = np.cross(axis, [0.0, 0.0, 1.0] if abs(axis[2]) < 0.9 else [1.0, 0.0, 0.0])
-    u /= np.linalg.norm(u)
-    w = np.cross(axis, u)
-    return [math.cos(radius) * axis + math.sin(radius) * (math.cos(a) * u + math.sin(a) * w)
-            for a in twist + 2 * math.pi * np.arange(m) / m]
-
-
-class TestMultipleAxisGroups:
-    def test_gathers_a_scattered_ten_fold_axis(self):
-        # eps^(1/10) is about 0.027 rad: wider than the 1e-2 clustering
-        axis = np.array([0.3, -0.5, 0.8])
-        lines = _ring(axis, 10, 0.04) + [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        assert len(cluster_directions(lines, 1e-2)) == 12
-        groups = multiple_axis_groups(lines, 1e-2)
-        assert sorted(m for _, m in groups) == [1, 1, 10]
-        ten = next(v for v, m in groups if m == 10)
-        assert abs(float(np.dot(ten, axis / np.linalg.norm(axis)))) > 1.0 - 1e-9
-
-    def test_distinct_axes_give_none(self):
-        rng = np.random.default_rng(5)
-        for k in (2, 6, 12, 20):
-            v = rng.normal(size=(k, 3))
-            assert multiple_axis_groups(list(v / np.linalg.norm(v, axis=1)[:, None]), 1e-2) is None
-
-    def test_low_multiplicity_left_to_the_plain_clustering(self):
-        # a 3-fold axis scatters by about eps^(1/3) = 6e-6 rad, well inside 1e-2
-        lines = _ring(np.array([0.0, 0.0, 1.0]), 3, 1e-3)
-        assert multiple_axis_groups(lines, 1e-2) is None
-        assert [m for _, m in cluster_directions(lines, 1e-2)] == [3]
-
-    def test_too_wide_for_its_multiplicity_stays_apart(self):
-        # six lines 0.2 rad around one axis: far wider than a 6-fold root scatters
-        assert multiple_axis_groups(_ring(np.array([0.0, 1.0, 0.0]), 6, 0.2), 1e-2) is None
-
-
 class TestAxisTensor:
     def test_matches_clebsch_gordan_chain(self):
         # the polynomial product, scaled by 2^{k/2}, is the sequential CG
@@ -594,33 +553,6 @@ class TestRootStage:
                            _polish_roots_per_rank(desc, np.roots(desc))),
                           key=lambda p: (p.theta, p.phi))
             assert majorana_roots(psi) == want
-
-
-class TestPairAntipodes:
-    def test_assignment_recovers_the_pair_the_greedy_pass_stole(self, monkeypatch):
-        # Around z, at 1e-3 rad tolerance: point 0's nearest antipode is 3
-        # (2e-4 off), so the greedy pass takes it and leaves 1 with 2, which
-        # is 1.3e-3 off; the assignment pairs 0-2 (3e-4) and 1-3 (8e-4).
-        import scipy.optimize
-
-        calls = []
-        original = scipy.optimize.linear_sum_assignment
-
-        def counting(cost):
-            calls.append(cost.shape)
-            return original(cost)
-
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
-
-        def tilted(angle):
-            return np.array([math.sin(angle), 0.0, math.cos(angle)])
-
-        vectors = [tilted(0.0), tilted(1e-3), -tilted(-3e-4), -tilted(2e-4)]
-        lines = _pair_antipodes(vectors, 1e-3)
-        assert calls == [(4, 4)]
-        expected = [vectors[0] - vectors[2], vectors[1] - vectors[3]]
-        for line, want in zip(lines, expected):
-            np.testing.assert_allclose(line, want / np.linalg.norm(want), atol=1e-15)
 
 
 def _line_angle(u, v):

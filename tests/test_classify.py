@@ -83,11 +83,10 @@ class TestConfiguration:
         cfg = degeneracy_configuration(solve_axes(t, 2))
         assert cfg.partition == (2,)
 
-    @pytest.mark.parametrize("theta", [4e-3, 5e-4])
+    @pytest.mark.parametrize("theta", [4e-3, 5e-4, 5e-5])
     def test_biaxial_close_axes_split_by_solver(self, theta):
-        # the two axes lie 2 theta apart, 8e-3 and 1e-3 rad: the solver
-        # resolves them only at its 1e-3 and 1e-4 groupings, not the first
-        # one tried
+        # the two axes lie 2 theta apart, down to 1e-4 rad: 100 times
+        # --tol-angle, so merging them must fail the acceptance gate
         decomp = solve_axes(extract_tensors(make_biaxial(0.5, theta).rho), 2)
         assert degeneracy_configuration(decomp).render() == "D^2_1,1"
         axes = sorted((axis.phi, axis.theta) for axis, _ in decomp.axes)

@@ -109,6 +109,13 @@ class TestAnalyze:
         assert captured.out == ""
         assert _one_spin_cap_error(captured.err)
 
+    def test_non_finite_state_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"j": "1", "matrix": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]}')
+        assert main(["analyze", str(path)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestOnePass:
     def test_pure_report_extracts_and_solves_once(self, monkeypatch):
@@ -215,6 +222,29 @@ class TestGenerate:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("family, params, bad", [
+        ("separable_coherent", {"j": "3/2", "theta": float("nan"), "phi": 0}, "theta"),
+        ("biaxial", {"r2": float("nan"), "theta": 0.1}, "r2"),
+        ("uniaxial", {"r1": 0.5, "theta1": float("-inf"), "phi1": 0}, "theta1"),
+    ], ids=["nan-angle", "nan-r2", "infinite-angle"])
+    def test_non_finite_parameter_named_exit_1(self, tmp_path, capsys, family, params, bad):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": family, "params": params}))
+        out = tmp_path / "state.json"
+        assert main(["generate", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and repr(bad) in lines[0]
+        assert not out.exists()
+
+    def test_spin_above_cap_rejected_exit_1(self, tmp_path, capsys):
+        # GHZ N = 21 is j = 21/2, which analyze cannot classify
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "ghz", "params": {"N": 21}}))
+        out = tmp_path / "ghz21.json"
+        assert main(["generate", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
+        assert _one_spin_cap_error(capsys.readouterr().err)
+        assert not out.exists()
 
     def test_generate_analyze_reconstruct(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

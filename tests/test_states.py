@@ -222,3 +222,15 @@ class TestStateFiles:
         with pytest.raises(StateFormatError, match="basis"):
             state_from_json({"j": "1", "basis": "jm_ascending",
                              "amplitudes": [1.0, 0.0, 0.0]})
+
+    @pytest.mark.parametrize("doc", [
+        {"j": "1", "matrix": [[float("nan"), 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},
+        {"j": "1", "matrix": [[{"re": 0.5, "im": float("inf")}, 0.0, 0.0],
+                              [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]},
+        {"j": "1/2", "amplitudes": [float("nan"), 1.0]},
+    ], ids=["nan-matrix", "inf-matrix", "nan-amplitude"])
+    def test_rejects_non_finite_entries(self, doc):
+        # NaN passes the Hermiticity and normalisation checks, which compare
+        # with ">"; the entry itself is rejected
+        with pytest.raises(StateFormatError, match="non-finite"):
+            state_from_json(doc)
