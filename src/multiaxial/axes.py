@@ -444,43 +444,46 @@ def _fit_residual(x: np.ndarray, mults: list[int],
     """Residual of ``comp`` against its projection on the axis tensor, and
     the residual's Jacobian.
 
-    x = (theta_1, phi_1, theta_2, ...) holds the distinct axes, ``mults``
-    their multiplicities; the residual comp - s c(x) with the least-squares
-    scale s = c^H comp / c^H c is returned as real parts over imaginary
-    parts.  With q_i = (a_i Z - b_i)(a_i + conj(b_i) Z) the axis polynomial
-    is prod_i q_i^{m_i}, so its derivative in theta_i or phi_i is
-    m_i q_i^{m_i - 1} dq_i prod_{j != i} q_j^{m_j}, normalised as in
-    ``axis_tensor``.
+    x = (x_1, y_1, z_1, x_2, ...) holds a vector along each distinct axis,
+    of any length, and ``mults`` their multiplicities; the residual
+    comp - s c(x) with the least-squares scale s = c^H comp / c^H c is
+    returned as real parts over imaginary parts.  For a unit vector,
+    q_i = -(x_i + i y_i)/2 + z_i Z + (x_i - i y_i) Z^2 / 2 is the quadratic
+    of ``axis_tensor``; it is linear in the vector, so unlike (theta, phi)
+    the parameters have no singular point at the poles, and a longer vector
+    only rescales c, which s absorbs.  The axis polynomial is
+    prod_i q_i^{m_i}, and its derivative in a component of vector i is
+    m_i q_i^{m_i - 1} dq_i prod_{j != i} q_j^{m_j}.
     """
     n = len(comp)
-    coupled = axis_tensor(np.repeat(x[0::2], mults), np.repeat(x[1::2], mults))
+    k = n // 2
+    v = x.reshape(-1, 3)
+    half = 0.5 * (v[:, 0] - 1j * v[:, 1])
+    quads = np.column_stack([-np.conj(half), v[:, 2], half])  # ascending in Z
+    poly = np.ones(1, dtype=complex)
+    for quad in np.repeat(quads, mults, axis=0):
+        poly = np.convolve(poly, quad)
+    coupled = poly[::-1] * (2.0 ** (0.5 * k) / _sqrt_binomials(2 * k))
+
+    # q_i and the derivatives at the n-th roots of unity, where products are
+    # pointwise; one FFT gives back the coefficients.
+    z = _unit_roots(n)
+    values = quads[:, 0, None] + quads[:, 1, None] * z + quads[:, 2, None] * z * z
+    m = np.array(mults)[:, None]
+    lower = values ** (m - 1)
+    full = lower * values
+    ones = np.ones((1, n), dtype=complex)
+    # rest[i] = m_i q_i^(m_i - 1) prod_{j != i} q_j^(m_j)
+    rest = (m * lower * np.cumprod(np.vstack([ones, full[:-1]]), axis=0)
+            * np.cumprod(np.vstack([ones, full[:0:-1]]), axis=0)[::-1])
+    d_quads = np.stack([0.5 * (z * z - 1.0), -0.5j * (z * z + 1.0), z])
+    d_coupled = (np.fft.fft((rest[:, None, :] * d_quads).reshape(len(x), n), axis=1)[:, ::-1].T
+                 * (2.0 ** (0.5 * k) / n / _sqrt_binomials(2 * k))[:, None])
     denom = float(np.sum(np.abs(coupled) ** 2))
     if denom < 1e-14:
         return np.full(2 * n, 1e3), np.zeros((2 * n, len(x)))
     s = complex(np.sum(np.conj(coupled) * comp)) / denom
     diff = comp - s * coupled
-
-    # q_i = -(sin(theta_i)/2) e^{i phi_i} + cos(theta_i) Z
-    #       + (sin(theta_i)/2) e^{-i phi_i} Z^2 and its derivatives, at the
-    # n-th roots of unity, where products are pointwise; one FFT gives back
-    # the coefficients.
-    sin, cos = np.sin(x[0::2, None]), np.cos(x[0::2, None])
-    e = np.exp(1j * x[1::2, None])
-    z = _unit_roots(n)
-    quads = -0.5 * sin * e + cos * z + 0.5 * sin * np.conj(e) * z * z
-    d_theta = -0.5 * cos * e - sin * z + 0.5 * cos * np.conj(e) * z * z
-    d_phi = -0.5j * sin * (e + np.conj(e) * z * z)
-    m = np.array(mults)[:, None]
-    lower = quads ** (m - 1)
-    full = lower * quads
-    ones = np.ones((1, n), dtype=complex)
-    # rest[i] = m_i q_i^(m_i - 1) prod_{j != i} q_j^(m_j)
-    rest = (m * lower * np.cumprod(np.vstack([ones, full[:-1]]), axis=0)
-            * np.cumprod(np.vstack([ones, full[:0:-1]]), axis=0)[::-1])
-    values = np.stack([rest * d_theta, rest * d_phi], axis=1).reshape(len(x), n)
-    k = n // 2
-    d_coupled = (np.fft.fft(values, axis=1)[:, ::-1].T
-                 * (2.0 ** (0.5 * k) / n / _sqrt_binomials(2 * k))[:, None])
     # ds = (dc^H comp - 2 s Re(dc^H c)) / c^H c
     d_scale = (d_coupled.conj().T @ comp
                - 2.0 * s * (d_coupled.conj().T @ coupled).real) / denom
@@ -501,17 +504,16 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
 
     Multiple roots come out of the polynomial solver with an error that
     scales like eps^(1/multiplicity); minimizing the fit residual over the
-    distinct (theta, phi), multiplicities held fixed, recovers them to near
-    machine precision.
+    distinct axis vectors, multiplicities held fixed, recovers them to near
+    machine precision.  The axes come back as fitted, not in canonical form:
+    its snaps (phi within 1e-9 below 2 pi to 0, z within 1e-12 to the
+    equator) would move them by more than the fit's own error.
     """
     mults = [m for _, m in axes]
-    x0 = [angle for axis, _ in axes for angle in (axis.theta, axis.phi)]
+    x0 = np.concatenate([axis.unit_vector for axis, _ in axes])
     sol = least_squares(lambda x: _fit_residual(x, mults, comp), x0)
-    # Not SpherePoint.create: a fit may cross a pole to theta < 0, which
-    # names the right line but would be clamped onto the pole.
-    return _ordered_axis_list(
-        [(SpherePoint(sol.x[2 * i], sol.x[2 * i + 1]).unit_vector, m)
-         for i, m in enumerate(mults)])
+    return tuple((Axis(SpherePoint(math.atan2(math.hypot(x, y), z), math.atan2(y, x))), m)
+                 for (x, y, z), m in zip(sol.x.reshape(-1, 3), mults))
 
 
 class RankRoots(NamedTuple):
@@ -524,7 +526,8 @@ class RankRoots(NamedTuple):
     scale: float  # largest |t^k_q|
     z_axes: int  # axes along z: the trimmed roots at 0 and at infinity
     vectors: np.ndarray | None
-    ill: int = 0  # roots whose condition number reaches SIMPLE_ROOT_COND
+    ill: int = 0  # roots whose condition number reaches SIMPLE_ROOT_COND, or all
+                  # of them beside z axes
 
 
 def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list[RankRoots]:
@@ -562,7 +565,9 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
         starts = np.cumsum([0] + counts[:-1])
         ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
         for (i, _, _), v, n_ill in zip(polys, np.split(_root_vectors(z), starts[1:]), ill):
-            stage[i] = stage[i]._replace(vectors=v, ill=int(n_ill))
+            # the trimming may have cut a multiple axis near z in two, so
+            # what it left all counts as ill
+            stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else int(n_ill))
     return stage
 
 
@@ -661,8 +666,9 @@ def solve_axes(
         axes = _ordered_axis_list(cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
         if residual > GATE_FLOOR:
-            axes = _refine_axes(comp, axes)
-            r_k, residual = fit_rk(comp, axes)
+            refined = _refine_axes(comp, axes)
+            r_k, residual = fit_rk(comp, refined)
+            axes = _ordered_axis_list([(axis.unit_vector, m) for axis, m in refined])
         if residual <= gate:
             return RankDecomposition(k, r_k, axes, residual)
     raise DegenerateFitError(

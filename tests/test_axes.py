@@ -589,8 +589,8 @@ class TestRefineAxes:
         for _ in range(60):
             mults = list(rng.integers(1, 6, size=rng.integers(1, 5)))
             k = sum(mults)
-            x = np.ravel(np.column_stack([rng.uniform(0.0, math.pi, len(mults)),
-                                          rng.uniform(0.0, 2.0 * math.pi, len(mults))]))
+            x = rng.normal(size=(len(mults), 3))  # one unit vector per distinct axis
+            x = np.ravel(x / np.linalg.norm(x, axis=1)[:, None])
             comp = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
             comp /= np.max(np.abs(comp))
             _, jac = _fit_residual(x, mults, comp)
