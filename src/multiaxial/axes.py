@@ -327,11 +327,6 @@ def _antipodal_pairs(u: np.ndarray, within: float) -> list[tuple[int, int | None
     return pairs
 
 
-def _line(u: np.ndarray, antipode: np.ndarray) -> np.ndarray:
-    d = u - antipode
-    return d / np.linalg.norm(d)
-
-
 def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.ndarray, int]]:
     """Group line directions whose mutual angle is within tol (transitively)."""
     n = len(vectors)
@@ -444,15 +439,14 @@ def _fit_residual(x: np.ndarray, mults: list[int],
     """Residual of ``comp`` against its projection on the axis tensor, and
     the residual's Jacobian.
 
-    x = (x_1, y_1, z_1, x_2, ...) holds a vector along each distinct axis,
-    of any length, and ``mults`` their multiplicities; the residual
-    comp - s c(x) with the least-squares scale s = c^H comp / c^H c is
-    returned as real parts over imaginary parts.  For a unit vector,
-    q_i = -(x_i + i y_i)/2 + z_i Z + (x_i - i y_i) Z^2 / 2 is the quadratic
-    of ``axis_tensor``; it is linear in the vector, so unlike (theta, phi)
-    the parameters have no singular point at the poles, and a longer vector
-    only rescales c, which s absorbs.  The axis polynomial is
-    prod_i q_i^{m_i}, and its derivative in a component of vector i is
+    x = (x_1, y_1, z_1, x_2, ...) holds a vector of any length along each
+    distinct axis, ``mults`` their multiplicities; the residual comp - s c(x)
+    with the least-squares scale s = c^H comp / c^H c is returned as real
+    parts over imaginary parts.  The quadratic of ``axis_tensor``,
+    q_i = -(x_i + i y_i)/2 + z_i Z + (x_i - i y_i) Z^2 / 2, is linear in the
+    vector: no singular point at the poles, as (theta, phi) have, and the
+    length only rescales c, which s absorbs.  The derivative of the axis
+    polynomial prod_i q_i^{m_i} in a component of vector i is
     m_i q_i^{m_i - 1} dq_i prod_{j != i} q_j^{m_j}.
     """
     n = len(comp)
@@ -520,10 +514,9 @@ class RankRoots(NamedTuple):
     """The root stage's findings for one rank.
 
     ``vectors`` holds the unit vectors of the roots, one row each, and is
-    None for an absent rank (``scale`` below the zero tolerance).
+    None for an absent rank (every |t^k_q| below the zero tolerance).
     """
 
-    scale: float  # largest |t^k_q|
     z_axes: int  # axes along z: the trimmed roots at 0 and at infinity
     vectors: np.ndarray | None
     ill: int = 0  # roots whose condition number reaches SIMPLE_ROOT_COND, or all
@@ -539,9 +532,8 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
     """
     stage, polys = [], []
     for k in ranks:
-        scale = float(np.max(np.abs(t.rank_components(k))))
-        if scale < zero_tol:
-            stage.append(RankRoots(scale, 0, None))
+        if np.max(np.abs(t.rank_components(k))) < zero_tol:
+            stage.append(RankRoots(0, None))
             continue
         coeffs = mar_polynomial(t, k)
         kept = np.abs(coeffs) > float(np.max(np.abs(coeffs))) * 1e-12
@@ -550,7 +542,7 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
         # a z-axis (root at 0 plus root at infinity).
         stripped = int(min(np.argmax(kept), np.argmax(kept[::-1])))
         trimmed = coeffs[stripped: 2 * k - stripped + 1]
-        stage.append(RankRoots(scale, stripped, np.zeros((0, 3))))
+        stage.append(RankRoots(stripped, np.zeros((0, 3))))
         if len(trimmed) > 1:
             polys.append((len(stage) - 1, trimmed, np.linalg.norm(t.rank_components(k))))
     if polys:
@@ -623,7 +615,7 @@ def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> list[np.ndarra
             roots, estimates = np.append(roots, np.inf), np.append(estimates, estimates[i])
         u = _root_vectors(roots)
         pairs = _antipodal_pairs(u, math.inf)
-        lines = [_line(u[i], u[j]) for i, j in pairs]
+        lines = [(u[i] - u[j]) / np.linalg.norm(u[i] - u[j]) for i, j in pairs]
         mults = [0.5 * (estimates[i] + estimates[j]) for i, j in pairs]
         counts = np.rint(np.real(mults))
         if (np.all(np.abs(np.subtract(mults, counts)) <= MULTIPLICITY_TOL)
@@ -689,8 +681,8 @@ def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
     if unpaired:
         raise AxisPairingError(f"rank {k}: {len(unpaired)} points have no antipodal "
                                f"partner within {within:g} rad", unpaired)
-    yield ([_line(vectors[i], vectors[j]) for i, j in pairs]
-           + [np.array([0.0, 0.0, 1.0])] * roots.z_axes)
+    lines = [vectors[i] - vectors[j] for i, j in pairs]
+    yield [d / np.linalg.norm(d) for d in lines] + [np.array([0.0, 0.0, 1.0])] * roots.z_axes
 
 
 def solve_all_axes(
