@@ -23,7 +23,6 @@ from .axes import (
     AxisPairingError,
     DegenerateFitError,
     RankDecomposition,
-    SpherePoint,
     axis_tensor,
     fit_rk,
     majorana_polynomial,

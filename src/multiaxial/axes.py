@@ -8,9 +8,8 @@ antipodal map and pair into k double-headed axes.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -22,7 +21,8 @@ from .states import PureState
 
 ZERO_TOL = 1e-12
 PAIR_TOL = 1e-6
-#: Components of a unit vector up to this size count as zero in ``Axis.from_vector``.
+#: Components of a unit vector up to this size count as zero when choosing
+#: an axis head and its theta.
 FLAT_TOL = 1e-12
 #: Newton steps when polishing the roots numpy returns.
 POLISH_STEPS = 5
@@ -58,84 +58,49 @@ class DegenerateFitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    """Point (theta, phi) with theta in [0, pi], phi in [0, 2 pi); poles at phi=0."""
-
-    theta: float
-    phi: float
-
-    @staticmethod
-    def create(theta: float, phi: float) -> "SpherePoint":
-        theta = min(max(theta, 0.0), math.pi)
-        if theta == 0.0 or theta == math.pi:
-            return SpherePoint(theta, 0.0)
-        phi = phi % (2.0 * math.pi)
-        if 2.0 * math.pi - phi < 1e-9:
-            phi = 0.0
-        return SpherePoint(theta, phi)
-
-    @staticmethod
-    def from_root(z: complex) -> "SpherePoint":
-        return SpherePoint.create(2.0 * math.atan(abs(z)), cmath.phase(z))
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "SpherePoint":
-        # atan2, not acos(z / r): theta below about 1e-8 would round to 0
-        x, y, z = float(v[0]), float(v[1]), float(v[2])
-        return SpherePoint.create(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
-
-SOUTH_POLE = SpherePoint(math.pi, 0.0)
-
-
-@dataclass(frozen=True)
 class Axis:
-    """A double-headed direction, stored by its canonical-hemisphere head.
+    """A double-headed direction, stored as the unit vector of its canonical head.
 
-    Canonical head: theta < pi/2, or theta = pi/2 with phi in [0, pi);
-    poles are reported as (0, 0).
+    Canonical head: z > FLAT_TOL, or an equatorial axis (|z| <= FLAT_TOL)
+    with phi in [0, pi).  theta and phi are derived once, at construction,
+    and serve only to order axes and to report them.
     """
 
-    representative: SpherePoint
+    vector: tuple  # (x, y, z) as floats, so that == compares values
+    theta: float = field(init=False, compare=False)
+    phi: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        theta, phi = _display_angles(self.vector)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     @staticmethod
     def from_vector(v: np.ndarray) -> "Axis":
         v = np.asarray(v, dtype=float)
         v = v / np.linalg.norm(v)
-        if v[2] < -FLAT_TOL:
+        if v[2] < -FLAT_TOL or (abs(v[2]) <= FLAT_TOL and (
+                v[1] < -FLAT_TOL or (abs(v[1]) <= FLAT_TOL and v[0] < 0.0))):
             v = -v
-        elif abs(v[2]) <= FLAT_TOL:
-            # Equatorial axis: pick the head with phi in [0, pi).
-            if v[1] < -FLAT_TOL or (abs(v[1]) <= FLAT_TOL and v[0] < 0.0):
-                v = -v
-            # acos(z) would land an ulp either side of pi/2 and break both
-            # the canonical-head rule and the (theta, phi) ordering.
-            return Axis(SpherePoint.create(math.pi / 2.0, math.atan2(v[1], v[0])))
-        return Axis(SpherePoint.from_vector(v))
-
-    @property
-    def theta(self) -> float:
-        return self.representative.theta
-
-    @property
-    def phi(self) -> float:
-        return self.representative.phi
+        return Axis(tuple(v.tolist()))
 
     @property
     def unit_vector(self) -> np.ndarray:
-        return self.representative.unit_vector
+        return np.array(self.vector)
 
-    def angle_to(self, other: "Axis") -> float:
-        """Angle between the two lines, in [0, pi/2]."""
-        d = abs(float(np.dot(self.unit_vector, other.unit_vector)))
-        return math.acos(min(1.0, d))
+
+def _display_angles(v) -> tuple[float, float]:
+    """(theta, phi) of a unit vector for ordering and output: theta = pi/2
+    exactly for |z| <= FLAT_TOL, phi in [0, 2 pi), 0 at a pole and within
+    1e-9 below 2 pi."""
+    x, y, z = v
+    # atan2, not acos(z): theta below about 1e-8 would round to 0, and an
+    # equatorial theta would land an ulp either side of pi/2
+    theta = math.pi / 2.0 if abs(z) <= FLAT_TOL else math.atan2(math.hypot(x, y), z)
+    if theta == 0.0 or theta == math.pi:
+        return theta, 0.0
+    phi = math.atan2(y, x) % (2.0 * math.pi)
+    return theta, 0.0 if 2.0 * math.pi - phi < 1e-9 else phi
 
 
 @dataclass(frozen=True)
@@ -224,14 +189,10 @@ def _polished_roots(polys: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.
 
 
 def _root_vectors(z: np.ndarray) -> np.ndarray:
-    """Unit vectors of the roots z = tan(theta/2) e^{i phi}, one row each.
-
-    Follows ``SpherePoint.from_root``: phi wraps into [0, 2 pi), and phi
-    within 1e-9 below 2 pi or at a pole is 0.
-    """
-    theta = np.clip(2.0 * np.arctan(np.abs(z)), 0.0, math.pi)
-    phi = np.mod(np.angle(z), 2.0 * math.pi)
-    phi[(2.0 * math.pi - phi < 1e-9) | (theta == 0.0) | (theta == math.pi)] = 0.0
+    """Unit vectors of the roots z = tan(theta/2) e^{i phi}, one row each:
+    the inverse stereographic projection, with z = inf at the south pole."""
+    theta = 2.0 * np.arctan(np.abs(z))
+    phi = np.angle(z)
     sin = np.sin(theta)
     return np.stack([sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], axis=-1)
 
@@ -247,27 +208,19 @@ def majorana_polynomial(psi: PureState) -> np.ndarray:
     return coeffs
 
 
-def majorana_roots(psi: PureState) -> list[SpherePoint]:
-    """The 2j Majorana points, with multiplicity; degree deficiency maps to the south pole."""
+def majorana_roots(psi: PureState) -> np.ndarray:
+    """The 2j Majorana points as unit vectors, one row each with multiplicity,
+    ordered by (theta, phi); degree deficiency maps to the south pole."""
     if psi.j.twice < 1:
         raise ValueError("need j >= 1/2 for a Majorana constellation")
     coeffs = majorana_polynomial(psi)
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        raise RuntimeError("zero Majorana polynomial for a normalized state")
-    tol = scale * ZERO_TOL
-    degree = len(coeffs) - 1
-    top = degree
-    while top > 0 and abs(coeffs[top]) <= tol:
-        top -= 1
-    n_infinity = degree - top
-    points = [SOUTH_POLE] * n_infinity
-    trimmed = coeffs[: top + 1]
+    top = int(np.flatnonzero(np.abs(coeffs) > ZERO_TOL * np.max(np.abs(coeffs)))[-1])
+    z = np.full(len(coeffs) - 1 - top, np.inf, dtype=complex)
     if top > 0:
-        (roots,), _ = _polished_roots([trimmed])
-        points.extend(SpherePoint.from_root(z) for z in roots)
-    points.sort(key=lambda p: (p.theta, p.phi))
-    return points
+        (roots,), _ = _polished_roots([coeffs[: top + 1]])
+        z = np.concatenate([z, roots])
+    points = _root_vectors(z)
+    return points[sorted(range(len(points)), key=lambda i: _display_angles(points[i]))]
 
 
 def mar_polynomial(t: SphericalTensorSet, k: int) -> np.ndarray:
@@ -289,23 +242,30 @@ def _sqrt_binomials(n: int) -> np.ndarray:
     return out
 
 
-def axis_tensor(thetas, phis) -> np.ndarray:
-    """Rank-k tensor of k unit vectors (theta_i, phi_i), components ascending in q.
+def _quadratics(v: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of q(Z) = -(x + i y)/2 + z Z + (x - i y) Z^2 / 2
+    for each row (x, y, z) of ``v``: the MAR polynomial of one axis, whose
+    roots are the axis's two heads.  It is linear in the vector, so a
+    vector's length only rescales it."""
+    half = 0.5 * (v[:, 0] - 1j * v[:, 1])
+    return np.column_stack([-np.conj(half), v[:, 2], half])
 
-    The MAR polynomial of the axes is the product of one quadratic per axis,
-    (a Z - b)(a + conj(b) Z) with a = cos(theta/2), b = sin(theta/2) e^{i phi};
+
+def axis_tensor(vectors) -> np.ndarray:
+    """Rank-k tensor of the k unit vectors in the rows of a k x 3 array,
+    components ascending in q.
+
+    The MAR polynomial of the axes is the product of their quadratics;
     component q is 2^{k/2} times its Z^{k-q} coefficient over sqrt(C(2k, k+q)).
     This is the stretched coupling ((Q1 x Q2)^2 x ... )^k of the unit vectors,
     which ``angular.couple_axis_chain`` builds by Clebsch-Gordan recursion.
     """
-    half = 0.5 * np.asarray(thetas, dtype=float)
-    a = np.cos(half)
-    b = np.sin(half) * np.exp(1j * np.asarray(phis, dtype=float))
-    k = len(a)
+    v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    k = len(v)
     if k == 0:
         raise ValueError("need at least one direction")
     poly = np.ones(1, dtype=complex)
-    for quad in zip(-a * b, a * a - np.abs(b) ** 2, a * np.conj(b)):
+    for quad in _quadratics(v):
         poly = np.convolve(poly, quad)
     return poly[::-1] * (2.0 ** (0.5 * k) / _sqrt_binomials(2 * k))
 
@@ -356,10 +316,9 @@ def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.n
     return out
 
 
-def _ordered_axis_list(clusters: list[tuple[np.ndarray, int]]) -> tuple:
-    axes = [(Axis.from_vector(v), mult) for v, mult in clusters]
-    axes.sort(key=lambda am: (-am[1], am[0].theta, am[0].phi))
-    return tuple(axes)
+def _ordered_axis_list(clusters) -> tuple:
+    axes = ((Axis.from_vector(v), mult) for v, mult in clusters)
+    return tuple(sorted(axes, key=lambda am: (-am[1], am[0].theta, am[0].phi)))
 
 
 def fit_rk(components: np.ndarray, axes: tuple) -> tuple[float, float]:
@@ -371,8 +330,7 @@ def fit_rk(components: np.ndarray, axes: tuple) -> tuple[float, float]:
     mults = [m for _, m in axes]
     if len(components) != 2 * sum(mults) + 1:
         raise ValueError("total axis multiplicity must equal the rank")
-    coupled = axis_tensor(np.repeat([a.theta for a, _ in axes], mults),
-                          np.repeat([a.phi for a, _ in axes], mults))
+    coupled = axis_tensor(np.repeat([a.vector for a, _ in axes], mults, axis=0))
     denom = float(np.sum(np.abs(coupled) ** 2))
     if denom < 1e-14:
         raise DegenerateFitError("coupled axis tensor vanished")
@@ -442,22 +400,17 @@ def _fit_residual(x: np.ndarray, mults: list[int],
     x = (x_1, y_1, z_1, x_2, ...) holds a vector of any length along each
     distinct axis, ``mults`` their multiplicities; the residual comp - s c(x)
     with the least-squares scale s = c^H comp / c^H c is returned as real
-    parts over imaginary parts.  The quadratic of ``axis_tensor``,
-    q_i = -(x_i + i y_i)/2 + z_i Z + (x_i - i y_i) Z^2 / 2, is linear in the
-    vector: no singular point at the poles, as (theta, phi) have, and the
-    length only rescales c, which s absorbs.  The derivative of the axis
-    polynomial prod_i q_i^{m_i} in a component of vector i is
-    m_i q_i^{m_i - 1} dq_i prod_{j != i} q_j^{m_j}.
+    parts over imaginary parts.  The quadratics q_i of ``axis_tensor`` are
+    linear in the vectors: no singular point at the poles, as (theta, phi)
+    have, and a vector's length only rescales c, which s absorbs.  The
+    derivative of the axis polynomial prod_i q_i^{m_i} in a component of
+    vector i is m_i q_i^{m_i - 1} dq_i prod_{j != i} q_j^{m_j}.
     """
     n = len(comp)
     k = n // 2
     v = x.reshape(-1, 3)
-    half = 0.5 * (v[:, 0] - 1j * v[:, 1])
-    quads = np.column_stack([-np.conj(half), v[:, 2], half])  # ascending in Z
-    poly = np.ones(1, dtype=complex)
-    for quad in np.repeat(quads, mults, axis=0):
-        poly = np.convolve(poly, quad)
-    coupled = poly[::-1] * (2.0 ** (0.5 * k) / _sqrt_binomials(2 * k))
+    quads = _quadratics(v)
+    coupled = axis_tensor(np.repeat(v, mults, axis=0))
 
     # q_i and the derivatives at the n-th roots of unity, where products are
     # pointwise; one FFT gives back the coefficients.
@@ -499,15 +452,12 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
     Multiple roots come out of the polynomial solver with an error that
     scales like eps^(1/multiplicity); minimizing the fit residual over the
     distinct axis vectors, multiplicities held fixed, recovers them to near
-    machine precision.  The axes come back as fitted, not in canonical form:
-    its snaps (phi within 1e-9 below 2 pi to 0, z within 1e-12 to the
-    equator) would move them by more than the fit's own error.
+    machine precision.  Returns the refined axes in canonical order.
     """
     mults = [m for _, m in axes]
-    x0 = np.concatenate([axis.unit_vector for axis, _ in axes])
+    x0 = np.concatenate([axis.vector for axis, _ in axes])
     sol = least_squares(lambda x: _fit_residual(x, mults, comp), x0)
-    return tuple((Axis(SpherePoint(math.atan2(math.hypot(x, y), z), math.atan2(y, x))), m)
-                 for (x, y, z), m in zip(sol.x.reshape(-1, 3), mults))
+    return _ordered_axis_list(zip(sol.x.reshape(-1, 3), mults))
 
 
 class RankRoots(NamedTuple):
@@ -658,9 +608,8 @@ def solve_axes(
         axes = _ordered_axis_list(cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
         if residual > GATE_FLOOR:
-            refined = _refine_axes(comp, axes)
-            r_k, residual = fit_rk(comp, refined)
-            axes = _ordered_axis_list([(axis.unit_vector, m) for axis, m in refined])
+            axes = _refine_axes(comp, axes)
+            r_k, residual = fit_rk(comp, axes)
         if residual <= gate:
             return RankDecomposition(k, r_k, axes, residual)
     raise DegenerateFitError(
@@ -699,8 +648,7 @@ def solve_all_axes(
 
 def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:
     """|cos(angle)| for every unordered pair of axes, multiplicity counted, sorted descending."""
-    vectors = [axis.unit_vector for decomp in decompositions
-               for axis in decomp.expanded_axes()]
+    vectors = [axis.vector for decomp in decompositions for axis in decomp.expanded_axes()]
     return np.sort(line_cosines(vectors))[::-1].tolist()
 
 

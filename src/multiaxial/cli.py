@@ -236,9 +236,9 @@ def cmd_generate(args) -> int:
     try:
         rho, psd_ok, note = family_density(name, spec.get("params", {}))
         check_state_spin(rho.j)
-    except (ValueError, TypeError, OverflowError) as exc:
-        # FamilyParameterError and SpinTooLargeError are ValueErrors, as is
-        # float("abc"); int() of an infinite parameter overflows
+    except (ValueError, TypeError) as exc:
+        # FamilyParameterError and SpinTooLargeError are ValueErrors; params
+        # that are not a JSON object can raise a TypeError
         hint = ""
         if name in FAMILY_PARAMS:
             hint = f" (valid ranges: {family_ranges(name)})"
@@ -298,10 +298,12 @@ def cmd_sweep(args) -> int:
         start, stop, steps = float(start), float(stop), int(steps)
         if steps < 2:
             raise ValueError("need at least 2 grid points")
+        reports = [r.strip() for r in args.report.split(",") if r.strip()]
+        if not set(reports) <= {"psd", "ppt", "class"}:
+            raise ValueError(f"--report takes psd, ppt or class, got {args.report!r}")
     except ValueError as exc:
         print(f"error: bad sweep specification: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    reports = [r.strip() for r in args.report.split(",") if r.strip()]
     tolerances = _tolerances(args)
     grid = np.linspace(start, stop, steps)
 
@@ -392,8 +394,25 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit EXIT_USAGE, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number {'>' if positive else '>='} 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiaxial",
         description="Multiaxial (per-rank axis) analysis of symmetric "
                     "N-qubit states.",
@@ -401,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol-angle", type=float, default=1e-6,
-                       help="identical-axis / pairing threshold in radians")
-        p.add_argument("--tol-zero", type=float, default=1e-12,
-                       help="threshold below which a rank is absent")
+        p.add_argument("--tol-angle", type=lambda text: _tolerance(text, False), default=1e-6,
+                       help="identical-axis / pairing threshold in radians (finite, >= 0)")
+        p.add_argument("--tol-zero", type=lambda text: _tolerance(text, True), default=1e-12,
+                       help="threshold below which a rank is absent (finite, > 0)")
         p.add_argument("--out", help="write output to this file")
 
     p = sub.add_parser("analyze", help="full report for one state file")

@@ -36,6 +36,8 @@ def make_dicke(j, m) -> PureState:
     m = HalfInteger.of(m)
     if abs(m.twice) > j.twice:
         raise FamilyParameterError(f"|m|={m} exceeds j={j}")
+    if (j.twice - m.twice) % 2:
+        raise FamilyParameterError(f"m={m} incompatible with j={j}: j - m must be an integer")
     amps = np.zeros(dimension(j), dtype=complex)
     amps[basis_index(j, m)] = 1.0
     return PureState(j, amps)
@@ -196,10 +198,29 @@ def family_ranges(name: str) -> str:
 
 
 def _real(params: dict, name: str) -> float:
-    value = float(params[name])
+    try:
+        value = float(params[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FamilyParameterError(f"parameter {name!r} must be a number, "
+                                   f"got {params[name]!r}") from exc
     if not math.isfinite(value):
         raise FamilyParameterError(f"parameter {name!r} must be finite, got {value}")
     return value
+
+
+def _integer(params: dict, name: str) -> int:
+    value = _real(params, name)
+    if value != int(value):
+        raise FamilyParameterError(f"parameter {name!r} must be an integer, got {value:g}")
+    return int(value)
+
+
+def _half_integer(params: dict, name: str) -> HalfInteger:
+    try:
+        return HalfInteger.of(params[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FamilyParameterError(f"parameter {name!r} must be a half-integer, "
+                                   f"got {params[name]!r}") from exc
 
 
 def build_family(name: str, params: dict) -> PureState | FamilyState:
@@ -220,15 +241,16 @@ def build_family(name: str, params: dict) -> PureState | FamilyState:
             f"family {name!r} got unknown parameters {unknown}"
         )
     if name == "dicke":
-        return make_dicke(params["j"], params["m"])
+        return make_dicke(_half_integer(params, "j"), _half_integer(params, "m"))
     if name == "ghz":
-        return make_ghz(int(params["N"]))
+        return make_ghz(_integer(params, "N"))
     if name == "w":
-        return make_w(int(params["N"]))
+        return make_w(_integer(params, "N"))
     if name == "bell":
         return make_bell()
     if name == "separable_coherent":
-        return make_coherent(params["j"], _real(params, "theta"), _real(params, "phi"))
+        return make_coherent(_half_integer(params, "j"), _real(params, "theta"),
+                             _real(params, "phi"))
     if name == "uniaxial":
         return make_uniaxial(
             _real(params, "r1"), _real(params, "theta1"), _real(params, "phi1")

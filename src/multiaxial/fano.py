@@ -16,8 +16,6 @@ from .halfint import HalfInteger, dimension
 from .states import DensityMatrix, EulerAngles
 
 CONJUGATION_TOL = 1e-10
-#: Looser bound for tensor sets handed to ``reconstruct_density``.
-FILE_CONJUGATION_TOL = 1e-8
 #: Largest state spin: every rank k <= 2j needs Clebsch-Gordan coefficients
 #: C(j k j; ...) with k within ``MAX_SPIN``.
 MAX_STATE_SPIN = HalfInteger(MAX_SPIN.twice // 2)
@@ -124,7 +122,7 @@ def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
 
 def reconstruct_density(t: SphericalTensorSet) -> DensityMatrix:
     """Invert the expansion: rho = (1/(2j+1)) sum t^k_q tau^{k+}_q."""
-    t.check(FILE_CONJUGATION_TOL)
+    t.check()
     dim = dimension(t.j)
     mat = np.zeros((dim, dim), dtype=complex)
     for k in range(t.max_rank + 1):

@@ -187,7 +187,7 @@ def _complex_from_json(obj) -> complex:
             z = complex(obj)
         else:
             z = complex(float(obj["re"]), float(obj.get("im", 0.0)))
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"malformed complex entry: {obj!r}") from exc
     if not cmath.isfinite(z):
         raise StateFormatError(f"non-finite complex entry: {obj!r}")
@@ -210,26 +210,34 @@ def state_to_json(state: PureState | DensityMatrix) -> dict:
     }
 
 
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise StateFormatError(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def state_from_json(doc: dict) -> PureState | DensityMatrix:
     if not isinstance(doc, dict):
         raise StateFormatError("state document must be a JSON object")
     try:
         j = HalfInteger.of(doc["j"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise StateFormatError(f"bad or missing 'j': {exc}") from exc
     if doc.get("basis", "jm_descending") != "jm_descending":
         raise StateFormatError(f"unsupported basis {doc.get('basis')!r}")
     if "amplitudes" in doc:
-        amps = np.array([_complex_from_json(a) for a in doc["amplitudes"]])
+        amps = np.array([_complex_from_json(a)
+                         for a in _json_list(doc["amplitudes"], "amplitudes")])
         try:
             return PureState(j, amps)
         except ValueError as exc:
             raise StateFormatError(str(exc)) from exc
     if "matrix" in doc:
-        rows = doc["matrix"]
-        mat = np.array([[_complex_from_json(z) for z in row] for row in rows])
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        rows = [[_complex_from_json(z) for z in _json_list(row, "matrix row")]
+                for row in _json_list(doc["matrix"], "matrix")]
+        if any(len(row) != len(rows) for row in rows):
             raise StateFormatError("matrix must be square")
+        mat = np.array(rows, dtype=complex).reshape(len(rows), len(rows))
         try:
             rho = DensityMatrix(j, mat)
         except ValueError as exc:
@@ -257,6 +265,8 @@ def read_state(path) -> PureState | DensityMatrix:
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                                    f"column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise StateFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return state_from_json(doc)
 
 

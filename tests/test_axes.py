@@ -9,8 +9,8 @@ from multiaxial.angular import couple_axis_chain
 from multiaxial import axes as axes_module
 from multiaxial.axes import (
     POLISH_STEPS,
+    FLAT_TOL,
     Axis,
-    SpherePoint,
     _fit_residual,
     _polish_roots,
     _refine_axes,
@@ -42,24 +42,34 @@ def _h(x):
     return HalfInteger.of(x)
 
 
+def _vector(theta, phi):
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
+
+
 def _points_close(got, expected, tol=1e-7):
-    assert len(got) == len(expected)
+    assert got.shape == (len(expected), 3)
     for p, (theta, phi) in zip(got, expected):
-        v = SpherePoint.create(theta, phi).unit_vector
-        assert math.acos(min(1.0, float(np.dot(p.unit_vector, v)))) <= tol
+        assert math.acos(min(1.0, float(np.dot(p, _vector(theta, phi))))) <= tol
 
 
 class TestCanonicalization:
     def test_poles_fix_phi(self):
-        assert SpherePoint.create(0.0, 2.3).phi == 0.0
-        assert SpherePoint.create(math.pi, -1.0).phi == 0.0
+        for v in ([0.0, 0.0, 2.0], [0.0, -0.0, -1.0], [-0.0, 0.0, -3.0]):
+            a = Axis.from_vector(np.array(v))
+            assert (a.theta, a.phi) == (0.0, 0.0)
+            assert a.vector == (0.0, 0.0, 1.0)
 
     def test_phi_wraps(self):
-        p = SpherePoint.create(1.0, 2.0 * math.pi + 0.5)
-        assert p.phi == pytest.approx(0.5, abs=1e-12)
+        a = Axis.from_vector(_vector(1.0, 2.0 * math.pi + 0.5))
+        assert a.phi == pytest.approx(0.5, abs=1e-12)
         # just below 2 pi snaps to zero rather than printing 6.28...
-        p = SpherePoint.create(1.0, -1e-15)
-        assert p.phi == 0.0
+        for phi in (-1e-15, -1e-12, -5e-10):
+            a = Axis.from_vector(_vector(1.0, phi))
+            assert a.phi == 0.0 and a.theta == pytest.approx(1.0, abs=1e-15)
+            assert a.vector[1] < 0.0  # the snap is for output only
+        assert Axis.from_vector(_vector(1.0, -2e-9)).phi == pytest.approx(
+            2.0 * math.pi - 2e-9, abs=1e-15)
 
     def test_axis_canonical_hemisphere(self):
         a = Axis.from_vector(np.array([0.0, 0.0, -1.0]))
@@ -75,12 +85,17 @@ class TestCanonicalization:
             v = rng.normal(size=3)
             a = Axis.from_vector(v)
             b = Axis.from_vector(a.unit_vector)
-            assert a.angle_to(b) < 1e-7  # acos resolution floor near 0
+            np.testing.assert_allclose(b.vector, a.vector, rtol=0.0, atol=1e-15)
+            assert abs(np.linalg.norm(a.vector) - 1.0) <= 1e-15
+            assert _line_angle(a.unit_vector, v) <= 1e-15 * np.linalg.norm(v)
 
     def test_angle_between_lines(self):
+        # nearly the same line, on either side of the phi = 0 / pi seam
         a = Axis.from_vector(np.array([1.0, 0.0, 0.0]))
         b = Axis.from_vector(np.array([-1.0, 1e-9, 0.0]))
-        assert a.angle_to(b) < 1e-8
+        assert (a.theta, a.phi) == (math.pi / 2, 0.0)
+        assert b.phi == pytest.approx(math.pi - 1e-9, abs=1e-15)
+        assert _line_angle(a.unit_vector, b.unit_vector) < 1e-8
 
 
 class TestMajorana:
@@ -100,17 +115,13 @@ class TestMajorana:
     def test_top_dicke_all_north(self):
         for tj in (1, 2, 3, 4):
             pts = majorana_roots(make_dicke(HalfInteger(tj), HalfInteger(tj)))
-            assert len(pts) == tj
-            for p in pts:
-                assert p.theta < 1e-8
+            np.testing.assert_allclose(pts, [[0.0, 0.0, 1.0]] * tj, rtol=0.0, atol=1e-8)
 
     def test_w_state_points(self):
         # |3/2, -1/2>: one north-pole point, two at the south pole
         pts = majorana_roots(make_w(3))
-        thetas = sorted(p.theta for p in pts)
-        assert thetas[0] < 1e-8
-        assert thetas[1] == pytest.approx(math.pi, abs=1e-8)
-        assert thetas[2] == pytest.approx(math.pi, abs=1e-8)
+        np.testing.assert_allclose(pts, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -1.0]],
+                                   rtol=0.0, atol=1e-8)
 
     def test_coherent_states_collapse(self):
         rng = np.random.default_rng(9)
@@ -120,9 +131,9 @@ class TestMajorana:
             phi = rng.uniform(0, 2 * math.pi)
             pts = majorana_roots(make_coherent(HalfInteger(tj), theta, phi))
             assert len(pts) == tj
-            ref = SpherePoint.create(theta, phi).unit_vector
+            ref = _vector(theta, phi)
             for p in pts:
-                ang = math.acos(min(1.0, float(np.dot(p.unit_vector, ref))))
+                ang = math.acos(min(1.0, float(np.dot(p, ref))))
                 # raw root scatter for an order-tj multiple root
                 assert ang < 1e-2
 
@@ -333,6 +344,9 @@ class TestEquatorialAxes:
         a = Axis.from_vector(np.array([-1.0, -1.0, 1e-13]))
         assert a.theta == math.pi / 2
         assert a.phi == pytest.approx(math.pi / 4, abs=1e-12)
+        assert a.vector[2] == pytest.approx(-1e-13 / math.sqrt(2.0), rel=1e-12)  # not moved
+        a = Axis.from_vector(np.array([1.0, 0.0, 2.0 * FLAT_TOL]))
+        assert a.theta == pytest.approx(math.pi / 2 - 2.0 * FLAT_TOL, abs=1e-16)
 
 
 class TestAxisTensor:
@@ -344,12 +358,12 @@ class TestAxisTensor:
             thetas = rng.uniform(0.0, math.pi, k)
             phis = rng.uniform(0.0, 2.0 * math.pi, k)
             chain = couple_axis_chain(list(zip(thetas, phis)))
-            poly = axis_tensor(thetas, phis)
+            poly = axis_tensor([_vector(t, p) for t, p in zip(thetas, phis)])
             assert np.max(np.abs(poly - chain)) <= 1e-13 * np.max(np.abs(chain))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            axis_tensor([], [])
+            axis_tensor(np.zeros((0, 3)))
 
 
 def _polish_roots_per_root(coeffs_desc, roots, steps=5):
@@ -522,25 +536,31 @@ class TestRootStage:
             for k in range(1, t.max_rank + 1):
                 assert solve_axes(t, k) == together[k - 1], (name, k)
 
-    def test_root_vectors_follow_sphere_point(self):
+    def test_root_vectors_are_the_inverse_stereographic_projection(self):
+        # (2 Re z, 2 Im z, 1 - |z|^2) / (1 + |z|^2), evaluated through w = 1/z
+        # beyond the unit circle so that |z| = 1e200 does not overflow
+        def stereographic(z):
+            if abs(z) <= 1.0:
+                r2 = abs(z) ** 2
+                return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - r2]) / (1.0 + r2)
+            w = 1.0 / z
+            r2 = abs(w) ** 2
+            return np.array([2.0 * w.real, -2.0 * w.imag, r2 - 1.0]) / (1.0 + r2)
+
         rng = np.random.default_rng(5)
         z = np.concatenate([
-            [0.0, 1e-300, 1.0, -1.0, 1j, -1j, 1e200, -1e200 * 1j, 1e16 + 1e16j],
-            0.7 * np.exp(-1j * np.array([1e-15, 1e-12, 5e-10, 2e-9])),  # snap to 0
+            [0.0, -0.0 - 0.0j, 1e-300, 1.0, -1.0, 1j, -1j, 1e200, -1e200 * 1j, 1e16 + 1e16j,
+             1e300 * np.exp(2j), np.inf],
+            0.7 * np.exp(-1j * np.array([1e-15, 1e-12, 5e-10, 2e-9])),
             np.exp(rng.normal(size=200) * 3.0 + 1j * rng.uniform(-4.0, 4.0, 200)),
         ])
         got = _root_vectors(z)
-        want = np.array([SpherePoint.from_root(complex(x)).unit_vector for x in z])
         assert got.shape == (len(z), 3)
+        np.testing.assert_allclose(got[:2], [[0.0, 0.0, 1.0]] * 2, rtol=0.0, atol=0.0)
+        want = np.array([stereographic(complex(x)) for x in z])  # z = inf: w = 0
         assert np.max(np.abs(got - want)) <= 1e-15
-
-    def test_snap_and_poles_match_sphere_point(self):
-        # phi within 1e-9 below 2 pi is 0, and so is phi at a pole
-        for x in (0.7 * np.exp(-1e-12j), 0.0, -0.0 - 0.0j, 1e300 * np.exp(2j)):
-            (v,) = _root_vectors(np.array([x]))
-            p = SpherePoint.from_root(complex(x))
-            assert p.phi == 0.0 and v[1] == 0.0
-            np.testing.assert_allclose(v, p.unit_vector, rtol=0.0, atol=1e-15)
+        # no snap: a root just below phi = 2 pi keeps its small negative y
+        assert np.all(got[-204:-200, 1] < 0.0)
 
     def test_majorana_roots_equal_per_rank_polish(self):
         from multiaxial.states import PureState
@@ -549,10 +569,11 @@ class TestRootStage:
             amps = rng.normal(size=twoj + 1) + 1j * rng.normal(size=twoj + 1)
             psi = PureState(HalfInteger(twoj), amps / np.linalg.norm(amps))
             desc = majorana_polynomial(psi)[::-1]
-            want = sorted((SpherePoint.from_root(z) for z in
-                           _polish_roots_per_rank(desc, np.roots(desc))),
-                          key=lambda p: (p.theta, p.phi))
-            assert majorana_roots(psi) == want
+            want = _root_vectors(_polish_roots_per_rank(desc, np.roots(desc)))
+            angles = [(math.atan2(math.hypot(x, y), z), math.atan2(y, x) % (2.0 * math.pi))
+                      for x, y, z in want]
+            got = majorana_roots(psi)
+            np.testing.assert_array_equal(got, want[sorted(range(twoj), key=angles.__getitem__)])
 
 
 def _line_angle(u, v):
@@ -609,27 +630,27 @@ class TestRefineAxes:
         rng = np.random.default_rng(100 + m)
         planted = [((0.0, 0.0) if at_pole else (1.1, 0.4), m), ((2.0, 2.5), 1),
                    ((0.6, 4.0), 2)]
-        thetas = np.repeat([p[0][0] for p in planted], [p[1] for p in planted])
-        phis = np.repeat([p[0][1] for p in planted], [p[1] for p in planted])
-        comp = 0.3 * np.exp(0.7j) * axis_tensor(thetas, phis)
+        comp = 0.3 * np.exp(0.7j) * axis_tensor(
+            np.repeat([_vector(*p[0]) for p in planted], [p[1] for p in planted], axis=0))
         start = []
         for (theta, phi), mult in planted:
-            v = SpherePoint.create(theta, phi).unit_vector
+            v = _vector(theta, phi)
             kick = np.cross(v, rng.normal(size=3))
             kick /= np.linalg.norm(kick)
             start.append((Axis.from_vector(math.cos(1e-3) * v + math.sin(1e-3) * kick), mult))
         refined = _refine_axes(comp, tuple(start))
         assert sorted(mult for _, mult in refined) == sorted(mult for _, mult in planted)
         for (theta, phi), mult in planted:
-            v = SpherePoint.create(theta, phi).unit_vector
+            v = _vector(theta, phi)
             assert min(_line_angle(axis.unit_vector, v) for axis, n in refined
                        if n == mult) <= 1e-10
 
     def test_fit_through_the_pole(self):
         # a double axis 1e-5 rad from z, started on the far side of the pole:
         # the fit ends at theta < 0, which is the same line
-        comp = axis_tensor([1e-5, 1e-5, 1.0], [0.0, 0.0, 2.0])
-        start = ((Axis(SpherePoint(1e-3, math.pi)), 2), (Axis(SpherePoint(1.0005, 2.0)), 1))
+        comp = axis_tensor([_vector(1e-5, 0.0), _vector(1e-5, 0.0), _vector(1.0, 2.0)])
+        start = ((Axis(tuple(_vector(1e-3, math.pi))), 2), (Axis(tuple(_vector(1.0005, 2.0))), 1))
         refined = _refine_axes(comp, start)
+        assert [mult for _, mult in refined] == [2, 1]  # in canonical order
         near_z = next(axis for axis, mult in refined if mult == 2)
-        assert _line_angle(near_z.unit_vector, SpherePoint(1e-5, 0.0).unit_vector) <= 1e-12
+        assert _line_angle(near_z.unit_vector, _vector(1e-5, 0.0)) <= 1e-12

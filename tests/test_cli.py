@@ -116,6 +116,53 @@ class TestAnalyze:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        '{"j": true, "amplitudes": [1, 0]}',
+        '{"j": null, "amplitudes": [1, 0]}',
+        '{"j": [1], "amplitudes": [1, 0]}',
+        '{"j": 1e999, "amplitudes": [1, 0]}',
+        '{"j": "1", "matrix": [[1, 0, 0], [0, 0], [0, 0, 0]]}',
+        '{"j": "1", "matrix": 5}',
+        '{"j": "1", "matrix": [1, 2, 3]}',
+        '{"j": "1/2", "amplitudes": 5}',
+        '{"j": "1/2", "amplitudes": {"re": 1}}',
+        '{"j": "1/2", "amplitudes": [{"re": "abc"}, 0]}',
+        '{"j": "1/2", "amplitudes": [1' + "0" * 400 + ', 0]}',
+        '\xff\xfe{"j": "1/2", "amplitudes": [1, 0]}',
+    ], ids=["j-bool", "j-null", "j-list", "j-infinite", "ragged-matrix", "matrix-number",
+            "matrix-of-numbers", "amplitudes-number", "amplitudes-object", "entry-string",
+            "entry-overflow", "not-utf8"])
+    def test_malformed_state_file_one_error_line_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["analyze", str(path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-angle", "-1"), ("--tol-angle", "nan"), ("--tol-angle", "inf"),
+        ("--tol-zero", "nan"), ("--tol-zero", "-1"), ("--tol-zero", "0"),
+    ])
+    def test_bad_tolerance_named_exit_1(self, ghz3_file, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", ghz3_file, f"{flag}={value}"])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}: " in captured.err
+
+    def test_zero_angle_tolerance_accepted(self, ghz3_file, capsys):
+        assert main(["analyze", ghz3_file, "--tol-angle=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["signature"] == "{D^2_2, D^3_1,1,1}"
+
+    def test_usage_error_exit_1(self, capsys):
+        for argv in (["analyze"], ["analyze", "x.json", "--bogus"], ["frobnicate"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == cli.EXIT_USAGE
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestOnePass:
     def test_pure_report_extracts_and_solves_once(self, monkeypatch):
@@ -246,6 +293,22 @@ class TestGenerate:
         assert _one_spin_cap_error(capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, params, bad", [
+        ("ghz", {"N": 3.7}, "N"),
+        ("w", {"N": 2.5}, "N"),
+        ("dicke", {"j": 1.3, "m": 0}, "j"),
+        ("dicke", {"j": 2, "m": -1 / 3}, "m"),
+        ("separable_coherent", {"j": True, "theta": 0.1, "phi": 0}, "j"),
+    ], ids=["ghz-N", "w-N", "dicke-j", "dicke-m", "coherent-j"])
+    def test_non_integral_parameter_named_exit_1(self, tmp_path, capsys, family, params, bad):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": family, "params": params}))
+        out = tmp_path / "state.json"
+        assert main(["generate", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and repr(bad) in lines[0]
+        assert not out.exists()
+
     def test_generate_analyze_reconstruct(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
@@ -306,6 +369,27 @@ class TestSweep:
         assert main(["sweep", "--family", "uniaxial",
                      "--vary", "r1=0.1-0.5-3"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "ghz", "--vary", "N=2:3:3"],
+        ["--family", "dicke", "--vary", "m=-1:1:4", "--fix", "j=2"],
+        ["--family", "dicke", "--vary", "m=-1:1:5", "--fix", "j=1"],
+    ], ids=["ghz-half-N", "dicke-third-m", "dicke-m-parity"])
+    def test_non_integral_grid_point_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--report", "class", "--out", str(out)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_unknown_report_exit_1(self, capsys):
+        assert main(["sweep", "--family", "ghz", "--vary", "N=2:3:2",
+                     "--report", "psd,clas"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "--report" in lines[0] and "'psd,clas'" in lines[0]
+        assert all(name in lines[0] for name in ("psd", "ppt", "class"))
+
     def test_full_precision_and_monotone(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", "--family", "biaxial", "--vary", "r2=0.1:1.0:10",
@@ -328,7 +412,7 @@ class TestSelftest:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the rare root-pairing fallback and is imported there
+    # nothing under src/ imports scipy
     src = os.path.dirname(os.path.dirname(multiaxial.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

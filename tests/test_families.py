@@ -198,6 +198,26 @@ class TestFamilySpec:
         with pytest.raises(FamilyParameterError, match="unknown parameters"):
             build_family("bell", {"r1": 0.1})
 
+    @pytest.mark.parametrize("name, params, bad", [
+        ("ghz", {"N": 3.7}, "N"),
+        ("w", {"N": float("inf")}, "N"),
+        ("ghz", {"N": "three"}, "N"),
+        ("dicke", {"j": 1.3, "m": 0}, "j"),
+        ("dicke", {"j": "5/2", "m": 0.25}, "m"),
+        ("separable_coherent", {"j": None, "theta": 0.0, "phi": 0.0}, "j"),
+    ])
+    def test_non_integral_parameter_named(self, name, params, bad):
+        with pytest.raises(FamilyParameterError, match=repr(bad)):
+            build_family(name, params)
+
+    def test_integral_floats_accepted(self):
+        assert build_family("ghz", {"N": 4.0}).j == _h(2)
+        assert build_family("dicke", {"j": 1.5, "m": -0.5}).j == _h("3/2")
+
+    def test_dicke_parity_rejected(self):
+        with pytest.raises(FamilyParameterError, match="incompatible"):
+            make_dicke(1, _h("1/2"))
+
     def test_family_density_wraps_pure(self):
         rho, psd_ok, note = family_density("bell", {})
         assert psd_ok and note == ""
