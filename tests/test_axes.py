@@ -12,10 +12,12 @@ from multiaxial.axes import (
     FLAT_TOL,
     Axis,
     _fit_residual,
+    _merge_levels,
     _polish_roots,
     _refine_axes,
     _root_vectors,
     axis_tensor,
+    cluster_directions,
     fit_rk,
     least_squares,
     majorana_polynomial,
@@ -495,6 +497,17 @@ def _root_stage_states(family_twojs=range(2, 15)):
             yield f"{name}-{twoj}-rotated", extract_tensors(rotate_density(rho, angles))
 
 
+def _stereographic(z):
+    """(2 Re z, 2 Im z, 1 - |z|^2) / (1 + |z|^2), evaluated through w = 1/z
+    beyond the unit circle so that |z| = 1e200 does not overflow."""
+    if abs(z) <= 1.0:
+        r2 = abs(z) ** 2
+        return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - r2]) / (1.0 + r2)
+    w = 1.0 / z
+    r2 = abs(w) ** 2
+    return np.array([2.0 * w.real, -2.0 * w.imag, r2 - 1.0]) / (1.0 + r2)
+
+
 class TestRootStage:
     def test_batched_polish_equals_per_rank_polish(self, monkeypatch):
         batches = []
@@ -536,17 +549,9 @@ class TestRootStage:
             for k in range(1, t.max_rank + 1):
                 assert solve_axes(t, k) == together[k - 1], (name, k)
 
-    def test_root_vectors_are_the_inverse_stereographic_projection(self):
-        # (2 Re z, 2 Im z, 1 - |z|^2) / (1 + |z|^2), evaluated through w = 1/z
-        # beyond the unit circle so that |z| = 1e200 does not overflow
-        def stereographic(z):
-            if abs(z) <= 1.0:
-                r2 = abs(z) ** 2
-                return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - r2]) / (1.0 + r2)
-            w = 1.0 / z
-            r2 = abs(w) ** 2
-            return np.array([2.0 * w.real, -2.0 * w.imag, r2 - 1.0]) / (1.0 + r2)
-
+    def test_root_vectors_follow_sphere_point(self):
+        # the point on the sphere of each root is its inverse stereographic
+        # projection, z = 0, inf, 1e200 and 1e300 included
         rng = np.random.default_rng(5)
         z = np.concatenate([
             [0.0, -0.0 - 0.0j, 1e-300, 1.0, -1.0, 1j, -1j, 1e200, -1e200 * 1j, 1e16 + 1e16j,
@@ -556,11 +561,20 @@ class TestRootStage:
         ])
         got = _root_vectors(z)
         assert got.shape == (len(z), 3)
-        np.testing.assert_allclose(got[:2], [[0.0, 0.0, 1.0]] * 2, rtol=0.0, atol=0.0)
-        want = np.array([stereographic(complex(x)) for x in z])  # z = inf: w = 0
+        want = np.array([_stereographic(complex(x)) for x in z])  # z = inf: w = 0
         assert np.max(np.abs(got - want)) <= 1e-15
-        # no snap: a root just below phi = 2 pi keeps its small negative y
-        assert np.all(got[-204:-200, 1] < 0.0)
+
+    def test_snap_and_poles_match_sphere_point(self):
+        # z = 0 and -0 land exactly on the north pole, z = inf and 1e300 on
+        # the south pole; there is no phi snap, so a root just below phi =
+        # 2 pi keeps its small negative y
+        poles = _root_vectors(np.array([0.0, -0.0 - 0.0j, np.inf, 1e300 * np.exp(2j)]))
+        np.testing.assert_allclose(poles[:2], [[0.0, 0.0, 1.0]] * 2, rtol=0.0, atol=0.0)
+        np.testing.assert_allclose(poles[2:], [[0.0, 0.0, -1.0]] * 2, rtol=0.0, atol=1e-15)
+        for x in 0.7 * np.exp(-1j * np.array([1e-15, 1e-12, 5e-10, 2e-9])):
+            (v,) = _root_vectors(np.array([x]))
+            assert v[1] < 0.0
+            np.testing.assert_allclose(v, _stereographic(complex(x)), rtol=0.0, atol=1e-15)
 
     def test_majorana_roots_equal_per_rank_polish(self):
         from multiaxial.states import PureState
@@ -574,6 +588,37 @@ class TestRootStage:
                       for x, y, z in want]
             got = majorana_roots(psi)
             np.testing.assert_array_equal(got, want[sorted(range(twoj), key=angles.__getitem__)])
+
+
+class TestMergeLevels:
+    @staticmethod
+    def _lines():
+        # a triple around z (pairwise 1e-4, 1e-4, 1.4e-4 rad), a pair
+        # around x 3e-4 apart, and two lines far from both
+        return [_vector(0.0, 0.0), _vector(1e-4, 0.0), _vector(1e-4, math.pi / 2),
+                _vector(math.pi / 2, 0.0), _vector(math.pi / 2 - 3e-4, 0.0),
+                _vector(math.pi / 2, math.pi / 2), _vector(1.0, 2.0)]
+
+    def test_levels_close_whole_groups(self):
+        lines = self._lines()
+        # reach 1e4 * 1e-7 = 1e-3 rad: the groups, not the far lines
+        levels = list(_merge_levels(lines, np.full(len(lines), 1e-7), 1e-6))
+        assert len(levels) == 2
+        # the first join inside the triple is followed by one as close, so
+        # only the level that completes it counts
+        assert levels[0] == pytest.approx(1e-4, rel=1e-6)
+        assert levels[1] == pytest.approx(3e-4, rel=1e-6)
+        assert [sorted(m for _, m in cluster_directions(lines, tol)) for tol in levels] == [
+            [1, 1, 1, 1, 3], [1, 1, 2, 3]]
+
+    def test_well_conditioned_roots_are_not_merged(self):
+        lines = self._lines()
+        assert list(_merge_levels(lines, np.full(len(lines), 1e-12), 1e-6)) == []
+
+    def test_lines_within_pair_tol_are_no_level(self):
+        lines = self._lines()
+        levels = list(_merge_levels(lines, np.full(len(lines), 1e-7), 2e-4))
+        assert levels == [pytest.approx(3e-4, rel=1e-6)]
 
 
 def _line_angle(u, v):
