@@ -38,16 +38,6 @@ MULTIPLICITY_TOL = 0.1
 #: Absolute part of the acceptance gate on a rank's fit residual, a few
 #: hundred ulps of Tr rho = 1.
 GATE_FLOOR = 256.0 * np.finfo(float).eps
-#: A root of multiplicity m split by rounding scatters its members about
-#: m eps cond apart (cond as for SIMPLE_ROOT_COND); lines further apart
-#: than this many times eps cond of their roots are not tried as one axis.
-MERGE_COND = 1e4
-#: Refinement evaluations per parameter for a grouping of split roots: a
-#: right grouping converges in a few, a wrong one runs to the cap.
-MERGE_NFEV = 10
-#: Ratio of angles between successive single-linkage joins that ends a
-#: group of split roots.
-MERGE_GAP = 2.0
 #: Stop tolerance of the axis refinement on the cost change, the step
 #: length (relative to the parameters) and the cosine between the residual
 #: and each Jacobian column.
@@ -354,7 +344,7 @@ class LeastSquaresResult(NamedTuple):
     nfev: int  # residual-plus-Jacobian evaluations
 
 
-def least_squares(fun, x0, nfev_per_param: int = 100) -> LeastSquaresResult:
+def least_squares(fun, x0) -> LeastSquaresResult:
     """Levenberg-Marquardt minimisation of ||f(x)||^2, where fun(x) -> (f, J).
 
     Damping follows Nielsen: mu starts at 1e-6 max diag(J^T J) (the start is
@@ -365,11 +355,11 @@ def least_squares(fun, x0, nfev_per_param: int = 100) -> LeastSquaresResult:
     above it (MINPACK's gradient test, blind to the scale of f), when a
     step is shorter than REFINE_TOL (REFINE_TOL + ||x||), or when an
     accepted step lowers the cost by less than REFINE_TOL of it with
-    rho > 1/4; at most ``nfev_per_param`` evaluations per parameter.
+    rho > 1/4; at most 100 evaluations per parameter.
     """
     x = np.array(x0, dtype=float)
     f, jac = fun(x)
-    nfev, max_nfev = 1, nfev_per_param * len(x)
+    nfev, max_nfev = 1, 100 * len(x)
     cost = 0.5 * float(f @ f)
     mu, nu = 1e-6 * float(np.max(np.sum(jac * jac, axis=0))), 2.0
     while nfev < max_nfev:
@@ -456,7 +446,7 @@ def _unit_roots(n: int) -> np.ndarray:
     return out
 
 
-def _refine_axes(comp: np.ndarray, axes: tuple, nfev_per_param: int = 100) -> tuple:
+def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
     """Polish the clustered axis directions against the tensor components.
 
     Multiple roots come out of the polynomial solver with an error that
@@ -466,7 +456,7 @@ def _refine_axes(comp: np.ndarray, axes: tuple, nfev_per_param: int = 100) -> tu
     """
     mults = [m for _, m in axes]
     x0 = np.concatenate([axis.vector for axis, _ in axes])
-    sol = least_squares(lambda x: _fit_residual(x, mults, comp), x0, nfev_per_param)
+    sol = least_squares(lambda x: _fit_residual(x, mults, comp), x0)
     return _ordered_axis_list(zip(sol.x.reshape(-1, 3), mults))
 
 
@@ -481,7 +471,6 @@ class RankRoots(NamedTuple):
     vectors: np.ndarray | None
     ill: int = 0  # roots whose condition number reaches SIMPLE_ROOT_COND, or all
                   # of them beside z axes
-    cond: np.ndarray | None = None  # each root's condition number
 
 
 def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list[RankRoots]:
@@ -517,12 +506,10 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
                     / np.concatenate(slopes))
         starts = np.cumsum([0] + counts[:-1])
         ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
-        for (i, _, _), v, c, n_ill in zip(polys, np.split(_root_vectors(z), starts[1:]),
-                                          np.split(cond, starts[1:]), ill):
+        for (i, _, _), v, n_ill in zip(polys, np.split(_root_vectors(z), starts[1:]), ill):
             # the trimming may have cut a multiple axis near z in two, so
             # what it left all counts as ill
-            stage[i] = stage[i]._replace(vectors=v, cond=c,
-                                         ill=len(v) if stage[i].z_axes else int(n_ill))
+            stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else int(n_ill))
     return stage
 
 
@@ -606,11 +593,7 @@ def solve_axes(
     the distinct axes are refined with their multiplicities held fixed, and
     the first proposal whose fit leaves a residual of at most
     pair_tol^2 ||t^k|| (about the residual of merging two axes pair_tol
-    apart) plus ``GATE_FLOOR`` is accepted.  When that is the roots of a
-    rank with ill-conditioned roots, coarser groupings of their lines
-    (``_merge_levels``) are tried in turn, each refined with at most
-    ``MERGE_NFEV`` evaluations per parameter, and the last one to fit
-    within ``GATE_FLOOR`` is kept.
+    apart) plus ``GATE_FLOOR`` is accepted.
     """
     if roots is None:
         (roots,) = rank_roots(t, [k], zero_tol)
@@ -621,82 +604,26 @@ def solve_axes(
     # A root of multiplicity m scatters by about eps^(1/m); allow for the
     # worst case when matching antipodes.
     within = max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
-    for lines, scale in _proposals(t, k, roots, within):
-        fit = _fit_lines(comp, lines, pair_tol)
-        if fit.fit_residual <= gate:
-            break
-    else:
-        raise DegenerateFitError(
-            f"rank {k}: no axis structure fits; the roots leave a residual of "
-            f"{fit.fit_residual:.3g}, above the gate {gate:.3g}")
-    if scale is not None:
-        # the roots themselves: a multiple root split wider than pair_tol
-        # shows as lines that a coarser grouping joins
-        merged = None
-        for tol in _merge_levels(lines, scale, pair_tol):
-            trial = _fit_lines(comp, lines, tol, MERGE_NFEV)
-            if trial.fit_residual > GATE_FLOOR:
-                break
-            merged = trial
-        if merged is not None:
-            # finish the refinement the trial's budget may have cut short
-            axes = _refine_axes(comp, merged.axes)
-            r_k, residual = fit_rk(comp, axes)
-            fit = RankDecomposition(k, r_k, axes, residual)
-    return fit
-
-
-def _fit_lines(comp: np.ndarray, lines, tol: float,
-               nfev_per_param: int = 100) -> RankDecomposition:
-    """The lines grouped within ``tol`` rad into axes and fitted, refined
-    when they do not fit to ``GATE_FLOOR`` as they are."""
-    axes = _ordered_axis_list(cluster_directions(lines, tol))
-    r_k, residual = fit_rk(comp, axes)
-    if residual > GATE_FLOOR:
-        axes = _refine_axes(comp, axes, nfev_per_param)
+    for lines in _proposals(t, k, roots, within):
+        axes = _ordered_axis_list(cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
-    return RankDecomposition(len(comp) // 2, r_k, axes, residual)
-
-
-def _merge_levels(lines, scale: np.ndarray, pair_tol: float):
-    """Single-linkage levels of the lines above ``pair_tol``, finest first.
-
-    Pairs join groups in increasing order of angle, up to the first pair
-    further apart than ``MERGE_COND`` times the larger of its two lines'
-    ``scale`` (eps times the condition number of their roots).  A level is
-    the angle of a join that the next join exceeds ``MERGE_GAP`` times: the
-    members of a split multiple root lie about equally far apart, so the
-    levels inside one leave it incomplete.
-    """
-    angles = np.arccos(line_cosines(lines))
-    rows, cols = np.triu_indices(len(lines), 1)
-    reach = MERGE_COND * np.maximum(scale[rows], scale[cols])
-    group = list(range(len(lines)))
-    joins = []
-    for pair in np.argsort(angles, kind="stable"):
-        a, b = group[rows[pair]], group[cols[pair]]
-        if a == b:
-            continue
-        joins.append(float(angles[pair]))
-        if angles[pair] > reach[pair]:
-            break
-        group = [a if g == b else g for g in group]
-    else:
-        joins.append(math.inf)
-    for angle, following in zip(joins, joins[1:]):
-        if angle > pair_tol and following >= MERGE_GAP * angle:
-            yield angle
+        if residual > GATE_FLOOR:
+            axes = _refine_axes(comp, axes)
+            r_k, residual = fit_rk(comp, axes)
+        if residual <= gate:
+            return RankDecomposition(k, r_k, axes, residual)
+    raise DegenerateFitError(
+        f"rank {k}: no axis structure fits; the roots leave a residual of "
+        f"{residual:.3g}, above the gate {gate:.3g}")
 
 
 def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
     """The structure stage's lines, when some root is ill conditioned and the
-    stage finds a multiple root, then the lines of the roots themselves.
-    Each comes with eps times the condition number of each line's roots when
-    those roots are ill conditioned, else None."""
+    stage finds a multiple root, then the lines of the roots themselves."""
     if roots.ill:
         lines = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
         if lines is not None:
-            yield lines, None
+            yield lines
     vectors = roots.vectors
     pairs = _antipodal_pairs(vectors, within)
     unpaired = [vectors[i] for i, j in pairs if j is None]
@@ -704,13 +631,7 @@ def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
         raise AxisPairingError(f"rank {k}: {len(unpaired)} points have no antipodal "
                                f"partner within {within:g} rad", unpaired)
     lines = [vectors[i] - vectors[j] for i, j in pairs]
-    lines = [d / np.linalg.norm(d) for d in lines] + [np.array([0.0, 0.0, 1.0])] * roots.z_axes
-    scale = None
-    if roots.ill:
-        # a z axis stands for trimmed roots of unknown condition
-        cond = [max(roots.cond[i], roots.cond[j]) for i, j in pairs] + [math.inf] * roots.z_axes
-        scale = np.finfo(float).eps * np.array(cond)
-    yield lines, scale
+    yield [d / np.linalg.norm(d) for d in lines] + [np.array([0.0, 0.0, 1.0])] * roots.z_axes
 
 
 def solve_all_axes(

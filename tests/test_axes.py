@@ -12,12 +12,10 @@ from multiaxial.axes import (
     FLAT_TOL,
     Axis,
     _fit_residual,
-    _merge_levels,
     _polish_roots,
     _refine_axes,
     _root_vectors,
     axis_tensor,
-    cluster_directions,
     fit_rk,
     least_squares,
     majorana_polynomial,
@@ -588,37 +586,6 @@ class TestRootStage:
                       for x, y, z in want]
             got = majorana_roots(psi)
             np.testing.assert_array_equal(got, want[sorted(range(twoj), key=angles.__getitem__)])
-
-
-class TestMergeLevels:
-    @staticmethod
-    def _lines():
-        # a triple around z (pairwise 1e-4, 1e-4, 1.4e-4 rad), a pair
-        # around x 3e-4 apart, and two lines far from both
-        return [_vector(0.0, 0.0), _vector(1e-4, 0.0), _vector(1e-4, math.pi / 2),
-                _vector(math.pi / 2, 0.0), _vector(math.pi / 2 - 3e-4, 0.0),
-                _vector(math.pi / 2, math.pi / 2), _vector(1.0, 2.0)]
-
-    def test_levels_close_whole_groups(self):
-        lines = self._lines()
-        # reach 1e4 * 1e-7 = 1e-3 rad: the groups, not the far lines
-        levels = list(_merge_levels(lines, np.full(len(lines), 1e-7), 1e-6))
-        assert len(levels) == 2
-        # the first join inside the triple is followed by one as close, so
-        # only the level that completes it counts
-        assert levels[0] == pytest.approx(1e-4, rel=1e-6)
-        assert levels[1] == pytest.approx(3e-4, rel=1e-6)
-        assert [sorted(m for _, m in cluster_directions(lines, tol)) for tol in levels] == [
-            [1, 1, 1, 1, 3], [1, 1, 2, 3]]
-
-    def test_well_conditioned_roots_are_not_merged(self):
-        lines = self._lines()
-        assert list(_merge_levels(lines, np.full(len(lines), 1e-12), 1e-6)) == []
-
-    def test_lines_within_pair_tol_are_no_level(self):
-        lines = self._lines()
-        levels = list(_merge_levels(lines, np.full(len(lines), 1e-7), 2e-4))
-        assert levels == [pytest.approx(3e-4, rel=1e-6)]
 
 
 def _line_angle(u, v):
