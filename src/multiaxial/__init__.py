@@ -25,8 +25,6 @@ from .axes import (
     RankDecomposition,
     axis_tensor,
     fit_rk,
-    majorana_polynomial,
-    majorana_roots,
     mar_polynomial,
     pairwise_invariants,
     solve_all_axes,
@@ -59,15 +57,7 @@ from .families import (
     make_uniaxial,
     make_w,
 )
-from .fano import (
-    SphericalTensorSet,
-    TensorFormatError,
-    extract_tensors,
-    purity_from_tensors,
-    rank_norm,
-    reconstruct_density,
-    rotate_tensors,
-)
+from .fano import SphericalTensorSet, extract_tensors
 from .halfint import HalfInteger
 from .states import (
     DensityMatrix,

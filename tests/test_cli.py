@@ -260,7 +260,10 @@ class TestGenerate:
         {"family": "uniaxial", "params": {"r1": "abc", "theta1": 0, "phi1": 0}},
         {"family": "separable_coherent", "params": {"j": 1, "theta": "a", "phi": 0}},
         {"family": "ghz", "params": {"N": float("inf")}},
-    ], ids=["list", "string", "non-numeric", "non-numeric-angle", "infinite"])
+        {"family": ["ghz"], "params": {"N": 3}},
+        {"family": {"a": 1}},
+    ], ids=["list", "string", "non-numeric", "non-numeric-angle", "infinite", "family-list",
+            "family-object"])
     def test_malformed_spec_one_error_line_exit_1(self, tmp_path, capsys, spec_doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_doc))
@@ -318,7 +321,8 @@ class TestGenerate:
         assert main(["analyze", str(out)]) == 0
         doc = json.loads(capsys.readouterr().out)
         # rebuild the density from the reported tensor table
-        from multiaxial.fano import SphericalTensorSet, reconstruct_density
+        from multiaxial.fano import SphericalTensorSet
+        from oracles import reconstruct_density
         ranks = [np.zeros(2 * k + 1, dtype=complex) for k in range(3)]
         for row in doc["tensors"]:
             ranks[row["k"]][row["q"] + row["k"]] = row["re"] + 1j * row["im"]
@@ -409,6 +413,23 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "generate", "sweep"])
+def test_unwritable_out_one_error_line_exit_1(ghz3_file, w_file, tmp_path, capsys, command,
+                                              kind):
+    # the work is done first, then the write fails: one line naming the path
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "ghz", "params": {"N": 3}}))
+    argv = {"analyze": [ghz3_file], "compare": [ghz3_file, w_file], "generate": [str(spec)],
+            "sweep": ["--family", "ghz", "--vary", "N=2:3:2", "--report", "class"]}[command]
+    out = str(tmp_path / "missing" / "out.json") if kind == "missing-dir" else str(tmp_path)
+    assert main([command, *argv, "--out", out]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
 
 
 def test_import_leaves_scipy_unloaded():

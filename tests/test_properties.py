@@ -11,10 +11,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from multiaxial.axes import majorana_roots
+from oracles import majorana_roots, reconstruct_density
+
 from multiaxial.classify import FINGERPRINT_TOL, class_signature, lu_equivalent
 from multiaxial.families import make_coherent, make_dicke, make_ghz, make_w
-from multiaxial.fano import extract_tensors, reconstruct_density
+from multiaxial.fano import extract_tensors
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
