@@ -11,7 +11,7 @@ from oracles import reconstruct_density
 from multiaxial.angular import SpinTooLargeError, tau_matrix, wigner_d_matrix
 from multiaxial.families import make_bell, make_ghz, make_w
 from multiaxial.fano import extract_tensors
-from multiaxial.halfint import HalfInteger
+from multiaxial.halfint import HalfInteger, dimension
 from multiaxial.states import (
     DensityMatrix,
     EulerAngles,
@@ -141,20 +141,25 @@ class TestInvariants:
         assert _rank_norm(t, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_purity_identity(self):
-        # Parseval: sum_k t^k . t^k / (2j+1) = Tr rho^2, which is 1 for pure states
+        # Parseval: sum_k t^k . t^k / (2j+1) = Tr rho^2
         rng = np.random.default_rng(37)
         for tj in (1, 2, 3, 4):
             rho = DensityMatrix(HalfInteger(tj), _random_density(rng, tj + 1))
-            assert _parseval(rho) == pytest.approx(validate(rho).purity, abs=1e-10)
+            t = extract_tensors(rho)
+            total = sum(_rank_norm(t, k) for k in range(tj + 1))
+            assert total / dimension(HalfInteger(tj)) == pytest.approx(
+                validate(rho).purity, abs=1e-10)
+
+    def test_pure_state_norm_sum(self):
+        # sum_k t^k . t^k = 2j+1 for pure states
+        rng = np.random.default_rng(41)
+        for tj in (1, 2, 3, 4):
             amps = rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1)
             amps /= np.linalg.norm(amps)
-            pure = DensityMatrix(HalfInteger(tj), np.outer(amps, amps.conj()))
-            assert _parseval(pure) == pytest.approx(1.0, abs=1e-10)
-
-
-def _parseval(rho):
-    t = extract_tensors(rho)
-    return sum(_rank_norm(t, k) for k in range(t.max_rank + 1)) / (t.max_rank + 1)
+            rho = DensityMatrix(HalfInteger(tj), np.outer(amps, amps.conj()))
+            t = extract_tensors(rho)
+            total = sum(_rank_norm(t, k) for k in range(tj + 1))
+            assert total == pytest.approx(dimension(HalfInteger(tj)), abs=1e-8)
 
 
 class TestTauTable:
