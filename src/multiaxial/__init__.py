@@ -14,9 +14,7 @@ from .angular import (
     couple_pair,
     q_vector,
     tau_matrix,
-    wigner_d,
     wigner_d_matrix,
-    wigner_small_d,
 )
 from .axes import (
     Axis,

@@ -101,53 +101,29 @@ def clebsch_gordan(j1, j2, j3, m1, m2, m3) -> float:
     return _cg_twice(j1.twice, j2.twice, j3.twice, m1.twice, m2.twice, m3.twice)
 
 
-def wigner_small_d(j, mprime, m, beta: float) -> float:
-    """Reduced rotation matrix element d^j_{m' m}(beta)."""
-    j = HalfInteger.of(j)
-    mp = HalfInteger.of(mprime)
-    m = HalfInteger.of(m)
-    _check_spin(j)
-    if abs(mp.twice) > j.twice or abs(m.twice) > j.twice:
-        raise ValueError("|m| and |m'| must not exceed j")
-
-    jm = (j.twice + m.twice) // 2
-    jmm = (j.twice - m.twice) // 2
-    jmp = (j.twice + mp.twice) // 2
-    jmmp = (j.twice - mp.twice) // 2
-    norm = math.sqrt(float(_fact(jm) * _fact(jmm) * _fact(jmp) * _fact(jmmp)))
-
-    cos_h = math.cos(beta / 2.0)
-    sin_h = math.sin(beta / 2.0)
-    dmm = (mp.twice - m.twice) // 2  # m' - m, always integral here
-
-    total = 0.0
-    s_min = max(0, -dmm)
-    s_max = min(jmmp, jm)
-    for s in range(s_min, s_max + 1):
-        denom = _fact(s) * _fact(jmmp - s) * _fact(jm - s) * _fact(dmm + s)
-        sign = -1.0 if (s + dmm) % 2 else 1.0
-        total += sign * cos_h ** (jm + jmmp - 2 * s) * sin_h ** (dmm + 2 * s) / denom
-    return norm * total
-
-
-def wigner_d(j, mprime, m, alpha: float, beta: float, gamma: float) -> complex:
-    """Wigner rotation matrix element D^j_{m' m}(alpha, beta, gamma)."""
-    mp = HalfInteger.of(mprime)
-    mm = HalfInteger.of(m)
-    phase = cmath.exp(-1j * (float(mp) * alpha + float(mm) * gamma))
-    return phase * wigner_small_d(j, mp, mm, beta)
-
-
 def wigner_d_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Full (2j+1)x(2j+1) rotation matrix, rows and columns m' and m descending."""
+    """Full (2j+1)x(2j+1) rotation matrix, rows and columns m' and m descending:
+    D^j_{m'm} = exp(-i m' alpha) d^j_{m'm}(beta) exp(-i m gamma), where
+    d^j(beta) = exp(-i beta J_y) is summed over the eigenvectors of J_y."""
     j = HalfInteger.of(j)
-    dim = dimension(j)
-    out = np.empty((dim, dim), dtype=complex)
-    ms = projections(j)
-    for r, mp in enumerate(ms):
-        for c, m in enumerate(ms):
-            out[r, c] = wigner_d(j, mp, m, alpha, beta, gamma)
-    return out
+    _check_spin(j)
+    eigenvalues, eigenvectors = _jy_eigensystem(j.twice)
+    small = ((eigenvectors * np.exp(-1j * beta * eigenvalues)) @ eigenvectors.conj().T).real
+    m = eigenvalues[::-1]  # j .. -j, the basis order
+    return np.exp(-1j * alpha * m)[:, None] * small * np.exp(-1j * gamma * m)
+
+
+@lru_cache(maxsize=None)
+def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues m = -j .. j of J_y, exact, and its eigenvectors in the
+    columns of a matrix over the basis m = j .. -j."""
+    # <m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)), in doubled units
+    tm = np.arange(twice_j - 2, -twice_j - 1, -2)
+    raising = np.diag(0.5 * np.sqrt(twice_j * (twice_j + 2) - tm * (tm + 2.0)), 1)
+    _, vectors = np.linalg.eigh((raising - raising.T) / 2j)
+    values = 0.5 * np.arange(-twice_j, twice_j + 1, 2)
+    values.flags.writeable = vectors.flags.writeable = False
+    return values, vectors
 
 
 def tau_matrix(j, k, q) -> np.ndarray:

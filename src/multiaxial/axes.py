@@ -75,16 +75,27 @@ class Axis:
 
     @staticmethod
     def from_vector(v: np.ndarray) -> "Axis":
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        if v[2] < -FLAT_TOL or (abs(v[2]) <= FLAT_TOL and (
-                v[1] < -FLAT_TOL or (abs(v[1]) <= FLAT_TOL and v[0] < 0.0))):
-            v = -v
-        return Axis(tuple(v.tolist()))
+        return Axis(tuple(_canonical_heads(np.asarray(v, dtype=float).reshape(1, 3))[0].tolist()))
 
     @property
     def unit_vector(self) -> np.ndarray:
         return np.array(self.vector)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of an n x 3 array, rounded as
+    ``np.linalg.norm`` of that row alone (row sums by ``einsum`` or
+    ``norm(axis=1)`` differ from it in the last bit)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _canonical_heads(v: np.ndarray) -> np.ndarray:
+    """The rows of ``v`` normalised and flipped onto their canonical heads."""
+    v = v / _row_norms(v)[:, None]
+    x, y, z = v.T
+    flip = (z < -FLAT_TOL) | ((np.abs(z) <= FLAT_TOL) & (
+        (y < -FLAT_TOL) | ((np.abs(y) <= FLAT_TOL) & (x < 0.0))))
+    return np.where(flip[:, None], -v, v)
 
 
 def _display_angles(v) -> tuple[float, float]:
@@ -259,9 +270,17 @@ def _antipodal_pairs(u: np.ndarray, within: float) -> list[tuple[int, int | None
     return pairs
 
 
-def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.ndarray, int]]:
-    """Group line directions whose mutual angle is within tol (transitively)."""
-    n = len(vectors)
+def cluster_directions(lines: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group the unit lines in the rows of ``lines`` whose mutual angle is
+    within tol (transitively).  Returns each group's mean line, normalised,
+    and its size, groups in the order of their first line."""
+    n = len(lines)
+    rows, cols = _upper_indices(n)
+    cosines = np.minimum(1.0, np.abs(lines @ lines.T)[rows, cols])
+    close = np.flatnonzero(np.arccos(cosines) <= tol)
+    if not len(close):
+        # + 0.0 turns -0.0 into 0.0, as the mean of a one-line group does
+        return (lines + 0.0) / _row_norms(lines)[:, None], np.ones(n, dtype=int)
     parent = list(range(n))
 
     def find(i):
@@ -270,26 +289,34 @@ def cluster_directions(vectors: list[np.ndarray], tol: float) -> list[tuple[np.n
             i = parent[i]
         return i
 
-    rows, cols = np.triu_indices(n, 1)
-    for pair in np.flatnonzero(np.arccos(line_cosines(vectors)) <= tol):
-        ri, rl = find(int(rows[pair])), find(int(cols[pair]))
+    for i, l in zip(rows[close].tolist(), cols[close].tolist()):
+        ri, rl = find(i), find(l)
         if ri != rl:
             parent[rl] = ri
-
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
+    means = np.empty((len(groups), 3))
+    for g, members in enumerate(groups.values()):
         # each member line flipped onto the first one's head
-        v = np.array([vectors[i] for i in members])
-        mean = np.where(v @ v[0] >= 0.0, 1.0, -1.0) @ v
-        out.append((mean / np.linalg.norm(mean), len(members)))
-    return out
+        v = lines[members]
+        means[g] = np.where(v @ v[0] >= 0.0, 1.0, -1.0) @ v
+    return means / _row_norms(means)[:, None], np.array([len(m) for m in groups.values()])
 
 
-def _ordered_axis_list(clusters) -> tuple:
-    axes = ((Axis.from_vector(v), mult) for v, mult in clusters)
+@lru_cache(maxsize=None)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n array."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _ordered_axis_list(vectors: np.ndarray, mults) -> tuple:
+    """((Axis, multiplicity), ...) of the rows of ``vectors``, by multiplicity
+    descending, then theta, then phi."""
+    heads = _canonical_heads(vectors).tolist()
+    axes = ((Axis(tuple(v)), m) for v, m in zip(heads, np.asarray(mults).tolist()))
     return tuple(sorted(axes, key=lambda am: (-am[1], am[0].theta, am[0].phi)))
 
 
@@ -429,7 +456,7 @@ def _refine_axes(comp: np.ndarray, axes: tuple) -> tuple:
     mults = [m for _, m in axes]
     x0 = np.concatenate([axis.vector for axis, _ in axes])
     sol = least_squares(lambda x: _fit_residual(x, mults, comp), x0)
-    return _ordered_axis_list(zip(sol.x.reshape(-1, 3), mults))
+    return _ordered_axis_list(sol.x.reshape(-1, 3), mults)
 
 
 class RankRoots(NamedTuple):
@@ -577,7 +604,7 @@ def solve_axes(
     # worst case when matching antipodes.
     within = max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
     for lines in _proposals(t, k, roots, within):
-        axes = _ordered_axis_list(cluster_directions(lines, pair_tol))
+        axes = _ordered_axis_list(*cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
         if residual > GATE_FLOOR:
             axes = _refine_axes(comp, axes)
@@ -591,19 +618,21 @@ def solve_axes(
 
 def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
     """The structure stage's lines, when some root is ill conditioned and the
-    stage finds a multiple root, then the lines of the roots themselves."""
+    stage finds a multiple root, then the lines of the roots themselves; each
+    an array with one unit line per row."""
     if roots.ill:
         lines = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
         if lines is not None:
-            yield lines
+            yield np.array(lines)
     vectors = roots.vectors
     pairs = _antipodal_pairs(vectors, within)
     unpaired = [vectors[i] for i, j in pairs if j is None]
     if unpaired:
         raise AxisPairingError(f"rank {k}: {len(unpaired)} points have no antipodal "
                                f"partner within {within:g} rad", unpaired)
-    lines = [vectors[i] - vectors[j] for i, j in pairs]
-    yield [d / np.linalg.norm(d) for d in lines] + [np.array([0.0, 0.0, 1.0])] * roots.z_axes
+    heads, tails = np.array(pairs, dtype=int).reshape(-1, 2).T
+    lines = vectors[heads] - vectors[tails]
+    yield np.vstack([lines / _row_norms(lines)[:, None], np.tile([0.0, 0.0, 1.0], (roots.z_axes, 1))])
 
 
 def solve_all_axes(

@@ -14,7 +14,6 @@ from .axes import (
     Axis,
     RankDecomposition,
     fit_rk,
-    line_cosines,
     pairwise_invariants,
     solve_all_axes,
 )
@@ -160,10 +159,8 @@ def separability_from_signature(
     signature: ClassSignature, tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> SeparabilityVerdict:
     """The pure-state recipe judged from the signature of a pure state."""
-    vectors = [axis.unit_vector for decomp in signature.decompositions()
-               for axis in decomp.expanded_axes()]
-    cosines = line_cosines(vectors)
-    max_angle = math.acos(float(cosines.min())) if len(cosines) else 0.0
+    # the smallest |cos| over every pair of axes, multiplicity counted
+    max_angle = math.acos(signature.pairwise[-1]) if signature.pairwise else 0.0
     if max_angle > tolerances.angle:
         return SeparabilityVerdict(
             False, True,

@@ -245,14 +245,20 @@ def cmd_generate(args) -> int:
     except (ValueError, TypeError) as exc:
         # FamilyParameterError and SpinTooLargeError are ValueErrors; params
         # that are not a JSON object can raise a TypeError
-        hint = ""
-        if isinstance(name, str) and name in FAMILY_PARAMS:
-            hint = f" (valid ranges: {family_ranges(name)})"
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        print(_family_error(exc, name), file=sys.stderr)
         return EXIT_USAGE
     if not psd_ok:
         print(f"warning: {note}", file=sys.stderr)
     return _emit(_json_dumps(state_to_json(rho)), args.out)
+
+
+def _family_error(exc: Exception, name) -> str:
+    """The error line for a family that cannot be built, naming the family's
+    valid ranges once (a missing-parameter message already names them)."""
+    if not (isinstance(name, str) and name in FAMILY_PARAMS):
+        return f"error: {exc}"
+    ranges = family_ranges(name)
+    return f"error: {exc}" if ranges in str(exc) else f"error: {exc} (valid ranges: {ranges})"
 
 
 def _parse_assignments(pairs: list[str]) -> dict:
@@ -298,6 +304,8 @@ def cmd_sweep(args) -> int:
         name, _, spec = args.vary.partition("=")
         start, stop, steps = spec.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"START and STOP must be finite, got {spec!r}")
         if steps < 2:
             raise ValueError("need at least 2 grid points")
         reports = [r.strip() for r in args.report.split(",") if r.strip()]
@@ -317,9 +325,7 @@ def cmd_sweep(args) -> int:
             metrics = _sweep_metrics(args.family, params, reports, tolerances)
             rows.append((float(value), metrics))
     except FamilyParameterError as exc:
-        print(f"error: {exc} (valid ranges: "
-              f"{family_ranges(args.family) if args.family in FAMILY_PARAMS else '?'})",
-              file=sys.stderr)
+        print(_family_error(exc, args.family), file=sys.stderr)
         return EXIT_USAGE
 
     boundaries = []

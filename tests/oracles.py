@@ -4,6 +4,7 @@ The library only ever goes from a density matrix to its tensors and from
 the tensors to the axes; these go the other way, or by another route.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from multiaxial.angular import tau_matrix
 from multiaxial.axes import ZERO_TOL, _display_angles, _polished_roots, _root_vectors
 from multiaxial.fano import SphericalTensorSet
+from multiaxial.halfint import HalfInteger
 from multiaxial.states import DensityMatrix, PureState
 
 
@@ -43,3 +45,32 @@ def majorana_roots(psi: PureState) -> np.ndarray:
         z = np.concatenate([z, roots])
     points = _root_vectors(z)
     return points[sorted(range(len(points)), key=lambda i: _display_angles(points[i]))]
+
+
+def wigner_small_d(j, mprime, m, beta: float) -> float:
+    """Reduced rotation matrix element d^j_{m' m}(beta) by Wigner's sum over s."""
+    j, mp, m = HalfInteger.of(j), HalfInteger.of(mprime), HalfInteger.of(m)
+    if abs(mp.twice) > j.twice or abs(m.twice) > j.twice:
+        raise ValueError("|m| and |m'| must not exceed j")
+    fact = math.factorial
+    jm = (j.twice + m.twice) // 2
+    jmm = (j.twice - m.twice) // 2
+    jmp = (j.twice + mp.twice) // 2
+    jmmp = (j.twice - mp.twice) // 2
+    norm = math.sqrt(float(fact(jm) * fact(jmm) * fact(jmp) * fact(jmmp)))
+    cos_h = math.cos(beta / 2.0)
+    sin_h = math.sin(beta / 2.0)
+    dmm = (mp.twice - m.twice) // 2  # m' - m, always integral here
+    total = 0.0
+    for s in range(max(0, -dmm), min(jmmp, jm) + 1):
+        denom = fact(s) * fact(jmmp - s) * fact(jm - s) * fact(dmm + s)
+        sign = -1.0 if (s + dmm) % 2 else 1.0
+        total += sign * cos_h ** (jm + jmmp - 2 * s) * sin_h ** (dmm + 2 * s) / denom
+    return norm * total
+
+
+def wigner_d(j, mprime, m, alpha: float, beta: float, gamma: float) -> complex:
+    """Wigner rotation matrix element D^j_{m' m}(alpha, beta, gamma), one at a time."""
+    mp, mm = HalfInteger.of(mprime), HalfInteger.of(m)
+    phase = cmath.exp(-1j * (float(mp) * alpha + float(mm) * gamma))
+    return phase * wigner_small_d(j, mp, mm, beta)

@@ -17,11 +17,10 @@ from multiaxial.angular import (
     couple_pair,
     q_vector,
     tau_matrix,
-    wigner_d,
     wigner_d_matrix,
-    wigner_small_d,
 )
 from multiaxial.halfint import HalfInteger, dimension, projections
+from oracles import wigner_d, wigner_small_d
 
 
 def _h(x):
@@ -220,6 +219,21 @@ class TestWignerD:
                 y = complex(sph_harm_y(k, q, theta, phi))
                 expected = math.sqrt(4 * math.pi / (2 * k + 1)) * y
                 assert d == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_matrix_matches_element_sum(self, twice_j):
+        # the J_y eigenvector sum against Wigner's sum, element by element
+        rng = np.random.default_rng(twice_j)
+        j = HalfInteger(twice_j)
+        ms = projections(j)
+        for _ in range(3):
+            a, b, g = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
+            expected = np.array([[wigner_d(j, mp, m, a, b, g) for m in ms] for mp in ms])
+            assert np.max(np.abs(wigner_d_matrix(j, a, b, g) - expected)) < 1e-13
+
+    def test_spin_cap(self):
+        with pytest.raises(SpinTooLargeError):
+            wigner_d_matrix(HalfInteger(MAX_SPIN.twice + 1), 0.1, 0.2, 0.3)
 
     def test_composition(self):
         # successive z-y-z rotations compose like the matrices

@@ -17,7 +17,9 @@ from multiaxial.axes import (
     _polish_roots,
     _refine_axes,
     _root_vectors,
+    _row_norms,
     axis_tensor,
+    cluster_directions,
     fit_rk,
     least_squares,
     mar_polynomial,
@@ -683,3 +685,30 @@ class TestRefineAxes:
         assert [mult for _, mult in refined] == [2, 1]  # in canonical order
         near_z = next(axis for axis, mult in refined if mult == 2)
         assert _line_angle(near_z.unit_vector, _vector(1e-5, 0.0)) <= 1e-12
+
+
+class TestLineArrays:
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_row_norms_equal_per_row_norm(self, scale):
+        v = scale * np.random.default_rng(3).normal(size=(10_000, 3))
+        expected = np.array([np.linalg.norm(row) for row in v])
+        assert np.array_equal(_row_norms(v), expected)
+
+    def test_singletons_are_normalised_rows(self):
+        v = np.random.default_rng(4).normal(size=(12, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        means, counts = cluster_directions(v, 1e-6)
+        assert counts.tolist() == [1] * 12
+        assert np.array_equal(means, np.array([row / np.linalg.norm(row) for row in v]))
+
+    def test_transitive_chain_is_one_group(self):
+        # lines 0.6e-6 rad apart in a chain: neighbours within tol, the ends not;
+        # the chain takes the first line's head whatever each line's sign
+        steps = [_vector(1.0 + 0.6e-6 * i, 2.0) for i in range(4)]
+        lines = np.array([steps[0], -steps[1], steps[2], _vector(2.5, 0.3), -steps[3]])
+        assert math.acos(abs(float(steps[0] @ steps[3]))) > 1e-6
+        means, counts = cluster_directions(lines, 1e-6)
+        assert counts.tolist() == [4, 1]
+        assert _line_angle(means[0], _vector(1.0 + 0.9e-6, 2.0)) <= 1e-12
+        assert float(means[0] @ steps[0]) > 0.0
+        assert np.array_equal(means[1], lines[3] / np.linalg.norm(lines[3]))

@@ -16,6 +16,7 @@ from multiaxial.classify import (
     euler_zyz_from_matrix,
     lu_equivalent,
     pure_separability_check,
+    separability_from_signature,
     separable_reference_r,
 )
 from multiaxial.families import (
@@ -29,7 +30,7 @@ from multiaxial.families import (
     make_w,
 )
 from multiaxial.fano import extract_tensors
-from multiaxial.axes import solve_axes
+from multiaxial.axes import line_cosines, solve_axes
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
@@ -185,6 +186,19 @@ class TestSeparability:
         for n in (2, 3, 4):
             verdict = pure_separability_check(pure_to_density(make_ghz(n)))
             assert not verdict.separable
+
+    @pytest.mark.parametrize("twice_j", [2, 5, 12, 20])
+    def test_largest_angle_from_the_fingerprint(self, twice_j):
+        # the recipe reads the largest line angle off the signature's sorted
+        # cosines; the same angle over every pair of expanded axes
+        rng = np.random.default_rng(twice_j)
+        amps = rng.normal(size=twice_j + 1) + 1j * rng.normal(size=twice_j + 1)
+        rho = DensityMatrix(HalfInteger(twice_j), np.outer(amps, amps.conj()) / np.vdot(amps, amps).real)
+        sig = class_signature(rho)
+        vectors = [axis.unit_vector for d in sig.decompositions() for axis in d.expanded_axes()]
+        max_angle = math.acos(float(line_cosines(vectors).min()))
+        expected = f"axes not all collinear (max pairwise angle {max_angle:.3e} rad)"
+        assert separability_from_signature(sig).reason == expected
 
     def test_mixed_not_applicable(self):
         verdict = pure_separability_check(make_uniaxial(0.4, 0.2, 0.1).rho)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -262,8 +263,10 @@ class TestGenerate:
         {"family": "ghz", "params": {"N": float("inf")}},
         {"family": ["ghz"], "params": {"N": 3}},
         {"family": {"a": 1}},
+        {"family": "uniaxial", "params": {"r1": 0.3}},
+        {"family": "nosuch", "params": {}},
     ], ids=["list", "string", "non-numeric", "non-numeric-angle", "infinite", "family-list",
-            "family-object"])
+            "family-object", "missing-params", "unknown-family"])
     def test_malformed_spec_one_error_line_exit_1(self, tmp_path, capsys, spec_doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_doc))
@@ -272,6 +275,8 @@ class TestGenerate:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        # the valid ranges, when named, are named once
+        assert lines[0].count("ranges") <= 1 and "?" not in lines[0]
 
     @pytest.mark.parametrize("family, params, bad", [
         ("separable_coherent", {"j": "3/2", "theta": float("nan"), "phi": 0}, "theta"),
@@ -383,6 +388,24 @@ class TestSweep:
         assert main(["sweep", *argv, "--report", "class", "--out", str(out)]) == cli.EXIT_USAGE
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "uniaxial", "--vary", "r1=0:inf:3", "--fix", "theta1=0", "--fix", "phi1=0"],
+        ["--family", "uniaxial", "--vary", "r1=nan:0.5:3", "--fix", "theta1=0", "--fix", "phi1=0"],
+        ["--family", "uniaxial", "--vary", "r1=0.1:0.5:3"],
+        ["--family", "nosuch", "--vary", "x=0:1:2"],
+    ], ids=["infinite-stop", "nan-start", "missing-params", "unknown-family"])
+    def test_bad_sweep_one_error_line_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", *argv, "--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].count("ranges") <= 1 and "?" not in lines[0]
         assert not out.exists()
 
     def test_unknown_report_exit_1(self, capsys):
