@@ -17,8 +17,10 @@ import numpy as np
 
 from .halfint import HalfInteger, basis_index, dimension, projections
 
-#: Largest spin handled before factorial arguments stop being desk-scale.
+#: Largest spin handled: a Racah sum reaches at most (j1 + j2 + j3 + 1)!,
+#: so ``_FACTORIALS`` below stops at (3 MAX_SPIN + 1)!.
 MAX_SPIN = HalfInteger.of(20)
+_FACTORIALS = tuple(math.factorial(n) for n in range(3 * MAX_SPIN.twice // 2 + 2))
 
 
 class SpinTooLargeError(ValueError):
@@ -30,12 +32,6 @@ def _check_spin(j: HalfInteger) -> None:
         raise ValueError(f"negative spin {j}")
     if j > MAX_SPIN:
         raise SpinTooLargeError(f"spin {j} exceeds supported maximum {MAX_SPIN}")
-
-
-def _fact(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial argument")
-    return math.factorial(n)
 
 
 @lru_cache(maxsize=100_000)
@@ -53,36 +49,30 @@ def _cg_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> flo
     if (tj1 + tm1) % 2 != 0 or (tj2 + tm2) % 2 != 0 or (tj3 + tm3) % 2 != 0:
         return 0.0
 
+    f = _FACTORIALS
     a = (tj1 + tj2 - tj3) // 2
     b = (tj1 - tj2 + tj3) // 2
     c = (-tj1 + tj2 + tj3) // 2
-    num = (
-        (tj3 + 1) * _fact(a) * _fact(b) * _fact(c)
-        * _fact((tj1 + tm1) // 2)
-        * _fact((tj1 - tm1) // 2)
-        * _fact((tj2 + tm2) // 2)
-        * _fact((tj2 - tm2) // 2)
-        * _fact((tj3 + tm3) // 2)
-        * _fact((tj3 - tm3) // 2)
-    )
-    den = _fact((tj1 + tj2 + tj3) // 2 + 1)
+    num = ((tj3 + 1) * f[a] * f[b] * f[c]
+           * f[(tj1 + tm1) // 2] * f[(tj1 - tm1) // 2]
+           * f[(tj2 + tm2) // 2] * f[(tj2 - tm2) // 2]
+           * f[(tj3 + tm3) // 2] * f[(tj3 - tm3) // 2])
+    den = f[(tj1 + tj2 + tj3) // 2 + 1]
 
-    s_min = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
-    s_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    denoms = [
-        _fact(s)
-        * _fact(a - s)
-        * _fact((tj1 - tm1) // 2 - s)
-        * _fact((tj2 + tm2) // 2 - s)
-        * _fact((tj3 - tj2 + tm1) // 2 + s)
-        * _fact((tj3 - tj1 - tm2) // 2 + s)
-        for s in range(s_min, s_max + 1)
-    ]
-    # sum (-1)^s / D_s over the common multiple L of the D_s, in integers;
-    # int / int rounds correctly, as float(Fraction) does
-    common = math.lcm(*denoms)
-    total = sum(-(common // d) if s % 2 else common // d
-                for s, d in enumerate(denoms, start=s_min))
+    # sum_s (-1)^s / D_s, D_s = s! (a-s)! (x-s)! (y-s)! (z+s)! (w+s)!, over
+    # the common multiple L of the D_s below, in integers; int / int rounds
+    # correctly, as float(Fraction) does
+    x, y = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    z, w = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
+    s_min = max(0, -z, -w)
+    s_max = min(a, x, y)
+    common = (f[s_max] * f[a - s_min] * f[x - s_min] * f[y - s_min]
+              * f[z + s_max] * f[w + s_max])
+    term = f[s_max] // f[s_min] * (f[z + s_max] // f[z + s_min]) * (f[w + s_max] // f[w + s_min])
+    total = 0
+    for s in range(s_min, s_max + 1):  # term = L / D_s
+        total += -term if s % 2 else term
+        term = term * (a - s) * (x - s) * (y - s) // ((s + 1) * (z + s + 1) * (w + s + 1))
     if total == 0:
         return 0.0
     return (total / common) * math.sqrt(num / den)

@@ -6,12 +6,13 @@ rho = (1/(2j+1)) sum_{k q} t^k_q tau^{k+}_q, with t^k_q = Tr(rho tau^k_q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .angular import MAX_SPIN, SpinTooLargeError, tau_matrix
+from .angular import MAX_SPIN, SpinTooLargeError, _cg_twice
 from .halfint import HalfInteger
 from .states import DensityMatrix
 
@@ -60,20 +61,28 @@ def _tau_table(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     np.trace(rho @ tau) does, so it rounds the same way; degenerate states
     sit on thresholds that a last-bit change in t^k_q can tip.
     Rows run k ascending, then q ascending.
+
+    Only q >= 0 and the first half of each row take a Racah sum; the rest
+    follow from two exact symmetries of C(j k j; m q m+q), whose partners
+    share every factorial and so every bit up to sign:
+    m -> -m-q gives (-1)^(k+q) within a row, and (m, q) -> (-m, -q) gives
+    (-1)^k from row q to row -q, reversed.  Adding 0.0 keeps a zero +0.0.
     """
-    j = HalfInteger(twice_j)
     dim = twice_j + 1
-    index = np.zeros((dim * dim, dim), dtype=np.intp)
+    qs = np.concatenate([np.arange(-k, k + 1) for k in range(dim)])[:, None]
+    kets = np.arange(dim)                       # ket m; bra m+q sits at kets - q
+    index = np.where((kets >= qs) & (kets < dim + qs), kets * dim + kets - qs, 0).astype(np.intp)
     weight = np.zeros((dim * dim, dim))
-    row = 0
     for k in range(dim):
-        for q in range(-k, k + 1):
-            tau = tau_matrix(j, k, q)
-            cols = np.arange(max(0, q), min(dim, dim + q))  # ket m
-            rows = cols - q                                  # bra m+q
-            index[row, cols] = cols * dim + rows
-            weight[row, cols] = tau[rows, cols].real
-            row += 1
+        norm = math.sqrt(2 * k + 1.0)
+        rows = weight[k * k: (k + 1) * (k + 1)]  # q = -k .. k
+        for q in range(k + 1):
+            n = dim - q                         # row q fills kets q .. 2j
+            half = np.array([norm * _cg_twice(twice_j, 2 * k, twice_j, tm, 2 * q, tm + 2 * q)
+                             for tm in range(twice_j - 2 * q, -q - 1, -2)])  # m >= -m-q
+            mirror = half[: n // 2][::-1]
+            rows[k + q, q:] = np.concatenate([half, (-mirror if (k + q) % 2 else mirror) + 0.0])
+        rows[:k] = (-rows[:k:-1, ::-1] if k % 2 else rows[:k:-1, ::-1]) + 0.0
     index.flags.writeable = False
     weight.flags.writeable = False
     return index, weight

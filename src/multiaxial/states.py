@@ -55,7 +55,8 @@ class PureState:
                 f"expected {dimension(self.j)} amplitudes for j={self.j}, "
                 f"got {amps.shape}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # a huge amplitude reads as norm inf below
+            norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |a_m|^2 = {norm}")
 

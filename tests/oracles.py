@@ -26,6 +26,24 @@ def reconstruct_density(t: SphericalTensorSet) -> DensityMatrix:
     return DensityMatrix(t.j, mat / dim)
 
 
+def tau_table_reference(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``fano._tau_table`` built entry by entry: one ``tau_matrix`` per (k, q)."""
+    j = HalfInteger(twice_j)
+    dim = twice_j + 1
+    index = np.zeros((dim * dim, dim), dtype=np.intp)
+    weight = np.zeros((dim * dim, dim))
+    row = 0
+    for k in range(dim):
+        for q in range(-k, k + 1):
+            tau = tau_matrix(j, k, q)
+            cols = np.arange(max(0, q), min(dim, dim + q))  # ket m
+            rows = cols - q                                  # bra m+q
+            index[row, cols] = cols * dim + rows
+            weight[row, cols] = tau[rows, cols].real
+            row += 1
+    return index, weight
+
+
 def majorana_polynomial(psi: PureState) -> np.ndarray:
     """Ascending coefficients of P(Z) = sum_m (-1)^{j+m} sqrt(C(2j, j+m)) a_m Z^{j+m}."""
     n = psi.j.twice  # 2j; amplitudes run m = j .. -j, so a_m sits at n - (j + m)

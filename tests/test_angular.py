@@ -1,6 +1,7 @@
 """Angular-momentum special functions against independent oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from sympy.physics.quantum.cg import CG
 
 from multiaxial.angular import (
     MAX_SPIN,
+    _FACTORIALS,
     SpinTooLargeError,
     _cg_twice,
     clebsch_gordan,
@@ -141,6 +143,52 @@ class TestRacahSum:
                         assert _cg_twice(*args) == _cg_twice_fraction(*args), args
                         count += 1
         assert count == 35650
+
+
+    def test_equals_fraction_oracle_on_coupling_arguments(self):
+        # every C(k1 1 k; q1 q2 q) that couple_pair reaches for k1 <= 19
+        count = 0
+        for k1 in range(20):
+            for k in range(abs(k1 - 1), k1 + 2):
+                for q1 in range(-k1, k1 + 1):
+                    for q2 in (-1, 0, 1):
+                        if abs(q1 + q2) > k:
+                            continue
+                        args = (2 * k1, 2, 2 * k, 2 * q1, 2 * q2, 2 * (q1 + q2))
+                        assert _cg_twice(*args) == _cg_twice_fraction(*args), args
+                        count += 1
+        assert count == 3442
+
+    def test_equals_fraction_oracle_at_the_cap(self):
+        # j1 = j2 = j3 = MAX_SPIN: the Racah sum reaches (3 MAX_SPIN + 1)!,
+        # the top of the factorial table
+        t = MAX_SPIN.twice
+        assert len(_FACTORIALS) == 3 * t // 2 + 2
+        count = 0
+        for tm1 in range(-t, t + 1, 2):
+            for tm2 in range(-t, t + 1, 2):
+                if abs(tm1 + tm2) > t:
+                    continue
+                args = (t, t, t, tm1, tm2, tm1 + tm2)
+                assert _cg_twice(*args) == _cg_twice_fraction(*args), args
+                count += 1
+        assert count == 1261
+
+    def test_equals_fraction_oracle_on_a_seeded_sample(self):
+        # allowed couplings with every 2j <= 2 MAX_SPIN, drawn at random
+        rng = random.Random(40)
+        t = MAX_SPIN.twice
+        count = 0
+        for _ in range(20_000):
+            tj1, tj2 = rng.randint(0, t), rng.randint(0, t)
+            tj3 = rng.randrange(abs(tj1 - tj2), min(tj1 + tj2, t) + 1, 2)
+            tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
+            if abs(tm1 + tm2) > tj3:
+                continue
+            args = (tj1, tj2, tj3, tm1, tm2, tm1 + tm2)
+            assert _cg_twice(*args) == _cg_twice_fraction(*args), args
+            count += 1
+        assert count > 15_000
 
 
 class TestStretched:

@@ -455,6 +455,22 @@ def test_unwritable_out_one_error_line_exit_1(ghz3_file, w_file, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("amplitude", [1e200, {"re": 1e308, "im": 1e308}])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_overflowing_amplitude_one_error_line_exit_1(w_file, tmp_path, capsys, command,
+                                                     amplitude):
+    # |a_m|^2 overflows: the norm reads inf, with no numpy warning before it
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"j": "3/2", "amplitudes": [0, 0, amplitude, 0]}))
+    argv = {"analyze": [str(path)], "compare": [w_file, str(path)]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state not normalized: sum |a_m|^2 = inf\n"
+
+
 def test_import_leaves_scipy_unloaded():
     # nothing under src/ imports scipy
     src = os.path.dirname(os.path.dirname(multiaxial.__file__))

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reconstruct_density
+from oracles import reconstruct_density, tau_table_reference
 
 from multiaxial.angular import SpinTooLargeError, tau_matrix, wigner_d_matrix
 from multiaxial.families import make_bell, make_ghz, make_w
-from multiaxial.fano import extract_tensors
+from multiaxial.fano import _tau_table, extract_tensors
 from multiaxial.halfint import HalfInteger, dimension
 from multiaxial.states import (
     DensityMatrix,
@@ -174,6 +174,17 @@ class TestTauTable:
                 for q in range(-k, k + 1):
                     expected = np.trace(rho @ tau_matrix(j, k, q))
                     assert abs(t.component(k, q) - expected) < 1e-13
+
+    def test_equals_per_entry_reference_bit_for_bit(self):
+        # the mirrored entries carry the Racah sum's bits up to sign, and a
+        # zero stays +0.0: tobytes tells -0.0 from 0.0
+        for twice_j in range(0, 21):
+            index, weight = _tau_table(twice_j)
+            ref_index, ref_weight = tau_table_reference(twice_j)
+            assert index.dtype == ref_index.dtype and weight.dtype == ref_weight.dtype
+            assert index.tobytes() == ref_index.tobytes(), twice_j
+            assert weight.tobytes() == ref_weight.tobytes(), twice_j
+            assert not index.flags.writeable and not weight.flags.writeable
 
     def test_spin_cap_still_raises(self):
         with pytest.raises(SpinTooLargeError):
