@@ -15,9 +15,15 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
-import numpy as np
+# Before numpy loads BLAS: the library's matrices (at most about 80 x 80) are
+# too small to split across threads, so a thread pool only adds its start-up.
+# A value already in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .angular import SpinTooLargeError
 from .axes import AxisPairingError, DegenerateFitError

@@ -243,6 +243,11 @@ def state_from_json(doc: dict) -> PureState | DensityMatrix:
             rho = DensityMatrix(j, mat)
         except ValueError as exc:
             raise StateFormatError(str(exc)) from exc
+        with np.errstate(over="ignore"):  # a huge entry reads as size inf below
+            size = float(np.sum(np.abs(mat) ** 2))
+        if not math.isfinite(size):
+            # the purity, the eigensolvers and the fit would overflow on it
+            raise StateFormatError(f"matrix entries too large: sum |rho_mn|^2 = {size}")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > FILE_HERMITICITY_TOL:
             raise StateFormatError(

@@ -356,6 +356,15 @@ class TestHighMultiplicity:
                 mapped = rotate_density(rho, result.witness)
                 assert np.max(np.abs(mapped.matrix - target.matrix)) < 1e-6
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: the z-axis trimming splits rank 12 of a GHZ state "
+        "1e-7 rad off z on a last-bit change (D^12_11,1 against D^12_12)"))
+    def test_ghz_tilted_off_z_equivalent_to_identity_rotated_copy(self):
+        # the identity rotation changes the matrix only in its last bits
+        rho = rotate_density(pure_to_density(make_ghz(19)), EulerAngles(1.0, 1e-7, 0.0))
+        result = lu_equivalent(rho, rotate_density(rho, EulerAngles(0.0, 0.0, 0.0)))
+        assert result.verdict == "equivalent", result.reason
+
 
 class TestTolerances:
     def test_defaults(self):

@@ -471,13 +471,82 @@ def test_overflowing_amplitude_one_error_line_exit_1(w_file, tmp_path, capsys, c
     assert captured.err == "error: state not normalized: sum |a_m|^2 = inf\n"
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1e200, 0], [0, 0]],
+    [[0.5, 1e300], [1e300, 0.5]],
+    [[1e308, 0], [0, -1e308]],
+    [[0.5, 1e308], [-1e308, 0.5]],
+], ids=["diagonal-1e200", "off-diagonal-1e300", "diagonal-1e308", "antihermitian-1e308"])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_overflowing_matrix_one_error_line_exit_1(tmp_path, capsys, command, matrix):
+    # sum |rho_mn|^2 overflows: rejected on reading, before any classifier work
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"j": "1/2", "matrix": matrix}))
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"j": "1/2", "amplitudes": [1, 0]}))
+    argv = {"analyze": [str(path)], "compare": [str(ok), str(path)]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entries too large: sum |rho_mn|^2 = inf\n"
+
+
+def _fresh_python(code: str, **env_changes) -> str:
+    """stdout of ``code`` run in a new interpreter that imports the library
+    from this checkout; an env value of None removes the variable."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(multiaxial.__file__)))
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def test_import_leaves_scipy_unloaded():
     # nothing under src/ imports scipy
-    src = os.path.dirname(os.path.dirname(multiaxial.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, multiaxial.cli; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(
+        "import sys, multiaxial.cli; print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))") == "[]"
+
+
+def test_import_package_leaves_numpy_unloaded():
+    # the package namespace loads submodules on first use
+    assert _fresh_python("import sys, multiaxial; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_pins_blas_to_one_thread():
+    out = _fresh_python(
+        "import os, multiaxial.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+        "else 'no-proc')", OPENBLAS_NUM_THREADS=None)
+    value, threads = out.splitlines()
+    assert value == "1"
+    if threads == "no-proc":
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == "1"
+
+
+def test_cli_import_keeps_user_blas_threads():
+    assert _fresh_python("import os, multiaxial.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                         OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_package_names_are_their_defining_modules_objects():
+    missing = _fresh_python(
+        "import importlib, multiaxial as m\n"
+        "print([n for n in m.__all__ if getattr(m, n) is not "
+        "getattr(importlib.import_module('multiaxial.' + m._MODULE_OF[n]), n)])")
+    assert missing == "[]"
+    assert set(multiaxial.__all__) <= set(dir(multiaxial))
+
+
+def test_unknown_package_name_raises_attribute_error():
+    assert _fresh_python(
+        "import multiaxial\n"
+        "try:\n    multiaxial.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)"
+    ) == "module 'multiaxial' has no attribute 'no_such_name'"
