@@ -120,6 +120,11 @@ class RankDecomposition:
     r_k: float
     axes: tuple  # ((Axis, multiplicity), ...) sorted by multiplicity desc
     fit_residual: float = 0.0
+    #: False when some root was ill conditioned and the structure stage found
+    #: no multiple root, so the axes are the roots themselves: crowded roots
+    #: then fix r_k and the axes only to about cond * eps, and another
+    #: orientation of the same state may read them differently.
+    settled: bool = True
 
     @property
     def present(self) -> bool:
@@ -603,14 +608,14 @@ def solve_axes(
     # A root of multiplicity m scatters by about eps^(1/m); allow for the
     # worst case when matching antipodes.
     within = max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
-    for lines in _proposals(t, k, roots, within):
+    for lines, settled in _proposals(t, k, roots, within):
         axes = _ordered_axis_list(*cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
         if residual > GATE_FLOOR:
             axes = _refine_axes(comp, axes)
             r_k, residual = fit_rk(comp, axes)
         if residual <= gate:
-            return RankDecomposition(k, r_k, axes, residual)
+            return RankDecomposition(k, r_k, axes, residual, settled)
     raise DegenerateFitError(
         f"rank {k}: no axis structure fits; the roots leave a residual of "
         f"{residual:.3g}, above the gate {gate:.3g}")
@@ -619,11 +624,12 @@ def solve_axes(
 def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
     """The structure stage's lines, when some root is ill conditioned and the
     stage finds a multiple root, then the lines of the roots themselves; each
-    an array with one unit line per row."""
+    an array with one unit line per row, paired with whether a fit to it
+    counts as settled (``RankDecomposition.settled``)."""
     if roots.ill:
         lines = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
         if lines is not None:
-            yield np.array(lines)
+            yield np.array(lines), True
     vectors = roots.vectors
     pairs = _antipodal_pairs(vectors, within)
     unpaired = [vectors[i] for i, j in pairs if j is None]
@@ -632,7 +638,8 @@ def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
                                f"partner within {within:g} rad", unpaired)
     heads, tails = np.array(pairs, dtype=int).reshape(-1, 2).T
     lines = vectors[heads] - vectors[tails]
-    yield np.vstack([lines / _row_norms(lines)[:, None], np.tile([0.0, 0.0, 1.0], (roots.z_axes, 1))])
+    yield (np.vstack([lines / _row_norms(lines)[:, None], np.tile([0.0, 0.0, 1.0], (roots.z_axes, 1))]),
+           not roots.ill)
 
 
 def solve_all_axes(

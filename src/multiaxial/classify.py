@@ -209,9 +209,9 @@ def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
     return all(abs(x - y) <= FINGERPRINT_TOL for x, y in zip(a.pairwise, b.pairwise))
 
 
-def _rank_axis_table(sig: ClassSignature) -> list[tuple[int, np.ndarray, int]]:
+def _rank_axis_table(entries) -> list[tuple[int, np.ndarray, int]]:
     table = []
-    for entry in sig.entries:
+    for entry in entries:
         if entry.decomposition is None:
             continue
         for axis, mult in entry.decomposition.axes:
@@ -366,34 +366,15 @@ def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha + shift, beta, gamma - shift)
 
 
-def lu_equivalent(
+def _find_witness(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> EquivalenceResult:
-    """Three-stage test: configurations, invariant fingerprint, witness rotation."""
-    if rho_a.j != rho_b.j:
-        raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
-    sig_a = class_signature(rho_a, tolerances)
-    sig_b = class_signature(rho_b, tolerances)
-
-    if not _configurations_match(sig_a, sig_b):
-        return EquivalenceResult(
-            "inequivalent",
-            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
-        )
-    if not _fingerprints_match(sig_a, sig_b):
-        return EquivalenceResult(
-            "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ"
-        )
-
-    table_a = _rank_axis_table(sig_a)
-    table_b = _rank_axis_table(sig_b)
-    if not table_a:
-        # No axes at all: both are the maximally mixed state.
-        return EquivalenceResult("equivalent", "both states have no axes",
-                                 EulerAngles(0.0, 0.0, 0.0))
-
+    table_a: list,
+    table_b: list,
+    tolerances: Tolerances,
+) -> EulerAngles | None:
+    """A rotation mapping A's axes onto B's, rank by rank, that also maps
+    rho_a onto rho_b."""
     witness_tol = max(tolerances.angle, 1e-6)
     for rot in _rotation_candidates(table_a, table_b, tolerances.angle):
         pairs = _match_constellations(rot, table_a, table_b, 100 * witness_tol)
@@ -406,11 +387,90 @@ def lu_equivalent(
         angles = euler_zyz_from_matrix(refined)
         rotated = rotate_density(rho_a, angles)
         if float(np.max(np.abs(rotated.matrix - rho_b.matrix))) <= 1e-6:
+            return angles
+    return None
+
+
+def _settled_witness(
+    rho_a: DensityMatrix,
+    rho_b: DensityMatrix,
+    sig_a: ClassSignature,
+    sig_b: ClassSignature,
+    tolerances: Tolerances,
+) -> tuple[EulerAngles, list[int]] | None:
+    """A witness found from the ranks settled on both sides alone, and the
+    ranks left out; None when no rank is left out, when the configurations
+    of the settled ranks differ, or when no rotation found from their axes
+    maps rho_a onto rho_b.
+
+    A rank that is not settled can read differently in two orientations of
+    one state, so it is no evidence either way.  The r_k and cosines of a
+    settled rank may still carry the error of simple roots crowded around
+    its multiple axis (2e-7 seen), so they are not compared either: the
+    density matrices decide.
+    """
+    if any(ea.present != eb.present for ea, eb in zip(sig_a.entries, sig_b.entries)):
+        return None
+    shared = [(ea, eb) for ea, eb in zip(sig_a.entries, sig_b.entries)
+              if ea.present and ea.decomposition.settled and eb.decomposition.settled]
+    unsettled = sorted({e.k for e in sig_a.entries if e.present}
+                       - {ea.k for ea, _ in shared})
+    if not shared or not unsettled or any(
+            ea.configuration != eb.configuration for ea, eb in shared):
+        return None
+    witness = _find_witness(rho_a, rho_b, _rank_axis_table(ea for ea, _ in shared),
+                            _rank_axis_table(eb for _, eb in shared), tolerances)
+    return None if witness is None else (witness, unsettled)
+
+
+def lu_equivalent(
+    rho_a: DensityMatrix,
+    rho_b: DensityMatrix,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> EquivalenceResult:
+    """Three-stage test: configurations, invariant fingerprint, witness rotation.
+
+    When a stage fails and some rank is not settled on one side (its axes
+    and r_k are ill conditioned there), the witness is sought again from
+    the ranks settled on both sides (``_settled_witness``); it still has to
+    map the density matrices onto each other.
+    """
+    if rho_a.j != rho_b.j:
+        raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
+    sig_a = class_signature(rho_a, tolerances)
+    sig_b = class_signature(rho_b, tolerances)
+
+    if not _configurations_match(sig_a, sig_b):
+        result = EquivalenceResult(
+            "inequivalent",
+            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
+        )
+    elif not _fingerprints_match(sig_a, sig_b):
+        result = EquivalenceResult(
+            "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ"
+        )
+    elif not (table_a := _rank_axis_table(sig_a.entries)):
+        # No axes at all: both are the maximally mixed state.
+        return EquivalenceResult("equivalent", "both states have no axes",
+                                 EulerAngles(0.0, 0.0, 0.0))
+    else:
+        witness = _find_witness(rho_a, rho_b, table_a, _rank_axis_table(sig_b.entries),
+                                tolerances)
+        if witness is not None:
             return EquivalenceResult(
                 "equivalent", "witness rotation maps the constellations and "
-                "the density matrices", angles,
+                "the density matrices", witness,
             )
+        result = EquivalenceResult(
+            "fingerprint-match-only",
+            "invariants agree but no single witness rotation was found",
+        )
+    found = _settled_witness(rho_a, rho_b, sig_a, sig_b, tolerances)
+    if found is None:
+        return result
+    witness, unsettled = found
     return EquivalenceResult(
-        "fingerprint-match-only",
-        "invariants agree but no single witness rotation was found",
+        "equivalent", "witness rotation maps the constellations of the settled "
+        "ranks and the density matrices; ill-conditioned ranks "
+        + ", ".join(map(str, unsettled)) + " left out", witness,
     )

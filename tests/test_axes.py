@@ -285,6 +285,17 @@ class TestSolveAxes:
                 if d.present:
                     assert d.fit_residual < 1e-7
 
+    def test_simple_and_structured_ranks_are_settled(self):
+        # a generic mixed state has only well-conditioned roots; the multiple
+        # axes of rotated GHZ, W and Dicke states come from the structure stage
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        generic = DensityMatrix(_h(3), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        tilt = EulerAngles(0.3, 0.7, 1.1)
+        for rho in (generic, *(rotate_density(pure_to_density(psi), tilt) for psi in (
+                make_ghz(8), make_w(8), make_dicke(_h(4), _h(0))))):
+            assert all(d.settled for d in solve_all_axes(extract_tensors(rho)))
+
 
 class TestFitRk:
     def test_separable_spin1(self):
