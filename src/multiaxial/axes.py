@@ -517,16 +517,30 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
     return stage
 
 
-def _convolution_matrix(c: np.ndarray, width: int) -> np.ndarray:
-    """Matrix of x -> c * x for x of length ``width``: column j is c shifted down by j."""
-    padded = np.concatenate([np.zeros(width - 1), c, np.zeros(width - 1)])
-    return np.lib.stride_tricks.sliding_window_view(padded, width)[:, ::-1]
+@lru_cache(maxsize=None)
+def _sylvester_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather index, column weights and row scales of ``root_structure``'s
+    matrix for formal degree n and trial degree d.
+
+    Column j <= d holds p' shifted down by j, column d + 1 + j holds -p
+    shifted down by j.  The index points into
+    concatenate([p', [0], -append(p, 0)]): the p' block's padding reads the
+    0 and the -p block's the -0 after -p, as a negated matrix of shifted
+    copies of p holds there, so the gathered matrix is that one bit for bit.
+    """
+    lag = np.arange(n + d)[:, None] - np.arange(d + 1)  # row minus column
+    index = np.hstack([np.where((lag >= 0) & (lag < n), lag, n),
+                       np.where((lag[:, :d] >= 0) & (lag[:, :d] <= n), n + 1 + lag[:, :d], 2 * n + 2)])
+    weights = np.concatenate([_sqrt_binomials(d), _sqrt_binomials(d - 1)])
+    scale = _sqrt_binomials(n + d - 1)[:, None]
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights, scale
 
 
-def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> list[np.ndarray] | None:
+def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> np.ndarray | None:
     """The axes of the rank-k polynomial ``coeffs`` (ascending, formal degree
-    2k) as lines, an m-fold axis as m equal lines, when it has a multiple
-    root; else None.
+    2k) as unit lines, one per row, an m-fold axis as m equal rows, when it
+    has a multiple root; else None.
 
     Stage 1 of Z. Zeng, "Computing multiple roots of inexact polynomials",
     Math. Comp. 74 (2005) 869.  With u = gcd(p, p'), p = u v and p' = u w,
@@ -546,12 +560,11 @@ def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> list[np.ndarra
     """
     n = 2 * k
     deriv = coeffs[1:] * np.arange(1, n + 1)
+    stacked = np.concatenate([deriv, [0], -np.append(coeffs, 0)])
     noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(n))
     for d in range(min(start, n), n):
-        weights = np.concatenate([_sqrt_binomials(d), _sqrt_binomials(d - 1)])
-        matrix = (np.hstack([_convolution_matrix(deriv, d + 1), -_convolution_matrix(coeffs, d)])
-                  * weights / _sqrt_binomials(n + d - 1)[:, None])
-        _, sv, vh = np.linalg.svd(matrix)
+        index, weights, scale = _sylvester_table(n, d)
+        _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
         if sv[-1] > noise * sv[0]:
             continue
         null = vh[-1].conj() * weights
@@ -568,13 +581,13 @@ def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> list[np.ndarra
             i = np.argmin(np.abs(roots))
             roots, estimates = np.append(roots, np.inf), np.append(estimates, estimates[i])
         u = _root_vectors(roots)
-        pairs = _antipodal_pairs(u, math.inf)
-        lines = [(u[i] - u[j]) / np.linalg.norm(u[i] - u[j]) for i, j in pairs]
-        mults = [0.5 * (estimates[i] + estimates[j]) for i, j in pairs]
+        heads, tails = np.array(_antipodal_pairs(u, math.inf), dtype=int).reshape(-1, 2).T
+        mults = 0.5 * (estimates[heads] + estimates[tails])
         counts = np.rint(np.real(mults))
-        if (np.all(np.abs(np.subtract(mults, counts)) <= MULTIPLICITY_TOL)
+        if (np.all(np.abs(mults - counts) <= MULTIPLICITY_TOL)
                 and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
-            return [line for line, m in zip(lines, counts.astype(int)) for _ in range(m)]
+            lines = u[heads] - u[tails]
+            return np.repeat(lines / _row_norms(lines)[:, None], counts.astype(int), axis=0)
     return None
 
 
@@ -629,7 +642,7 @@ def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
     if roots.ill:
         lines = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
         if lines is not None:
-            yield np.array(lines), True
+            yield lines, True
     vectors = roots.vectors
     pairs = _antipodal_pairs(vectors, within)
     unpaired = [vectors[i] for i, j in pairs if j is None]

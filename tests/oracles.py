@@ -10,7 +10,13 @@ import math
 import numpy as np
 
 from multiaxial.angular import tau_matrix
-from multiaxial.axes import ZERO_TOL, _display_angles, _polished_roots, _root_vectors
+from multiaxial.axes import (
+    ZERO_TOL,
+    _display_angles,
+    _polished_roots,
+    _root_vectors,
+    _sqrt_binomials,
+)
 from multiaxial.fano import SphericalTensorSet
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import DensityMatrix, PureState
@@ -42,6 +48,25 @@ def tau_table_reference(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
             weight[row, cols] = tau[rows, cols].real
             row += 1
     return index, weight
+
+
+def sylvester_matrix_reference(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """``axes.root_structure``'s matrix of (v, w) -> p' v - p w at trial
+    degree d, built column by column: column j is p' times Z^j for j <= d,
+    then -p times Z^j for j < d, each an ``np.convolve`` with a unit vector,
+    with Bombieri weights on the columns and scales on the rows."""
+    n = len(coeffs) - 1
+    deriv = coeffs[1:] * np.arange(1, n + 1)
+
+    def shifted(c, j, width):
+        unit = np.zeros(width)
+        unit[j] = 1.0
+        return np.convolve(c, unit)
+
+    columns = ([shifted(deriv, j, d + 1) for j in range(d + 1)]
+               + [-shifted(coeffs, j, d) for j in range(d)])
+    weights = np.concatenate([_sqrt_binomials(d), _sqrt_binomials(d - 1)])
+    return np.column_stack(columns) * weights / _sqrt_binomials(n + d - 1)[:, None]
 
 
 def majorana_polynomial(psi: PureState) -> np.ndarray:

@@ -5,19 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import majorana_polynomial, majorana_roots
+from oracles import majorana_polynomial, majorana_roots, sylvester_matrix_reference
 
 from multiaxial.angular import couple_axis_chain
 from multiaxial import axes as axes_module
 from multiaxial.axes import (
     POLISH_STEPS,
     FLAT_TOL,
+    ZERO_TOL,
     Axis,
     _fit_residual,
     _polish_roots,
     _refine_axes,
     _root_vectors,
     _row_norms,
+    _sqrt_binomials,
+    _sylvester_table,
     axis_tensor,
     cluster_directions,
     fit_rk,
@@ -25,6 +28,7 @@ from multiaxial.axes import (
     mar_polynomial,
     pairwise_invariants,
     rank_roots,
+    root_structure,
     solve_all_axes,
     solve_axes,
 )
@@ -43,6 +47,7 @@ from multiaxial.states import (
     PureState,
     pure_to_density,
     rotate_density,
+    rotate_pure,
 )
 
 
@@ -723,3 +728,115 @@ class TestLineArrays:
         assert _line_angle(means[0], _vector(1.0 + 0.9e-6, 2.0)) <= 1e-12
         assert float(means[0] @ steps[0]) > 0.0
         assert np.array_equal(means[1], lines[3] / np.linalg.norm(lines[3]))
+
+
+def _zyz(g: EulerAngles) -> np.ndarray:
+    """Rz(alpha) Ry(beta) Rz(gamma): the turn ``rotate_pure`` gives a state's axes."""
+    def about_z(a):
+        return np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
+                         [0.0, 0.0, 1.0]])
+    about_y = np.array([[math.cos(g.beta), 0.0, math.sin(g.beta)], [0.0, 1.0, 0.0],
+                        [-math.sin(g.beta), 0.0, math.cos(g.beta)]])
+    return about_z(g.alpha) @ about_y @ about_z(g.gamma)
+
+
+def _assert_lines_on(lines, expected, tol=1e-9):
+    """``lines`` has the rows of ``expected``'s shape, an m-fold axis as m
+    equal rows, each within tol rad of the m expected rows on its line."""
+    assert lines.shape == expected.shape
+    angles = np.linalg.norm(np.cross(lines[:, None, :], expected[None, :, :]), axis=-1)
+    for row, row_angles in zip(lines, angles):
+        assert np.count_nonzero(row_angles <= tol) == np.count_nonzero(np.all(lines == row, axis=1))
+
+
+class TestRootStructure:
+    @pytest.mark.parametrize("twoj", range(2, 21))
+    def test_family_ranks_read_their_multiple_axes(self, twoj):
+        # every rank of a GHZ, W or Dicke state lies on z and every rank of a
+        # coherent state on its direction, k-fold, turned with the state; the
+        # GHZ top rank has its axes on the Majorana points instead: j of them
+        # twice each at even 2j, 2j simple ones (no multiple root) at odd 2j
+        g = EulerAngles(0.4, 1.1, 2.3)
+        turn = _zyz(g)
+        j = HalfInteger(twoj)
+        z_axis = np.array([0.0, 0.0, 1.0])
+        ghz = make_ghz(twoj)
+        for psi, direction in [(ghz, z_axis), (make_w(twoj), z_axis),
+                               (make_dicke(j, HalfInteger(twoj % 2)), z_axis),
+                               (make_coherent(j, 0.7, 1.3), _vector(0.7, 1.3))]:
+            t = extract_tensors(pure_to_density(rotate_pure(psi, g)))
+            for k in range(2, twoj + 1):
+                if np.max(np.abs(t.rank_components(k))) < ZERO_TOL:
+                    continue
+                lines = root_structure(mar_polynomial(t, k), k)
+                if psi is ghz and k == twoj:
+                    if twoj % 2:
+                        assert lines is None
+                        continue
+                    expected = majorana_roots(psi) @ turn.T
+                else:
+                    expected = np.tile(turn @ direction, (k, 1))
+                _assert_lines_on(lines, expected)
+
+    def test_generic_rank_has_no_structure(self):
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho = g @ g.conj().T
+        t = extract_tensors(DensityMatrix(HalfInteger(11), rho / np.trace(rho).real))
+        for k in range(1, 12):
+            assert root_structure(mar_polynomial(t, k), k) is None
+
+    @pytest.mark.parametrize("mults", [(1, 2), (2, 1), (3, 1, 1), (1, 2, 2)])
+    def test_axis_on_z_takes_the_root_at_infinity(self, mults):
+        # the z axis has its roots at 0 and at infinity, so the leading
+        # coefficient is 0 and the matrix sees an odd number of distinct
+        # roots; the one at 0 pairs with infinity
+        axes = np.array([[0.0, 0.0, 1.0], _vector(1.0, 2.0), _vector(2.0, 0.5)])[: len(mults)]
+        vectors = np.repeat(axes, mults, axis=0)
+        coeffs = (axis_tensor(vectors) * _sqrt_binomials(2 * len(vectors)))[::-1]  # as mar_polynomial
+        assert coeffs[-1] == 0.0
+        _assert_lines_on(root_structure(coeffs, len(vectors)), vectors)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_start_beyond_the_distinct_roots(self, k):
+        # a k-fold axis has 2 distinct roots; from any higher d the null space
+        # has more dimensions, whose extra roots read multiplicity 0, and the
+        # same axis comes out; at d = 2k no degree is left to try
+        g = EulerAngles(0.4, 1.1, 2.3)
+        t = extract_tensors(pure_to_density(rotate_pure(make_coherent(_h(6), 0.7, 1.3), g)))
+        coeffs = mar_polynomial(t, k)
+        expected = np.tile(_zyz(g) @ _vector(0.7, 1.3), (k, 1))
+        for start in range(1, 2 * k):
+            _assert_lines_on(root_structure(coeffs, k, start), expected)
+        assert root_structure(coeffs, k, 2 * k) is None
+
+
+class TestSylvesterMatrix:
+    def test_gathered_matrix_equals_column_by_column_reference(self, monkeypatch):
+        # a generic polynomial has no multiple root, so root_structure hands
+        # the SVD its matrix at every d = 1 .. 2k - 1; tobytes tells the -0.0
+        # padding the -p block from 0.0.  No part of p is zero: np.convolve's
+        # complex products would turn a -0.0 part into 0.0.
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(matrix, *args, **kwargs):
+            seen.append(matrix.copy())
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rng = np.random.default_rng(21)
+        for k in range(1, 21):
+            coeffs = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
+            seen.clear()
+            assert root_structure(coeffs, k) is None
+            assert len(seen) == 2 * k - 1
+            for d, matrix in enumerate(seen, 1):
+                reference = sylvester_matrix_reference(coeffs, d)
+                assert matrix.shape == reference.shape == (2 * k + d, 2 * d + 1)
+                assert matrix.tobytes() == reference.tobytes(), (k, d)
+
+    def test_table_is_read_only(self):
+        index, weights, scale = _sylvester_table(8, 3)
+        assert index.dtype == np.intp
+        assert not (index.flags.writeable or weights.flags.writeable or scale.flags.writeable)
