@@ -191,15 +191,6 @@ class EquivalenceResult:
     witness: EulerAngles | None = None
 
 
-def _configurations_match(a: ClassSignature, b: ClassSignature) -> bool:
-    for ea, eb in zip(a.entries, b.entries):
-        if ea.present != eb.present:
-            return False
-        if ea.present and ea.configuration.partition != eb.configuration.partition:
-            return False
-    return True
-
-
 def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
     for ea, eb in zip(a.entries, b.entries):
         if abs(ea.r_k - eb.r_k) > FINGERPRINT_TOL:
@@ -210,13 +201,10 @@ def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
 
 
 def _rank_axis_table(entries) -> list[tuple[int, np.ndarray, int]]:
-    table = []
-    for entry in entries:
-        if entry.decomposition is None:
-            continue
-        for axis, mult in entry.decomposition.axes:
-            table.append((entry.k, axis.unit_vector, mult))
-    return table
+    """(k, unit vector, multiplicity) of every distinct axis of the present
+    ``entries``."""
+    return [(entry.k, axis.unit_vector, mult)
+            for entry in entries for axis, mult in entry.decomposition.axes]
 
 
 def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
@@ -227,25 +215,26 @@ def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
     n = n / norm
     return np.column_stack([u1, n, np.cross(u1, n)])
 
-def _rotation_candidates(table_a, table_b, angle_tol: float):
-    """Orthogonal maps sending the constellation of A onto B, rank by rank."""
-    # Pick an anchor pair of non-collinear axes in A.
-    anchor = None
-    for i in range(len(table_a)):
-        for l in range(len(table_a)):
+
+def _anchor_pair(table) -> tuple[int, int, float] | None:
+    """The first two axes of ``table`` more than 1e-4 rad apart as lines, and
+    the angle between their heads; None when every axis lies on one line."""
+    for i, (_, u, _) in enumerate(table):
+        for l, (_, v, _) in enumerate(table):
             if i == l:
                 continue
-            dot = max(-1.0, min(1.0, float(np.dot(table_a[i][1], table_a[l][1]))))
-            line_angle = math.acos(abs(dot))
-            if line_angle > 1e-4:
+            dot = max(-1.0, min(1.0, float(np.dot(u, v))))
+            if math.acos(abs(dot)) > 1e-4:
                 # head angle, not line angle: the frames are built from the
                 # stored heads, so candidate filtering must compare like
                 # with like
-                anchor = (i, l, math.acos(dot))
-                break
-        if anchor:
-            break
+                return i, l, math.acos(dot)
+    return None
 
+
+def _rotation_candidates(table_a, table_b, angle_tol: float):
+    """Orthogonal maps sending the constellation of A onto B, rank by rank."""
+    anchor = _anchor_pair(table_a)
     if anchor is None:
         # All axes collinear: any rotation mapping the common line works.
         u = table_a[0][1]
@@ -391,86 +380,74 @@ def _find_witness(
     return None
 
 
-def _settled_witness(
-    rho_a: DensityMatrix,
-    rho_b: DensityMatrix,
-    sig_a: ClassSignature,
-    sig_b: ClassSignature,
-    tolerances: Tolerances,
-) -> tuple[EulerAngles, list[int]] | None:
-    """A witness found from the ranks settled on both sides alone, and the
-    ranks left out; None when no rank is left out, when the configurations
-    of the settled ranks differ, or when no rotation found from their axes
-    maps rho_a onto rho_b.
-
-    A rank that is not settled can read differently in two orientations of
-    one state, so it is no evidence either way.  The r_k and cosines of a
-    settled rank may still carry the error of simple roots crowded around
-    its multiple axis (2e-7 seen), so they are not compared either: the
-    density matrices decide.
-    """
-    if any(ea.present != eb.present for ea, eb in zip(sig_a.entries, sig_b.entries)):
-        return None
-    shared = [(ea, eb) for ea, eb in zip(sig_a.entries, sig_b.entries)
-              if ea.present and ea.decomposition.settled and eb.decomposition.settled]
-    unsettled = sorted({e.k for e in sig_a.entries if e.present}
-                       - {ea.k for ea, _ in shared})
-    if not shared or not unsettled or any(
-            ea.configuration != eb.configuration for ea, eb in shared):
-        return None
-    witness = _find_witness(rho_a, rho_b, _rank_axis_table(ea for ea, _ in shared),
-                            _rank_axis_table(eb for _, eb in shared), tolerances)
-    return None if witness is None else (witness, unsettled)
-
-
 def lu_equivalent(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquivalenceResult:
-    """Three-stage test: configurations, invariant fingerprint, witness rotation.
+    """One decision from the configurations, the invariant fingerprint and
+    at most one witness search.
 
-    When a stage fails and some rank is not settled on one side (its axes
-    and r_k are ill conditioned there), the witness is sought again from
-    the ranks settled on both sides (``_settled_witness``); it still has to
-    map the density matrices onto each other.
+    A rank that is not settled on both sides (its axes and r_k are ill
+    conditioned on one side) can read differently in two orientations of
+    one state, so it is no evidence either way; the r_k and cosines of a
+    settled rank may still carry the error of simple roots crowded around
+    its multiple axis (2e-7 seen).  So ``inequivalent`` is read off before
+    any search only when the ranks present differ, when a rank settled on
+    both sides has two configurations, or when every rank is settled and
+    the configurations or fingerprints (r_k and pairwise cosines) differ.
+    The witness is then sought from the settled ranks, or from every
+    present rank when the settled axes all lie on one line and so do not
+    fix a rotation; it has to map rho_a onto rho_b.  Without one, the
+    configuration or fingerprint mismatch decides if there is one, and
+    ``fingerprint-match-only`` otherwise.
     """
     if rho_a.j != rho_b.j:
         raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
     sig_a = class_signature(rho_a, tolerances)
     sig_b = class_signature(rho_b, tolerances)
-
-    if not _configurations_match(sig_a, sig_b):
-        result = EquivalenceResult(
-            "inequivalent",
-            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
-        )
-    elif not _fingerprints_match(sig_a, sig_b):
-        result = EquivalenceResult(
-            "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ"
-        )
-    elif not (table_a := _rank_axis_table(sig_a.entries)):
+    differ = EquivalenceResult(
+        "inequivalent",
+        f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
+    )
+    present = [(ea, eb) for ea, eb in zip(sig_a.entries, sig_b.entries)
+               if ea.present or eb.present]
+    if any(not (ea.present and eb.present) for ea, eb in present):
+        return differ
+    if not present:
         # No axes at all: both are the maximally mixed state.
         return EquivalenceResult("equivalent", "both states have no axes",
                                  EulerAngles(0.0, 0.0, 0.0))
+    settled = [(ea, eb) for ea, eb in present
+               if ea.decomposition.settled and eb.decomposition.settled]
+    left_out = sorted({ea.k for ea, _ in present} - {ea.k for ea, _ in settled})
+    if any(ea.configuration != eb.configuration for ea, eb in settled):
+        return differ
+    if any(ea.configuration != eb.configuration for ea, eb in present):
+        mismatch = differ
+    elif not _fingerprints_match(sig_a, sig_b):
+        mismatch = EquivalenceResult(
+            "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ")
     else:
-        witness = _find_witness(rho_a, rho_b, table_a, _rank_axis_table(sig_b.entries),
-                                tolerances)
-        if witness is not None:
-            return EquivalenceResult(
-                "equivalent", "witness rotation maps the constellations and "
-                "the density matrices", witness,
-            )
-        result = EquivalenceResult(
-            "fingerprint-match-only",
-            "invariants agree but no single witness rotation was found",
-        )
-    found = _settled_witness(rho_a, rho_b, sig_a, sig_b, tolerances)
-    if found is None:
-        return result
-    witness, unsettled = found
-    return EquivalenceResult(
-        "equivalent", "witness rotation maps the constellations of the settled "
-        "ranks and the density matrices; ill-conditioned ranks "
-        + ", ".join(map(str, unsettled)) + " left out", witness,
+        mismatch = None
+    if mismatch is not None and not left_out:
+        return mismatch
+
+    table_a = _rank_axis_table(ea for ea, _ in settled)
+    if left_out and _anchor_pair(table_a) is None:
+        # the settled axes lie on one line: they do not fix the rotation
+        settled, left_out = present, []
+        table_a = _rank_axis_table(ea for ea, _ in settled)
+    witness = _find_witness(rho_a, rho_b, table_a,
+                            _rank_axis_table(eb for _, eb in settled), tolerances)
+    if witness is not None:
+        reason = "witness rotation maps the constellations and the density matrices"
+        if left_out:
+            reason = ("witness rotation maps the constellations of the settled "
+                      "ranks and the density matrices; ill-conditioned ranks "
+                      + ", ".join(map(str, left_out)) + " left out")
+        return EquivalenceResult("equivalent", reason, witness)
+    return mismatch or EquivalenceResult(
+        "fingerprint-match-only",
+        "invariants agree but no single witness rotation was found",
     )

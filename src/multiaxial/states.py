@@ -224,6 +224,8 @@ def state_from_json(doc: dict) -> PureState | DensityMatrix:
         j = HalfInteger.of(doc["j"])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise StateFormatError(f"bad or missing 'j': {exc}") from exc
+    if j.twice < 0:
+        raise StateFormatError(f"bad 'j': {j} is negative")
     if doc.get("basis", "jm_descending") != "jm_descending":
         raise StateFormatError(f"unsupported basis {doc.get('basis')!r}")
     if "amplitudes" in doc:

@@ -314,6 +314,47 @@ class TestLUEquivalence:
         assert lu_equivalent(a, b).verdict == lu_equivalent(b, a).verdict
 
 
+class TestOnePassDecision:
+    """One witness search: from the ranks settled on both sides when their
+    axes fix a rotation, else from every present rank."""
+
+    TURN = EulerAngles(0.9, 2.2, 4.1)
+
+    def _equivalent_with_witness(self, rho):
+        target = rotate_density(rho, self.TURN)
+        result = lu_equivalent(rho, target)
+        assert result.verdict == "equivalent", result.reason
+        assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) < 1e-6
+        return result
+
+    @pytest.mark.parametrize("twice_j", [17, 19])
+    def test_ghz_with_collinear_settled_axes_searches_every_rank(self, twice_j):
+        # rank 2j is unsettled and every settled axis lies on z, so the
+        # settled ranks alone do not fix the rotation
+        rho = pure_to_density(make_ghz(twice_j))
+        decomps = class_signature(rho).decompositions()
+        assert [d.k for d in decomps if not d.settled] == [twice_j]
+        for d in decomps[:-1]:
+            assert [abs(axis.unit_vector[2]) for axis, _ in d.axes] == [1.0]
+        result = self._equivalent_with_witness(rho)
+        assert "left out" not in result.reason
+
+    def test_coherent_mixture_names_the_ranks_left_out(self):
+        j = HalfInteger(18)
+        rho = DensityMatrix(j, 0.3 * pure_to_density(make_coherent(j, 0.4, 0.2)).matrix
+                            + 0.7 * pure_to_density(make_coherent(j, 1.9, 2.6)).matrix)
+        assert [d.k for d in class_signature(rho).decompositions() if not d.settled] \
+            == [14, 15, 16, 17, 18]
+        result = self._equivalent_with_witness(rho)
+        assert result.reason.endswith("ill-conditioned ranks 14, 15, 16, 17, 18 left out")
+
+    def test_every_rank_settled_names_no_rank_left_out(self):
+        rho = DensityMatrix(HalfInteger(6), _random_density(np.random.default_rng(5), 7))
+        assert all(d.settled for d in class_signature(rho).decompositions())
+        result = self._equivalent_with_witness(rho)
+        assert result.reason == "witness rotation maps the constellations and the density matrices"
+
+
 class TestHighMultiplicity:
     """m-fold axes whose roots scatter wider than the 1e-2 clustering (m >= 7)."""
 

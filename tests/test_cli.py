@@ -493,6 +493,18 @@ def test_overflowing_matrix_one_error_line_exit_1(tmp_path, capsys, command, mat
     assert captured.err == "error: matrix entries too large: sum |rho_mn|^2 = inf\n"
 
 
+@pytest.mark.parametrize("j", ["-1/2", "-1"])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_negative_j_one_error_line_exit_1(w_file, tmp_path, capsys, command, j):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"j": j, "matrix": []}))
+    argv = {"analyze": [str(path)], "compare": [w_file, str(path)]}[command]
+    assert main([command, *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad 'j': {j} is negative\n"
+
+
 def _fresh_python(code: str, **env_changes) -> str:
     """stdout of ``code`` run in a new interpreter that imports the library
     from this checkout; an env value of None removes the variable."""

@@ -218,6 +218,11 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             state_from_json({"matrix": [[1.0]]})
 
+    @pytest.mark.parametrize("j", ["-1/2", "-1"])
+    def test_rejects_negative_j(self, j):
+        with pytest.raises(StateFormatError, match="'j': .* is negative"):
+            state_from_json({"j": j, "matrix": []})
+
     def test_rejects_unknown_basis(self):
         with pytest.raises(StateFormatError, match="basis"):
             state_from_json({"j": "1", "basis": "jm_ascending",

@@ -1,0 +1,207 @@
+"""A fixed set of compares, written and diffed across two trees.
+
+Every input is built from seeds with numpy alone (``perfbench/inputs.py``
+and the helpers below), so a library change cannot move the inputs.  The
+sets:
+
+- ``family``: aligned and Haar-turned GHZ, W, Dicke and coherent states at
+  2j = 2..20, each against 4 turned copies (``default_rng(11)``);
+- ``ghz-w``: GHZ against W at 2j = 2..20;
+- ``majorana-rotated``: pure states with repeated Majorana points
+  (``random_multiset`` seeds 0..149), tilted, against a turned copy;
+- ``majorana-moved``: seeds 0..49 against a turned copy with one point
+  moved by up to 0.01 rad;
+- ``mixture``: 27 two- and three-coherent mixtures at 2j = 2..18
+  (``default_rng(3)``), tilted, against a turned copy.
+
+Usage::
+
+    python3 tools/fixed_set.py --write DIR [--src SRC]
+    python3 tools/fixed_set.py --diff A B
+
+``--write`` writes ``DIR/compares.json``: per case the verdict, the reason
+and, for ``equivalent``, the witness residual max|R(rho_A) - rho_B| with R
+built from the benchmark's own spin matrices.  ``--src`` names the
+library's source directory (default: ``src`` of this checkout), so one
+script writes the set for any tree.  ``--diff A B`` prints the verdict
+changes and the reason-only changes separately, then the residual changes
+at an unchanged verdict and every ``equivalent`` of B whose residual
+exceeds 1e-6; it exits 1 when there is a verdict change or such a residual.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+import time
+
+# one BLAS thread, as the command runs, set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.dont_write_bytecode = True  # leave no cache files in perfbench/ or the --src tree
+import inputs  # noqa: E402
+
+WITNESS_BOUND = 1e-6
+
+
+def random_points(rng, count: int):
+    """``count`` random directions, no two closer than 0.05 rad as lines."""
+    while True:
+        points = rng.normal(size=(count, 3))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        if np.max(np.abs(points @ points.T)[np.triu_indices(count, 1)]) < math.cos(0.05):
+            return points
+
+
+def random_multiset(rng):
+    """2-4 random directions with multiplicities 1..7 adding up to at most 20."""
+    while True:
+        mults = rng.integers(1, 8, size=rng.integers(2, 5))
+        if mults.sum() <= 20:
+            return random_points(rng, len(mults)), mults
+
+
+def majorana_amplitudes(points, mults):
+    """Amplitudes (m descending) of the pure state whose Majorana points are
+    ``points``, point i repeated mults[i] times."""
+    theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
+    z = np.tan(theta / 2.0) * np.exp(1j * np.arctan2(points[:, 1], points[:, 0]))
+    twoj = int(sum(mults))
+    power = np.arange(twoj + 1)
+    coeffs = np.poly(np.repeat(z, mults))[::-1]  # ascending in Z
+    binomials = np.sqrt([float(math.comb(twoj, int(p))) for p in power])
+    amps = (coeffs / ((-1.0) ** power * binomials))[::-1]
+    return amps / np.linalg.norm(amps)
+
+
+def _turn(rng, matrix):
+    twoj = matrix.shape[0] - 1
+    return inputs.rotate(matrix, inputs.rotation_matrix(twoj, *inputs.random_rotation(rng)))
+
+
+def _projector(amps):
+    return np.outer(amps, amps.conj())
+
+
+def cases():
+    """(name, rho_a, rho_b) for every compare of the fixed set, in order."""
+    rng = np.random.default_rng(11)
+    for family, make in inputs.DEGENERATE_FAMILIES.items():
+        for twoj in range(2, 21):
+            aligned = make(twoj).matrix
+            for pose, base in (("aligned", aligned), ("turned", _turn(rng, aligned))):
+                for copy in range(4):
+                    yield f"family/{family}/2j={twoj}/{pose}/{copy}", base, _turn(rng, base)
+    for twoj in range(2, 21):
+        yield f"ghz-w/2j={twoj}", inputs.ghz(twoj).matrix, inputs.w_state(twoj).matrix
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        points, mults = random_multiset(rng)
+        base = _turn(rng, _projector(majorana_amplitudes(points, mults)))
+        yield f"majorana-rotated/{seed}", base, _turn(rng, base)
+        if seed < 50:
+            points[-1] += 0.01 * np.cross(points[-1], points[0])
+            points[-1] /= np.linalg.norm(points[-1])
+            moved = _projector(majorana_amplitudes(points, mults))
+            yield f"majorana-moved/{seed}", base, _turn(rng, moved)
+    rng = np.random.default_rng(3)
+    for twoj in range(2, 19, 2):
+        for index, count in enumerate((2, 3, 2)):
+            weights = rng.dirichlet(np.ones(count))
+            rho = sum(w * _projector(inputs.rotation_matrix(
+                twoj, rng.uniform(0.0, 2.0 * math.pi), math.acos(rng.uniform(-1.0, 1.0)), 0.0)
+                @ inputs.basis_state(twoj, 0)) for w in weights)
+            base = _turn(rng, rho)
+            yield f"mixture/2j={twoj}/{index}-{count}coherent", base, _turn(rng, base)
+
+
+def compare(lib, rho_a, rho_b) -> dict:
+    twoj = rho_a.shape[0] - 1
+    j = lib.halfint.HalfInteger(twoj)
+    try:
+        result = lib.classify.lu_equivalent(lib.states.DensityMatrix(j, rho_a),
+                                            lib.states.DensityMatrix(j, rho_b))
+    except lib.cli.CLASSIFIER_ERRORS as exc:  # the command's exit 2: a verdict here
+        return {"verdict": f"error: {type(exc).__name__}", "reason": str(exc), "residual": None}
+    residual = None
+    if result.witness is not None:
+        w = result.witness
+        mapped = inputs.rotate(rho_a, inputs.rotation_matrix(twoj, w.alpha, w.beta, w.gamma))
+        residual = float(np.max(np.abs(mapped - rho_b)))
+    return {"verdict": result.verdict, "reason": result.reason, "residual": residual}
+
+
+def write(out_dir: str, src: str) -> None:
+    sys.path.insert(0, src)
+    import multiaxial.classify
+    import multiaxial.cli
+    import multiaxial.halfint
+    import multiaxial.states
+
+    start = time.perf_counter()
+    records = {name: compare(multiaxial, rho_a, rho_b) for name, rho_a, rho_b in cases()}
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "compares.json"), "w") as fh:
+        json.dump({"src": os.path.abspath(src), "cases": records}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    verdicts = {}
+    for record in records.values():
+        verdicts[record["verdict"]] = verdicts.get(record["verdict"], 0) + 1
+    print(f"{len(records)} compares in {time.perf_counter() - start:.1f} s: "
+          + ", ".join(f"{v} {n}" for v, n in sorted(verdicts.items())))
+
+
+def _load(out_dir: str) -> dict:
+    with open(os.path.join(out_dir, "compares.json")) as fh:
+        return json.load(fh)["cases"]
+
+
+def diff(dir_a: str, dir_b: str) -> int:
+    a, b = _load(dir_a), _load(dir_b)
+    shared = [n for n in a if n in b and a[n]["verdict"] == b[n]["verdict"]]
+    verdict_changes = [n for n in a if n in b and n not in shared]
+    reason_changes = [n for n in shared if a[n]["reason"] != b[n]["reason"]]
+    residual_changes = [n for n in shared if a[n]["residual"] != b[n]["residual"]]
+    loose = [n for n in b if b[n]["verdict"] == "equivalent"
+             and (b[n]["residual"] is None or b[n]["residual"] > WITNESS_BOUND)]
+    for label, names in (("only in A", [n for n in a if n not in b]),
+                         ("only in B", [n for n in b if n not in a])):
+        if names:
+            print(f"{label}: {len(names)}\n" + "".join(f"  {n}\n" for n in names), end="")
+    print(f"verdict changes: {len(verdict_changes)}")
+    for n in verdict_changes:
+        print(f"  {n}: {a[n]['verdict']} -> {b[n]['verdict']} ({b[n]['reason']})")
+    print(f"reason-only changes: {len(reason_changes)}")
+    for n in reason_changes:
+        print(f"  {n} [{b[n]['verdict']}]:\n    A: {a[n]['reason']}\n    B: {b[n]['reason']}")
+    print(f"witness residual changes at an unchanged verdict: {len(residual_changes)}")
+    for n in residual_changes:
+        print(f"  {n}: {a[n]['residual']} -> {b[n]['residual']}")
+    print(f"equivalent in B with residual above {WITNESS_BOUND:g}: {len(loose)}")
+    for n in loose:
+        print(f"  {n}: {b[n]['residual']}")
+    return 1 if verdict_changes or loose else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--write", metavar="DIR")
+    group.add_argument("--diff", nargs=2, metavar=("A", "B"))
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the library's source directory (default: src of this checkout)")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    write(args.write, args.src)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
