@@ -130,12 +130,6 @@ class RankDecomposition:
     def present(self) -> bool:
         return self.r_k > 0.0
 
-    def expanded_axes(self) -> list[Axis]:
-        out = []
-        for axis, mult in self.axes:
-            out.extend([axis] * mult)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Polynomial machinery
@@ -320,8 +314,12 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _ordered_axis_list(vectors: np.ndarray, mults) -> tuple:
     """((Axis, multiplicity), ...) of the rows of ``vectors``, by multiplicity
     descending, then theta, then phi."""
-    heads = _canonical_heads(vectors).tolist()
-    axes = ((Axis(tuple(v)), m) for v, m in zip(heads, np.asarray(mults).tolist()))
+    return _axis_list(_canonical_heads(vectors).tolist(), np.asarray(mults).tolist())
+
+
+def _axis_list(heads: list, mults: list) -> tuple:
+    """``_ordered_axis_list`` of rows already on their canonical heads."""
+    axes = ((Axis(tuple(v)), m) for v, m in zip(heads, mults))
     return tuple(sorted(axes, key=lambda am: (-am[1], am[0].theta, am[0].phi)))
 
 
@@ -618,10 +616,7 @@ def solve_axes(
         return RankDecomposition(k, 0.0, ())
     comp = t.rank_components(k)
     gate = pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR
-    # A root of multiplicity m scatters by about eps^(1/m); allow for the
-    # worst case when matching antipodes.
-    within = max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
-    for lines, settled in _proposals(t, k, roots, within):
+    for lines, settled in _proposals(t, k, roots, _antipode_within(k, pair_tol)):
         axes = _ordered_axis_list(*cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
         if residual > GATE_FLOOR:
@@ -632,6 +627,13 @@ def solve_axes(
     raise DegenerateFitError(
         f"rank {k}: no axis structure fits; the roots leave a residual of "
         f"{residual:.3g}, above the gate {gate:.3g}")
+
+
+def _antipode_within(k: int, pair_tol: float) -> float:
+    """Largest mismatch at which a rank-k root pairs with an antipode.  A root
+    of multiplicity m scatters by about eps^(1/m); this allows for the worst
+    case."""
+    return max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
 
 
 def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
@@ -660,23 +662,90 @@ def solve_all_axes(
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
 ) -> list[RankDecomposition]:
+    """``solve_axes`` of every rank k = 1 .. 2j, from one root stage.
+
+    The ranks whose axes are their roots' own lines (``_simple_axes``) are
+    fitted from one array pass; the rest, and any whose first fit leaves a
+    residual above ``GATE_FLOOR``, go to ``solve_axes``.  Each entry equals
+    what ``solve_axes`` returns for its rank alone.
+    """
     ranks = range(1, t.max_rank + 1)
-    return [
-        solve_axes(t, k, zero_tol=zero_tol, pair_tol=pair_tol, roots=roots)
-        for k, roots in zip(ranks, rank_roots(t, ranks, zero_tol))
-    ]
+    stage = rank_roots(t, ranks, zero_tol)
+    simple = _simple_axes(ranks, stage, pair_tol)
+    out = []
+    for k, roots in zip(ranks, stage):
+        if k in simple:
+            r_k, residual = fit_rk(t.rank_components(k), simple[k])
+            if residual <= GATE_FLOOR:  # solve_axes would neither refine nor reject it
+                out.append(RankDecomposition(k, r_k, simple[k], residual))
+                continue
+        out.append(solve_axes(t, k, zero_tol=zero_tol, pair_tol=pair_tol, roots=roots))
+    return out
+
+
+def _simple_axes(ranks, stage: list[RankRoots], pair_tol: float) -> dict[int, tuple]:
+    """Rank -> ordered axes, for every rank whose ``solve_axes`` proposal is
+    its roots' own lines, each line an axis of its own; one array pass over
+    all such ranks.
+
+    A rank qualifies when it has 2k roots, none ill conditioned and none
+    trimmed to a z axis (the roots' lines are then the only proposal); when
+    every root's nearest other root by the antipodal mismatch is mutual and
+    within ``_antipode_within`` (the greedy ``_antipodal_pairs`` then makes
+    the same pairs in the same order: argmin takes the first index on a tie,
+    as it does, and a nan mismatch fails the bound); and when no two of its
+    lines lie within ``pair_tol`` (``cluster_directions`` merges none).  The
+    Gram matrices are taken per rank, as ``u @ u.T`` rounds differently from
+    a batched product, so every line and head is the same to the bit.
+    """
+    picked = [(k, roots.vectors) for k, roots in zip(ranks, stage) if roots.vectors is not None
+              and not roots.ill and not roots.z_axes and len(roots.vectors) == 2 * k]
+    if not picked:
+        return {}
+    ks = [k for k, _ in picked]
+    n = 2 * max(ks)
+    vectors = np.zeros((len(ks), n, 3))
+    gram = np.zeros((len(ks), n, n))
+    for i, (k, u) in enumerate(picked):
+        vectors[i, : 2 * k] = u
+        gram[i, : 2 * k, : 2 * k] = u @ u.T
+    batch, index = np.arange(len(ks))[:, None], np.arange(n)
+    real = index < 2 * np.array(ks)[:, None]
+    # no root is its own antipode, and padding is no root
+    mismatch = np.where(real[:, None, :] & (index[:, None] != index),
+                        np.arccos(np.clip(-gram, -1.0, 1.0)), np.inf)
+    nearest = np.argmin(mismatch, axis=2)
+    within = np.array([_antipode_within(k, pair_tol) for k in ks])[:, None]
+    paired = (nearest[batch, nearest] == index) & (mismatch[batch, index, nearest] <= within)
+    ok = np.all(paired | ~real, axis=1)
+    # each pair's head is its lower index, so the rows run as the greedy pairs do
+    rank, head = np.nonzero(ok[:, None] & real & (nearest > index))
+    lines = vectors[rank, head] - vectors[rank, nearest[rank, head]]
+    lines = lines / _row_norms(lines)[:, None]
+    starts, start = {}, 0
+    for k, paired_rank in zip(ks, ok.tolist()):
+        if paired_rank:
+            starts[k], start = start, start + k
+    m = max(starts, default=1)
+    cosines = np.zeros((len(starts), m, m))
+    for i, (k, start) in enumerate(starts.items()):
+        block = lines[start: start + k]
+        cosines[i, :k, :k] = block @ block.T
+    # cluster_directions's test, on the same products
+    rows, cols = _upper_indices(m)
+    close = np.any(np.arccos(np.minimum(1.0, np.abs(cosines[:, rows, cols]))) <= pair_tol, axis=1)
+    # the normalisations of cluster_directions and _canonical_heads
+    heads = _canonical_heads((lines + 0.0) / _row_norms(lines)[:, None])
+    return {k: _axis_list(heads[start: start + k].tolist(), [1] * k)
+            for (k, start), merged in zip(starts.items(), close.tolist()) if not merged}
 
 
 def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:
     """|cos(angle)| for every unordered pair of axes, multiplicity counted, sorted descending."""
-    vectors = [axis.vector for decomp in decompositions for axis in decomp.expanded_axes()]
-    return np.sort(line_cosines(vectors))[::-1].tolist()
-
-
-def line_cosines(vectors: list[np.ndarray]) -> np.ndarray:
-    """min(1, |cos|) of the angle between every unordered pair of lines."""
-    if len(vectors) < 2:
-        return np.zeros(0)
-    v = np.array(vectors)
-    upper = np.triu_indices(len(v), 1)
-    return np.minimum(1.0, np.abs(v @ v.T)[upper])
+    axes = [axis for decomp in decompositions for axis in decomp.axes]
+    mults = [m for _, m in axes]
+    if sum(mults) < 2:
+        return []
+    v = np.repeat(np.array([axis.vector for axis, _ in axes]), mults, axis=0)
+    rows, cols = np.triu_indices(len(v), 1)
+    return np.sort(np.minimum(1.0, np.abs(v @ v.T)[rows, cols]))[::-1].tolist()

@@ -70,11 +70,11 @@ def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
     tensors = extract_tensors(rho)
     signature = signature_from_tensors(tensors, tolerances)
 
-    tensor_table = []
-    for k in range(tensors.max_rank + 1):
-        for q in range(-k, k + 1):
-            z = tensors.component(k, q)
-            tensor_table.append({"k": k, "q": q, "re": z.real, "im": z.imag})
+    tensor_table = [
+        {"k": k, "q": q, "re": z.real, "im": z.imag}
+        for k in range(tensors.max_rank + 1)
+        for q, z in enumerate(tensors.rank_components(k).tolist(), -k)
+    ]
 
     ranks = []
     for entry in signature.entries:

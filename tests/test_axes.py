@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from oracles import majorana_polynomial, majorana_roots, sylvester_matrix_reference
+from test_properties import _crowded_majorana_state
 
 from multiaxial.angular import couple_axis_chain
 from multiaxial import axes as axes_module
 from multiaxial.axes import (
     POLISH_STEPS,
     FLAT_TOL,
+    PAIR_TOL,
     ZERO_TOL,
     Axis,
+    AxisPairingError,
+    DegenerateFitError,
     _fit_residual,
     _polish_roots,
     _refine_axes,
     _root_vectors,
     _row_norms,
+    _simple_axes,
     _sqrt_binomials,
     _sylvester_table,
     axis_tensor,
@@ -543,6 +548,73 @@ def _root_stage_states(family_twojs=range(2, 15)):
             yield f"{name}-{twoj}-rotated", extract_tensors(rotate_density(rho, angles))
 
 
+def _count_solve_axes(monkeypatch) -> list:
+    """The ranks of every later call through ``axes.solve_axes``, the binding
+    ``solve_all_axes`` uses (this module's own import is not counted)."""
+    ranks = []
+    original = axes_module.solve_axes
+
+    def counting(t, k, *args, **kwargs):
+        ranks.append(k)
+        return original(t, k, *args, **kwargs)
+
+    monkeypatch.setattr(axes_module, "solve_axes", counting)
+    return ranks
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (AxisPairingError, DegenerateFitError) as exc:
+        return type(exc), str(exc)
+
+
+def _tensors_with_roots(k: int, vectors: np.ndarray) -> SphericalTensorSet:
+    """A tensor set whose only present rank, k = 2j, has its MAR polynomial's
+    roots at the 2k unit ``vectors``; antipodes are not required."""
+    theta = np.arccos(np.clip(vectors[:, 2], -1.0, 1.0))
+    z = np.tan(theta / 2.0) * np.exp(1j * np.arctan2(vectors[:, 1], vectors[:, 0]))
+    ranks = [np.zeros(2 * q + 1, dtype=complex) for q in range(k + 1)]
+    ranks[k] = (np.poly(z)[::-1] / _sqrt_binomials(2 * k))[::-1]
+    return SphericalTensorSet(HalfInteger(k), tuple(ranks))
+
+
+def _deferring_inputs():
+    """(name, tensors, pair_tol), each with ranks that ``solve_all_axes``
+    leaves to ``solve_axes``, for every reason it has."""
+    # ill roots; at rank 16 also non-mutual nearest antipodes
+    yield "crowded-majorana", extract_tensors(_crowded_majorana_state()), PAIR_TOL
+    rng = np.random.default_rng(14)
+    for twoj in range(14, 21):  # ill roots at most of these ranks
+        j = HalfInteger(twoj)
+        weights = rng.dirichlet(np.ones(2))
+        rho = sum(w * pure_to_density(make_coherent(
+            j, math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi))).matrix
+            for w in weights)
+        yield f"two-coherent-{twoj}", extract_tensors(DensityMatrix(j, rho)), PAIR_TOL
+    yield "ghz-17", extract_tensors(pure_to_density(make_ghz(17))), PAIR_TOL  # z axes
+    g = rng.normal(size=(21, 21)) + 1j * rng.normal(size=(21, 21))
+    rho = g @ g.conj().T
+    t = extract_tensors(DensityMatrix(HalfInteger(20), rho / np.trace(rho).real))
+    # lines closer than pair_tol, merged by cluster_directions
+    yield "random-20-wide-tol", t, 0.2
+    # the same roots with a 1e3 times larger residual: at some ranks the first
+    # fit leaves more than GATE_FLOOR, and the axes are refined
+    yield "random-20-scaled", SphericalTensorSet(t.j, tuple(1e3 * c for c in t.ranks)), PAIR_TOL
+    yield "non-mutual-antipodes", _non_mutual_antipodes(rng), PAIR_TOL
+
+
+def _non_mutual_antipodes(rng) -> SphericalTensorSet:
+    """Rank 8 with well-conditioned roots, four of them on a great circle at
+    0, 190, 12 and 205 degrees: the first's nearest antipode is the second,
+    whose nearest is the third."""
+    e = np.radians([0.0, 190.0, 12.0, 205.0])
+    chain = np.column_stack([np.cos(e), np.sin(e), np.zeros(4)])
+    others = rng.normal(size=(6, 3))
+    others /= np.linalg.norm(others, axis=1)[:, None]
+    return _tensors_with_roots(8, np.vstack([chain, others, -others]))
+
+
 def _stereographic(z):
     """(2 Re z, 2 Im z, 1 - |z|^2) / (1 + |z|^2), evaluated through w = 1/z
     beyond the unit circle so that |z| = 1e200 does not overflow."""
@@ -589,11 +661,51 @@ class TestRootStage:
                 rows += 1
         assert rows > 800 and degrees == set(range(2, 41, 2)) and padded > 1000
 
-    def test_solve_axes_alone_equals_solve_all_axes(self):
+    def test_solve_axes_alone_equals_solve_all_axes(self, monkeypatch):
+        deferred = _count_solve_axes(monkeypatch)
         for name, t in _root_stage_states(family_twojs=(3, 8, 12)):
             together = solve_all_axes(t)
             for k in range(1, t.max_rank + 1):
                 assert solve_axes(t, k) == together[k - 1], (name, k)
+        # aligned GHZ states: z axes trimmed; rotated ones: ill roots
+        assert deferred
+
+    def test_every_deferred_rank_equals_solve_axes(self, monkeypatch):
+        deferred = _count_solve_axes(monkeypatch)
+        all_simple = []
+        for name, t, pair_tol in _deferring_inputs():
+            alone = [_outcome(lambda: solve_axes(t, k, pair_tol=pair_tol))
+                     for k in range(1, t.max_rank + 1)]
+            first_error = next((a for a in alone if isinstance(a, tuple)), None)
+            deferred.clear()
+            together = _outcome(lambda: solve_all_axes(t, pair_tol=pair_tol))
+            assert together == (first_error or alone), name
+            if not deferred:
+                all_simple.append(name)
+        # the 2j = 14 mixture has only simple roots
+        assert all_simple == ["two-coherent-14"]
+
+    def test_array_pass_pairs_no_unmatched_roots(self):
+        # the gate on the first fit would send these ranks to solve_axes as
+        # well; the pass must not pair them in the first place
+        u = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        turned = u @ np.array([[1.0, 0.0, 0.0], [0.0, math.cos(0.01), -math.sin(0.01)],
+                               [0.0, math.sin(0.01), math.cos(0.01)]]).T
+        for t, k in ((_non_mutual_antipodes(np.random.default_rng(1)), 8),
+                     (_tensors_with_roots(2, np.vstack([u, -turned])), 2)):  # antipodes 0.01 rad off
+            ranks = range(1, k + 1)
+            stage = rank_roots(t, ranks)
+            assert stage[k - 1].ill == 0
+            assert k not in _simple_axes(ranks, stage, PAIR_TOL)
+
+    def test_generic_state_calls_solve_axes_for_no_rank(self, monkeypatch):
+        deferred = _count_solve_axes(monkeypatch)
+        rng = np.random.default_rng(20)
+        g = rng.normal(size=(21, 21)) + 1j * rng.normal(size=(21, 21))
+        rho = g @ g.conj().T
+        decomps = solve_all_axes(extract_tensors(DensityMatrix(HalfInteger(20), rho / np.trace(rho).real)))
+        assert deferred == []
+        assert [[m for _, m in d.axes] for d in decomps] == [[1] * k for k in range(1, 21)]
 
     def test_root_vectors_follow_sphere_point(self):
         # the point on the sphere of each root is its inverse stereographic

@@ -30,7 +30,7 @@ from multiaxial.families import (
     make_w,
 )
 from multiaxial.fano import extract_tensors
-from multiaxial.axes import line_cosines, solve_axes
+from multiaxial.axes import solve_axes
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
@@ -195,8 +195,9 @@ class TestSeparability:
         amps = rng.normal(size=twice_j + 1) + 1j * rng.normal(size=twice_j + 1)
         rho = DensityMatrix(HalfInteger(twice_j), np.outer(amps, amps.conj()) / np.vdot(amps, amps).real)
         sig = class_signature(rho)
-        vectors = [axis.unit_vector for d in sig.decompositions() for axis in d.expanded_axes()]
-        max_angle = math.acos(float(line_cosines(vectors).min()))
+        v = np.array([axis.vector for d in sig.decompositions() for axis, mult in d.axes
+                      for _ in range(mult)])
+        max_angle = math.acos(float(np.min(np.minimum(1.0, np.abs(v @ v.T)))))
         expected = f"axes not all collinear (max pairwise angle {max_angle:.3e} rad)"
         assert separability_from_signature(sig).reason == expected
 

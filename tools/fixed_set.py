@@ -21,17 +21,23 @@ Usage::
 
 ``--write`` writes ``DIR/compares.json``: per case the verdict, the reason
 and, for ``equivalent``, the witness residual max|R(rho_A) - rho_B| with R
-built from the benchmark's own spin matrices.  ``--src`` names the
-library's source directory (default: ``src`` of this checkout), so one
-script writes the set for any tree.  ``--diff A B`` prints the verdict
-changes and the reason-only changes separately, then the residual changes
-at an unchanged verdict and every ``equivalent`` of B whose residual
-exceeds 1e-6; it exits 1 when there is a verdict change or such a residual.
+built from the benchmark's own spin matrices.  It also writes
+``DIR/analyses.json``: for the rho_A of every compare, and for one random
+mixed and one random pure state at each 2j = 1..20 (``default_rng(23)``),
+the signature and the sha256 of ``json.dumps(build_report(...),
+sort_keys=True)``, or the classifier error.  ``--src`` names the library's
+source directory (default: ``src`` of this checkout), so one script writes
+the set for any tree.  ``--diff A B`` prints the verdict changes and the
+reason-only changes separately, then the residual changes at an unchanged
+verdict and every ``equivalent`` of B whose residual exceeds 1e-6, then the
+signature changes and the byte-only changes of the analyses; it exits 1
+when there is a verdict change, such a residual or a signature change.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -137,6 +143,33 @@ def compare(lib, rho_a, rho_b) -> dict:
     return {"verdict": result.verdict, "reason": result.reason, "residual": residual}
 
 
+def analysis_states():
+    """(name, rho) of every state the analyses cover, in order."""
+    for name, rho_a, _ in cases():
+        yield name, rho_a
+    rng = np.random.default_rng(23)
+    for twoj in range(1, 21):
+        yield f"random/mixed/2j={twoj}", inputs.random_mixed(rng, twoj).matrix
+        yield f"random/pure/2j={twoj}", inputs.random_pure(rng, twoj).matrix
+
+
+def analyze(lib, rho) -> dict:
+    j = lib.halfint.HalfInteger(rho.shape[0] - 1)
+    try:
+        report = lib.cli.build_report(lib.states.DensityMatrix(j, rho), lib.classify.DEFAULT_TOLERANCES)
+    except lib.cli.CLASSIFIER_ERRORS as exc:  # the command's exit 2
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    text = json.dumps(report, sort_keys=True)
+    return {"signature": report["signature"],
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _dump(out_dir: str, filename: str, src: str, records: dict) -> None:
+    with open(os.path.join(out_dir, filename), "w") as fh:
+        json.dump({"src": os.path.abspath(src), "cases": records}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write(out_dir: str, src: str) -> None:
     sys.path.insert(0, src)
     import multiaxial.classify
@@ -144,22 +177,47 @@ def write(out_dir: str, src: str) -> None:
     import multiaxial.halfint
     import multiaxial.states
 
+    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
     records = {name: compare(multiaxial, rho_a, rho_b) for name, rho_a, rho_b in cases()}
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "compares.json"), "w") as fh:
-        json.dump({"src": os.path.abspath(src), "cases": records}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _dump(out_dir, "compares.json", src, records)
     verdicts = {}
     for record in records.values():
         verdicts[record["verdict"]] = verdicts.get(record["verdict"], 0) + 1
     print(f"{len(records)} compares in {time.perf_counter() - start:.1f} s: "
           + ", ".join(f"{v} {n}" for v, n in sorted(verdicts.items())))
+    start = time.perf_counter()
+    analyses = {name: analyze(multiaxial, rho) for name, rho in analysis_states()}
+    _dump(out_dir, "analyses.json", src, analyses)
+    errors = sum("error" in record for record in analyses.values())
+    print(f"{len(analyses)} analyses in {time.perf_counter() - start:.1f} s: {errors} errors")
 
 
-def _load(out_dir: str) -> dict:
-    with open(os.path.join(out_dir, "compares.json")) as fh:
+def _load(out_dir: str, filename: str = "compares.json") -> dict:
+    with open(os.path.join(out_dir, filename)) as fh:
         return json.load(fh)["cases"]
+
+
+def _label(record: dict) -> str:
+    return record["signature"] if "signature" in record else f"error: {record['error']}"
+
+
+def diff_analyses(a: dict, b: dict) -> int:
+    shared = [n for n in a if n in b]
+    signature_changes = [n for n in shared if _label(a[n]) != _label(b[n])]
+    byte_changes = [n for n in shared if n not in signature_changes
+                    and a[n].get("sha256") != b[n].get("sha256")]
+    for label, names in (("analyses only in A", [n for n in a if n not in b]),
+                         ("analyses only in B", [n for n in b if n not in a])):
+        if names:
+            print(f"{label}: {len(names)}\n" + "".join(f"  {n}\n" for n in names), end="")
+    print(f"signature changes: {len(signature_changes)}")
+    for n in signature_changes:
+        print(f"  {n}:\n    A: {_label(a[n])}\n    B: {_label(b[n])}")
+    print(f"byte-only changes: {len(byte_changes)}")
+    for n in byte_changes:
+        print(f"  {n} [{_label(b[n])}]")
+    return 1 if signature_changes else 0
 
 
 def diff(dir_a: str, dir_b: str) -> int:
@@ -186,7 +244,8 @@ def diff(dir_a: str, dir_b: str) -> int:
     print(f"equivalent in B with residual above {WITNESS_BOUND:g}: {len(loose)}")
     for n in loose:
         print(f"  {n}: {b[n]['residual']}")
-    return 1 if verdict_changes or loose else 0
+    status = diff_analyses(_load(dir_a, "analyses.json"), _load(dir_b, "analyses.json"))
+    return 1 if verdict_changes or loose or status else 0
 
 
 def main(argv=None) -> int:
