@@ -63,51 +63,28 @@ def degeneracy_configuration(decomp: RankDecomposition) -> DegeneracyConfigurati
 
 
 @dataclass(frozen=True)
-class RankEntry:
-    k: int
-    present: bool
-    configuration: DegeneracyConfiguration | None
-    r_k: float
-    decomposition: RankDecomposition | None
-
-
-@dataclass(frozen=True)
 class ClassSignature:
-    """Per-rank configurations plus the rotation-invariant fingerprint."""
+    """Per-rank decompositions plus the rotation-invariant fingerprint."""
 
     j: HalfInteger
-    entries: tuple[RankEntry, ...]
+    ranks: tuple[RankDecomposition, ...]  # k = 1 .. 2j, absent ranks with r_k = 0
     pairwise: tuple[float, ...]
 
     def render(self) -> str:
-        parts = [
-            entry.configuration.render()
-            for entry in self.entries
-            if entry.present and entry.configuration is not None
-        ]
+        parts = [degeneracy_configuration(d).render() for d in self.ranks if d.present]
         return "{" + ", ".join(parts) + "}"
 
     @property
     def r_values(self) -> dict[int, float]:
-        return {e.k: e.r_k for e in self.entries if e.present}
-
-    def decompositions(self) -> list[RankDecomposition]:
-        return [e.decomposition for e in self.entries if e.decomposition is not None]
+        return {d.k: d.r_k for d in self.ranks if d.present}
 
 
 def signature_from_tensors(
     t: SphericalTensorSet, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> ClassSignature:
-    decomps = solve_all_axes(t, zero_tol=tolerances.zero, pair_tol=tolerances.angle)
-    entries = []
-    for decomp in decomps:
-        if decomp.present:
-            config = degeneracy_configuration(decomp)
-            entries.append(RankEntry(decomp.k, True, config, decomp.r_k, decomp))
-        else:
-            entries.append(RankEntry(decomp.k, False, None, 0.0, None))
-    pairwise = tuple(pairwise_invariants([d for d in decomps if d.present]))
-    return ClassSignature(t.j, tuple(entries), pairwise)
+    ranks = tuple(solve_all_axes(t, zero_tol=tolerances.zero, pair_tol=tolerances.angle))
+    pairwise = tuple(pairwise_invariants([d for d in ranks if d.present]))
+    return ClassSignature(t.j, ranks, pairwise)
 
 
 def class_signature(
@@ -192,19 +169,17 @@ class EquivalenceResult:
 
 
 def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
-    for ea, eb in zip(a.entries, b.entries):
-        if abs(ea.r_k - eb.r_k) > FINGERPRINT_TOL:
+    for da, db in zip(a.ranks, b.ranks):
+        if abs(da.r_k - db.r_k) > FINGERPRINT_TOL:
             return False
     if len(a.pairwise) != len(b.pairwise):
         return False
     return all(abs(x - y) <= FINGERPRINT_TOL for x, y in zip(a.pairwise, b.pairwise))
 
 
-def _rank_axis_table(entries) -> list[tuple[int, np.ndarray, int]]:
-    """(k, unit vector, multiplicity) of every distinct axis of the present
-    ``entries``."""
-    return [(entry.k, axis.unit_vector, mult)
-            for entry in entries for axis, mult in entry.decomposition.axes]
+def _rank_axis_table(decomps) -> list[tuple[int, np.ndarray, int]]:
+    """(k, unit vector, multiplicity) of every distinct axis of ``decomps``."""
+    return [(d.k, axis.unit_vector, mult) for d in decomps for axis, mult in d.axes]
 
 
 def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
@@ -214,6 +189,11 @@ def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
         return None
     n = n / norm
     return np.column_stack([u1, n, np.cross(u1, n)])
+
+
+def _farthest_axis(u: np.ndarray) -> np.ndarray:
+    """The coordinate axis farthest from the line of ``u``."""
+    return np.eye(3)[int(np.argmin(np.abs(u)))]
 
 
 def _anchor_pair(table) -> tuple[int, int, float] | None:
@@ -236,25 +216,12 @@ def _rotation_candidates(table_a, table_b, angle_tol: float):
     """Orthogonal maps sending the constellation of A onto B, rank by rank."""
     anchor = _anchor_pair(table_a)
     if anchor is None:
-        # All axes collinear: any rotation mapping the common line works.
-        u = table_a[0][1]
-        v = table_b[0][1]
+        # All axes on one line: the state is symmetric about it, so any frame
+        # on that line gives a candidate.
+        u, v = table_a[0][1], table_b[0][1]
+        fa = _frame_from_pair(u, _farthest_axis(u))
         for head in (v, -v):
-            axis = np.cross(u, head)
-            norm = float(np.linalg.norm(axis))
-            dot = max(-1.0, min(1.0, float(np.dot(u, head))))
-            if norm < 1e-12:
-                if dot > 0.0:
-                    yield np.eye(3)
-                else:
-                    perp = np.array([1.0, 0.0, 0.0])
-                    if abs(float(np.dot(perp, u))) > 0.9:
-                        perp = np.array([0.0, 1.0, 0.0])
-                    perp = perp - float(np.dot(perp, u)) * u
-                    perp /= np.linalg.norm(perp)
-                    yield _rotation_about(perp, math.pi)
-                continue
-            yield _rotation_about(axis / norm, math.acos(dot))
+            yield _frame_from_pair(head, _farthest_axis(head)) @ fa.T
         return
 
     i, l, ang = anchor
@@ -277,19 +244,6 @@ def _rotation_candidates(table_a, table_b, angle_tol: float):
                     if fb is None:
                         continue
                     yield fb @ fa.T
-
-
-def _rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
-    c, s = math.cos(angle), math.sin(angle)
-    cc = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
-            [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
-            [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
-        ]
-    )
 
 
 def _match_constellations(rot: np.ndarray, table_a, table_b, tol: float):
@@ -410,20 +364,21 @@ def lu_equivalent(
         "inequivalent",
         f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
     )
-    present = [(ea, eb) for ea, eb in zip(sig_a.entries, sig_b.entries)
-               if ea.present or eb.present]
-    if any(not (ea.present and eb.present) for ea, eb in present):
+    present = [(da, db) for da, db in zip(sig_a.ranks, sig_b.ranks)
+               if da.present or db.present]
+    if any(not (da.present and db.present) for da, db in present):
         return differ
     if not present:
         # No axes at all: both are the maximally mixed state.
         return EquivalenceResult("equivalent", "both states have no axes",
                                  EulerAngles(0.0, 0.0, 0.0))
-    settled = [(ea, eb) for ea, eb in present
-               if ea.decomposition.settled and eb.decomposition.settled]
-    left_out = sorted({ea.k for ea, _ in present} - {ea.k for ea, _ in settled})
-    if any(ea.configuration != eb.configuration for ea, eb in settled):
+    settled = [(da, db) for da, db in present if da.settled and db.settled]
+    left_out = sorted({da.k for da, _ in present} - {da.k for da, _ in settled})
+    config_mismatch = {da.k for da, db in present
+                       if degeneracy_configuration(da) != degeneracy_configuration(db)}
+    if any(da.k in config_mismatch for da, _ in settled):
         return differ
-    if any(ea.configuration != eb.configuration for ea, eb in present):
+    if config_mismatch:
         mismatch = differ
     elif not _fingerprints_match(sig_a, sig_b):
         mismatch = EquivalenceResult(
@@ -433,13 +388,13 @@ def lu_equivalent(
     if mismatch is not None and not left_out:
         return mismatch
 
-    table_a = _rank_axis_table(ea for ea, _ in settled)
+    table_a = _rank_axis_table(da for da, _ in settled)
     if left_out and _anchor_pair(table_a) is None:
         # the settled axes lie on one line: they do not fix the rotation
         settled, left_out = present, []
-        table_a = _rank_axis_table(ea for ea, _ in settled)
+        table_a = _rank_axis_table(da for da, _ in settled)
     witness = _find_witness(rho_a, rho_b, table_a,
-                            _rank_axis_table(eb for _, eb in settled), tolerances)
+                            _rank_axis_table(db for _, db in settled), tolerances)
     if witness is not None:
         reason = "witness rotation maps the constellations and the density matrices"
         if left_out:

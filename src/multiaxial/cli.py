@@ -31,6 +31,7 @@ from .classify import (
     DEFAULT_TOLERANCES,
     Tolerances,
     class_signature,
+    degeneracy_configuration,
     lu_equivalent,
     pure_separability_check,
     separability_from_signature,
@@ -77,14 +78,13 @@ def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
     ]
 
     ranks = []
-    for entry in signature.entries:
-        item = {"k": entry.k, "present": entry.present, "r_k": entry.r_k}
-        if entry.present:
-            item["configuration"] = entry.configuration.render()
-            item["fit_residual"] = entry.decomposition.fit_residual
+    for decomp in signature.ranks:
+        item = {"k": decomp.k, "present": decomp.present, "r_k": decomp.r_k}
+        if decomp.present:
+            item["configuration"] = degeneracy_configuration(decomp).render()
+            item["fit_residual"] = decomp.fit_residual
             item["axes"] = [
-                {**_angles_of(axis), "multiplicity": mult}
-                for axis, mult in entry.decomposition.axes
+                {**_angles_of(axis), "multiplicity": mult} for axis, mult in decomp.axes
             ]
         ranks.append(item)
 

@@ -258,9 +258,9 @@ def test_acceptance_8_invariant_counting(capsys):
         for tj, count in ((2, 5), (3, 18), (4, 49)):
             sig = class_signature(DensityMatrix(
                 HalfInteger(tj), _random_density(rng, tj + 1)))
-            assert all(e.present for e in sig.entries)
+            assert all(d.present for d in sig.ranks)
             # pairwise axis cosines plus one r_k per rank, present or not
-            assert len(sig.pairwise) + len(sig.entries) == count
+            assert len(sig.pairwise) + len(sig.ranks) == count
 
     _announce(capsys, 8, "invariant counts 5/18/49 for full-rank spin-1, "
                          "spin-3/2, spin-2 states", body)
@@ -315,7 +315,7 @@ def test_acceptance_9_property_suite(capsys):
             g = EulerAngles(*rng.uniform(0, 2 * math.pi, 3))
             sig = class_signature(rotate_density(rho, g))
             assert sig.render() == base.render()
-            for x, y in zip(base.entries, sig.entries):
+            for x, y in zip(base.ranks, sig.ranks):
                 assert abs(x.r_k - y.r_k) < 1e-7
             assert np.allclose(sig.pairwise, base.pairwise, atol=1e-7)
 

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from oracles import majorana_roots, reconstruct_density
 
-from multiaxial.classify import FINGERPRINT_TOL, class_signature, lu_equivalent
+from multiaxial.classify import (
+    FINGERPRINT_TOL,
+    class_signature,
+    degeneracy_configuration,
+    lu_equivalent,
+)
 from multiaxial.families import make_coherent, make_dicke, make_ghz, make_w
 from multiaxial.fano import extract_tensors
 from multiaxial.halfint import HalfInteger
@@ -223,7 +228,7 @@ def _crowded_majorana_state() -> DensityMatrix:
 
 
 def test_crowded_roots_leave_the_middle_ranks_unsettled():
-    settled = [d.settled for d in class_signature(_crowded_majorana_state()).decompositions()]
+    settled = [d.settled for d in class_signature(_crowded_majorana_state()).ranks if d.present]
     assert settled == [True] * 4 + [False] * 11 + [True] * 2
 
 
@@ -255,7 +260,7 @@ def test_seed_596_top_rank_and_rotated_copy():
     points, mults = random_multiset(np.random.default_rng(596))
     assert mults.tolist() == [5, 5, 3, 6]
     rho = pure_to_density(majorana_state(points, mults))
-    assert class_signature(rho).entries[-1].configuration.render() == "D^19_6,5,5,3"
+    assert degeneracy_configuration(class_signature(rho).ranks[-1]).render() == "D^19_6,5,5,3"
     rotated = rotate_density(rho, EulerAngles(0.9, 2.2, 4.1))
     result = lu_equivalent(rho, rotated)
     assert result.verdict == "equivalent", result.reason
@@ -281,9 +286,9 @@ def test_top_rank_reads_the_majorana_multiset(mults, seed):
             points = points @ (q * np.sign(np.linalg.det(q))).T
         psi = majorana_state(points, mults)
         assert len(majorana_roots(psi)) == psi.j.twice
-        top = class_signature(pure_to_density(psi)).entries[-1]
-        assert top.configuration.render() == (
+        top = class_signature(pure_to_density(psi)).ranks[-1]
+        assert degeneracy_configuration(top).render() == (
             f"D^{psi.j.twice}_" + ",".join(str(m) for m in sorted(mults, reverse=True)))
-        for axis, m in top.decomposition.axes:
+        for axis, m in top.axes:
             hits = [n for p, n in zip(points, mults) if _line_angle(axis.unit_vector, p) <= 1e-8]
             assert hits == [m]
