@@ -135,65 +135,85 @@ class RankDecomposition:
 # Polynomial machinery
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row i's polynomial (descending coefficients) at row i's points.
+def _horner(columns: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Polynomials at points by Horner's rule, in place: ``columns[i]`` holds
+    the coefficients of the i-th highest power, broadcast against ``z``.
 
-    The same operations as ``np.polyval`` on one row; a leading zero
+    The same operations as ``np.polyval`` on one polynomial; a leading zero
     coefficient leaves the running value exactly zero, so zero-padding a
-    row to a common degree changes no bit.
+    polynomial to a common degree changes no bit.
     """
-    y = np.zeros_like(z)
-    for column in coeffs.T[:, :, None]:
-        y = y * z + column
+    y = np.zeros(np.broadcast_shapes(columns.shape[1:], z.shape), dtype=complex)
+    for column in columns:
+        y *= z
+        y += column
     return y
 
 
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
+                  live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on every root of every polynomial at once.
 
     Row i of ``coeffs`` holds descending coefficients left-padded with zeros
     to a common degree, row i of ``roots`` its roots; slots where ``live``
     is False are padding and stay put.  Each root keeps its best iterate and
-    stops for good once the derivative at it underflows.
+    stops for good once the derivative at it underflows.  The live roots
+    are swept as one flat array, each against its row's coefficients, and
+    one Horner sweep over p and p' (p' left-padded with a zero) gives both
+    at each iterate.  Returns the best iterates and |p'| at them (0 at the
+    padding).
     """
-    deriv = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
-    z = roots.copy()
-    pz = _horner(coeffs, z)
-    best = z.copy()
-    best_val = np.abs(pz)
-    live = live.copy()
+    width = coeffs.shape[1]
+    columns = np.zeros((width, 2, int(np.count_nonzero(live))), dtype=complex)
+    columns[:, 0] = coeffs.T[:, np.nonzero(live)[0]]
+    columns[1:, 1] = columns[:-1, 0] * np.arange(width - 1, 0, -1)[:, None]
+    z = roots[live]
+    pz, dz = _horner(columns, z)
+    best, best_val, slope = z.copy(), np.abs(pz), np.abs(dz)
+    z_slope = slope
+    moving = np.ones(len(z), dtype=bool)
     for _ in range(POLISH_STEPS):
-        d = _horner(deriv, z)
-        live &= np.abs(d) >= 1e-300
-        if not live.any():
+        moving &= z_slope >= 1e-300
+        if not moving.any():
             break
-        z = np.where(live, z - pz / np.where(live, d, 1.0), z)
-        pz = _horner(coeffs, z)
-        val = np.abs(pz)
-        better = live & (val < best_val)
+        z = np.where(moving, z - pz / np.where(moving, dz, 1.0), z)
+        pz, dz = _horner(columns, z)
+        val, z_slope = np.abs(pz), np.abs(dz)
+        better = moving & (val < best_val)
         best = np.where(better, z, best)
         best_val = np.where(better, val, best_val)
-    return best
+        slope = np.where(better, z_slope, slope)
+    polished, slopes = roots.copy(), np.zeros(roots.shape)
+    polished[live], slopes[live] = best, slope
+    return polished, slopes
 
 
-def _polished_roots(polys: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Finite roots of each polynomial given by ascending coefficients: one
-    ``np.roots`` each, then one Newton polish over all of them.  Also
-    returns |p'| at each polished root."""
-    found = [np.roots(c[::-1]) for c in polys]
-    counts = [len(r) for r in found]
-    width = max(len(c) for c in polys)
-    coeffs = np.zeros((len(polys), width), dtype=complex)
-    roots = np.zeros((len(polys), max(counts)), dtype=complex)
-    live = np.zeros(roots.shape, dtype=bool)
-    for i, (c, r) in enumerate(zip(polys, found)):
-        coeffs[i, width - len(c):] = c[::-1]
-        roots[i, : len(r)] = r
-        live[i, : len(r)] = True
-    best = _polish_roots(coeffs, roots, live)
-    slopes = np.abs(_horner(coeffs[:, :-1] * np.arange(width - 1, 0, -1), best))
-    return ([best[i, :n] for i, n in enumerate(counts)],
-            [slopes[i, :n] for i, n in enumerate(counts)])
+def _stacked_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.roots`` of every row of ``coeffs`` (descending coefficients) at
+    once.  Returns an array with one column fewer whose row i starts with
+    np.roots(coeffs[i]) and holds zeros after, and the mask of those roots.
+
+    As in ``np.roots``, leading zeros are dropped, trailing zeros come back
+    as roots at 0 after the others, and the others are the eigenvalues of
+    the companion matrix of what is left.  The companion matrices are
+    zero-padded to one size and solved in one ``eigvals`` call: LAPACK's
+    balancing isolates the padding (eigenvalues at 0, after the
+    companion's own) and the rest works on the companion block alone, so
+    each root has the bits of the row's own ``np.roots``.
+    """
+    n = coeffs.shape[1] - 1
+    nonzero = coeffs != 0
+    first = np.argmax(nonzero, axis=1)[:, None]
+    count = np.where(nonzero.any(axis=1), n - first[:, 0], 0)  # trailing zeros included
+    degree = (count - np.argmax(nonzero[:, ::-1], axis=1))[:, None]
+    slots = np.arange(n)
+    lead = np.take_along_axis(coeffs, first, axis=1)
+    top = -np.take_along_axis(coeffs, np.minimum(first + 1 + slots, n), axis=1)
+    companion = np.zeros((len(coeffs), n, n), dtype=complex)
+    companion[:, 0] = np.where(slots < degree, top / np.where(lead == 0, 1.0, lead), 0.0)
+    companion[:, slots[1:], slots[:-1]] = slots[1:] < degree
+    return (np.where(slots < degree, np.linalg.eigvals(companion), 0.0),
+            slots < count[:, None])
 
 
 def _root_vectors(z: np.ndarray) -> np.ndarray:
@@ -479,40 +499,72 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
     """Root stage of ``solve_axes`` for several ranks at once.
 
     Each present rank's MAR polynomial loses its matched roots at 0 and
-    infinity (z axes) and has its other roots found and polished in one
-    sweep over all ranks, then placed on the sphere as unit vectors.
+    infinity (z axes) and has its other roots found (``_stacked_roots``) and
+    polished in one pass over all ranks, then placed on the sphere as unit
+    vectors.
     """
-    stage, polys = [], []
-    for k in ranks:
-        if np.max(np.abs(t.rank_components(k))) < zero_tol:
-            stage.append(RankRoots(0, None))
-            continue
-        coeffs = mar_polynomial(t, k)
-        kept = np.abs(coeffs) > float(np.max(np.abs(coeffs))) * 1e-12
-        # Conjugate-reversal symmetry makes the counts of small leading and
-        # trailing coefficients equal; strip matched pairs, each contributing
-        # a z-axis (root at 0 plus root at infinity).
-        stripped = int(min(np.argmax(kept), np.argmax(kept[::-1])))
-        trimmed = coeffs[stripped: 2 * k - stripped + 1]
-        stage.append(RankRoots(stripped, np.zeros((0, 3))))
-        if len(trimmed) > 1:
-            polys.append((len(stage) - 1, trimmed, np.linalg.norm(t.rank_components(k))))
-    if polys:
-        roots, slopes = _polished_roots([c for _, c, _ in polys])
-        counts = [len(r) for r in roots]
-        z = np.concatenate(roots)
-        # inf or nan (|p'| = 0, or an overflow far out) counts as ill
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            cond = (np.repeat([norm for _, _, norm in polys], counts)
-                    * (1.0 + np.abs(z) ** 2) ** (0.5 * np.repeat(counts, counts) - 0.5)
-                    / np.concatenate(slopes))
-        starts = np.cumsum([0] + counts[:-1])
-        ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
-        for (i, _, _), v, n_ill in zip(polys, np.split(_root_vectors(z), starts[1:]), ill):
-            # the trimming may have cut a multiple axis near z in two, so
-            # what it left all counts as ill
-            stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else int(n_ill))
+    ks = np.asarray(ranks, dtype=int)
+    if not len(ks):
+        return []
+    if ks.min() < 1 or ks.max() > t.max_rank:
+        raise ValueError(f"ranks {ks.tolist()} not all within 1..2j = {t.max_rank}")
+    width = 2 * int(ks.max()) + 1
+    index, weights = _mar_table(t.max_rank)
+    comp = np.concatenate([*t.ranks, [0.0]])[index[ks - 1, -width:]]
+    coeffs = weights[ks - 1, -width:] * comp
+    present = ~(np.max(np.abs(comp), axis=1) < zero_tol)
+    magnitude = np.abs(coeffs)
+    kept = magnitude > np.max(magnitude, axis=1, keepdims=True) * 1e-12
+    # Conjugate-reversal symmetry makes the counts of small leading and
+    # trailing coefficients equal; strip matched pairs, each contributing
+    # a z-axis (root at 0 plus root at infinity).
+    stripped = np.minimum(np.maximum(np.argmax(kept, axis=1) - (width - 1 - 2 * ks), 0),
+                          np.argmax(kept[:, ::-1], axis=1))
+    stage = [RankRoots(s, np.zeros((0, 3))) if p else RankRoots(0, None)
+             for s, p in zip(stripped.tolist(), present.tolist())]
+    rows = np.flatnonzero(present & (stripped < ks))
+    if not len(rows):
+        return stage
+    # the trimmed polynomials, right-aligned in rows as long as the longest
+    cut = stripped[rows, None]
+    size = 2 * (ks[rows, None] - cut) + 1
+    slots = np.arange(int(size.max()))
+    source = np.maximum(slots + (width - len(slots)) - cut, 0)
+    trimmed = np.where(slots >= len(slots) - size,
+                       np.take_along_axis(coeffs[rows], source, axis=1), 0.0)
+    roots, live = _stacked_roots(trimmed)
+    best, slopes = _polish_roots(trimmed, roots, live)
+    counts = np.sum(live, axis=1)
+    z = best[live]
+    # inf or nan (|p'| = 0, or an overflow far out) counts as ill
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cond = (np.repeat([np.linalg.norm(t.ranks[k]) for k in ks[rows].tolist()], counts)
+                * (1.0 + np.abs(z) ** 2) ** (0.5 * np.repeat(counts, counts) - 0.5)
+                / slopes[live])
+    starts = np.cumsum([0, *counts[:-1]])
+    ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
+    for i, v, n_ill in zip(rows.tolist(), np.split(_root_vectors(z), starts[1:]), ill.tolist()):
+        # the trimming may have cut a multiple axis near z in two, so
+        # what it left all counts as ill
+        stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else n_ill)
     return stage
+
+
+@lru_cache(maxsize=None)
+def _mar_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and weights of the MAR polynomials of ranks k = 1 .. n
+    of a tensor set with 2j = n, descending and right-aligned in rows of
+    2n + 1: row k - 1 holds sqrt(C(2k, i)) t^k_{i-k}, the coefficient of
+    Z^{2k-i}, in column 2(n - k) + i, as ``mar_polynomial`` reversed.  The
+    index points into the ranks k = 0 .. n concatenated and one 0 after
+    them, which the padding reads with weight 0."""
+    index = np.full((n, 2 * n + 1), (n + 1) ** 2)
+    weights = np.zeros((n, 2 * n + 1))
+    for k in range(1, n + 1):
+        index[k - 1, 2 * (n - k):] = k * k + np.arange(2 * k + 1)
+        weights[k - 1, 2 * (n - k):] = _sqrt_binomials(2 * k)
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights
 
 
 @lru_cache(maxsize=None)
@@ -571,7 +623,7 @@ def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> np.ndarray | N
         dv = v[1:] * np.arange(1, d + 1)
         # an overflow far out gives nan, which counts as multiplicity 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            num, den = _horner(np.stack([w[::-1], dv[::-1]]), np.stack([roots, roots]))
+            num, den = _horner(np.stack([w[::-1], dv[::-1]], axis=1)[:, :, None], roots)
             estimates = num / den
         keep = np.abs(estimates) > 0.5
         roots, estimates = roots[keep], estimates[keep]

@@ -334,6 +334,11 @@ def _find_witness(
     return None
 
 
+def _fingerprints_differ() -> EquivalenceResult:
+    return EquivalenceResult(
+        "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ")
+
+
 def lu_equivalent(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
@@ -360,14 +365,17 @@ def lu_equivalent(
         raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
     sig_a = class_signature(rho_a, tolerances)
     sig_b = class_signature(rho_b, tolerances)
-    differ = EquivalenceResult(
-        "inequivalent",
-        f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
-    )
+
+    def differ() -> EquivalenceResult:
+        return EquivalenceResult(
+            "inequivalent",
+            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
+        )
+
     present = [(da, db) for da, db in zip(sig_a.ranks, sig_b.ranks)
                if da.present or db.present]
     if any(not (da.present and db.present) for da, db in present):
-        return differ
+        return differ()
     if not present:
         # No axes at all: both are the maximally mixed state.
         return EquivalenceResult("equivalent", "both states have no axes",
@@ -377,16 +385,15 @@ def lu_equivalent(
     config_mismatch = {da.k for da, db in present
                        if degeneracy_configuration(da) != degeneracy_configuration(db)}
     if any(da.k in config_mismatch for da, _ in settled):
-        return differ
+        return differ()
     if config_mismatch:
         mismatch = differ
     elif not _fingerprints_match(sig_a, sig_b):
-        mismatch = EquivalenceResult(
-            "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ")
+        mismatch = _fingerprints_differ
     else:
         mismatch = None
     if mismatch is not None and not left_out:
-        return mismatch
+        return mismatch()
 
     table_a = _rank_axis_table(da for da, _ in settled)
     if left_out and _anchor_pair(table_a) is None:
@@ -402,7 +409,7 @@ def lu_equivalent(
                       "ranks and the density matrices; ill-conditioned ranks "
                       + ", ".join(map(str, left_out)) + " left out")
         return EquivalenceResult("equivalent", reason, witness)
-    return mismatch or EquivalenceResult(
+    return mismatch() if mismatch is not None else EquivalenceResult(
         "fingerprint-match-only",
         "invariants agree but no single witness rotation was found",
     )

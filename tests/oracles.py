@@ -13,7 +13,6 @@ from multiaxial.angular import tau_matrix
 from multiaxial.axes import (
     ZERO_TOL,
     _display_angles,
-    _polished_roots,
     _root_vectors,
     _sqrt_binomials,
 )
@@ -84,10 +83,31 @@ def majorana_roots(psi: PureState) -> np.ndarray:
     top = int(np.flatnonzero(np.abs(coeffs) > ZERO_TOL * np.max(np.abs(coeffs)))[-1])
     z = np.full(len(coeffs) - 1 - top, np.inf, dtype=complex)
     if top > 0:
-        (roots,), _ = _polished_roots([coeffs[: top + 1]])
-        z = np.concatenate([z, roots])
+        desc = coeffs[top::-1]
+        z = np.concatenate([z, polish_roots_per_root(desc, np.roots(desc))])
     points = _root_vectors(z)
     return points[sorted(range(len(points)), key=lambda i: _display_angles(points[i]))]
+
+
+def polish_roots_per_root(coeffs_desc, roots, steps=5):
+    """Newton steps on each root of the polynomial ``coeffs_desc`` (descending
+    coefficients) alone, each root keeping its best iterate and stopping once
+    the derivative underflows."""
+    deriv = np.polyder(coeffs_desc)
+    out = roots.copy()
+    for i, z in enumerate(out):
+        best = z
+        best_val = abs(np.polyval(coeffs_desc, z))
+        for _ in range(steps):
+            d = np.polyval(deriv, z)
+            if abs(d) < 1e-300:
+                break
+            z = z - np.polyval(coeffs_desc, z) / d
+            val = abs(np.polyval(coeffs_desc, z))
+            if val < best_val:
+                best, best_val = z, val
+        out[i] = best
+    return out
 
 
 def wigner_small_d(j, mprime, m, beta: float) -> float:

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import majorana_polynomial, majorana_roots, sylvester_matrix_reference
+from oracles import (
+    majorana_polynomial,
+    majorana_roots,
+    polish_roots_per_root,
+    sylvester_matrix_reference,
+)
 from test_properties import _crowded_majorana_state
 
 from multiaxial.angular import couple_axis_chain
@@ -25,6 +30,7 @@ from multiaxial.axes import (
     _row_norms,
     _simple_axes,
     _sqrt_binomials,
+    _stacked_roots,
     _sylvester_table,
     axis_tensor,
     cluster_directions,
@@ -419,25 +425,6 @@ class TestAxisTensor:
             axis_tensor(np.zeros((0, 3)))
 
 
-def _polish_roots_per_root(coeffs_desc, roots, steps=5):
-    """The one-root-at-a-time Newton polish, kept as the oracle."""
-    deriv = np.polyder(coeffs_desc)
-    out = roots.copy()
-    for i, z in enumerate(out):
-        best = z
-        best_val = abs(np.polyval(coeffs_desc, z))
-        for _ in range(steps):
-            d = np.polyval(deriv, z)
-            if abs(d) < 1e-300:
-                break
-            z = z - np.polyval(coeffs_desc, z) / d
-            val = abs(np.polyval(coeffs_desc, z))
-            if val < best_val:
-                best, best_val = z, val
-        out[i] = best
-    return out
-
-
 def _polish_roots_per_rank(coeffs_desc, roots):
     """The one-polynomial-at-a-time Newton polish, kept as the oracle."""
     deriv = np.polyder(coeffs_desc)
@@ -471,7 +458,7 @@ def _polish_batch(polys, roots):
         coeffs[i, width - len(c):] = c
         z[i, : len(r)] = r
         live[i, : len(r)] = True
-    best = _polish_roots(coeffs, z, live)
+    best, _ = _polish_roots(coeffs, z, live)
     return [best[i, : len(r)] for i, r in enumerate(roots)]
 
 
@@ -482,7 +469,7 @@ class TestPolishRoots:
             coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
             roots = np.roots(coeffs)
             (got,) = _polish_batch([coeffs], [roots])
-            want = _polish_roots_per_root(coeffs, roots)
+            want = polish_roots_per_root(coeffs, roots)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_multiple_roots_match_per_root_loop(self):
@@ -490,7 +477,7 @@ class TestPolishRoots:
         coeffs = np.poly([0.3 + 0.4j] * 6 + [-2.0] * 3)
         roots = np.roots(coeffs)
         (got,) = _polish_batch([coeffs], [roots])
-        want = _polish_roots_per_root(coeffs, roots)
+        want = polish_roots_per_root(coeffs, roots)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_vanishing_derivative_stops_that_root_only(self):
@@ -500,7 +487,7 @@ class TestPolishRoots:
         (got,) = _polish_batch([coeffs], [roots])
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], [1.0, -1.0], atol=1e-12)
-        np.testing.assert_array_equal(got, _polish_roots_per_root(coeffs, roots))
+        np.testing.assert_array_equal(got, polish_roots_per_root(coeffs, roots))
 
     def test_padded_rows_equal_per_rank_polish(self):
         # rows of degree 2, 9 and 40 in one batch, padded roots in the short
@@ -515,6 +502,23 @@ class TestPolishRoots:
         assert got[0][0] == 0.0
         for c, r, g in zip(polys, roots, got):
             np.testing.assert_array_equal(g, _polish_roots_per_rank(c, r))
+
+    def test_slopes_are_derivative_at_best_iterate(self):
+        # |p'| comes from the sweep that evaluated p at the kept iterate
+        rng = np.random.default_rng(9)
+        polys = [np.array([1.0, 0.0, -1.0], dtype=complex),
+                 np.poly([0.3 + 0.4j] * 6 + [-2.0] * 3).astype(complex),
+                 rng.normal(size=41) + 1j * rng.normal(size=41)]
+        coeffs = np.zeros((3, 41), dtype=complex)
+        z = np.zeros((3, 40), dtype=complex)
+        live = np.zeros(z.shape, dtype=bool)
+        for i, c in enumerate(polys):
+            coeffs[i, 41 - len(c):] = c
+            z[i, : len(c) - 1] = [0.0, 1.1] if i == 0 else np.roots(c)
+            live[i, : len(c) - 1] = True
+        best, slopes = _polish_roots(coeffs, z, live)
+        for c, b, s, mask in zip(polys, best, slopes, live):
+            np.testing.assert_array_equal(s[mask], np.abs(np.polyval(np.polyder(c), b[mask])))
 
     def test_all_roots_stuck_leaves_them_put(self):
         # p'(z) = 0 at every guess: no Newton step is taken
@@ -631,9 +635,9 @@ class TestRootStage:
         batches = []
 
         def recording(coeffs, roots, live):
-            best = _polish_roots(coeffs, roots, live)
+            best, slopes = _polish_roots(coeffs, roots, live)
             batches.append((coeffs, roots, live, best))
-            return best
+            return best, slopes
 
         monkeypatch.setattr(axes_module, "_polish_roots", recording)
         degrees, padded, rows = set(), 0, 0
@@ -660,6 +664,34 @@ class TestRootStage:
                 padded += len(r) - n
                 rows += 1
         assert rows > 800 and degrees == set(range(2, 41, 2)) and padded > 1000
+
+    def test_padded_companion_stack_equals_np_roots(self):
+        # one stack of every kind of row the root stage can meet, each row's
+        # roots bit for bit those of its own np.roots
+        rng = np.random.default_rng(12)
+        t = extract_tensors(rotate_density(pure_to_density(make_ghz(6)), EulerAngles(0.3, 1e-5, 0.0)))
+        (stage,) = rank_roots(t, [4])
+        assert stage.z_axes == 2 and len(stage.vectors) == 4
+        desc = mar_polynomial(t, 4)[::-1]
+        rows = [rng.normal(size=2) + 1j * rng.normal(size=2),  # degree 1
+                rng.normal(size=3) + 1j * rng.normal(size=3),  # degree 2
+                np.array([0.0, 0.0, 1.0 - 2.0j, 0.5, 3.0j]),  # exact-zero leading
+                np.array([2.0, 1.0j, -1.0, 0.0, 0.0]),  # exact-zero trailing
+                np.array([0.0, 1.5, 0.0, 0.25j, 0.0]),  # both, and one inside
+                np.array([3.0 + 1.0j, 0.0, 0.0]),  # degree 0: two roots at 0
+                np.zeros(5, dtype=complex),  # no roots
+                desc[2: len(desc) - 2],  # rank 4 trimmed to z axes
+                rng.normal(size=41) + 1j * rng.normal(size=41)]  # degree 40
+        coeffs = np.zeros((len(rows), 41), dtype=complex)
+        for i, r in enumerate(rows):
+            coeffs[i, 41 - len(r):] = r
+        roots, live = _stacked_roots(coeffs)
+        assert roots.shape == live.shape == (len(rows), 40)
+        for r, got, mask in zip(rows, roots, live):
+            want = np.asarray(np.roots(r), dtype=complex)
+            assert mask.tolist() == [True] * len(want) + [False] * (40 - len(want))
+            assert got[mask].tobytes() == want.tobytes()
+            assert got[~mask].tobytes() == bytes(16 * (40 - len(want)))
 
     def test_solve_axes_alone_equals_solve_all_axes(self, monkeypatch):
         deferred = _count_solve_axes(monkeypatch)

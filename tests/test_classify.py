@@ -9,6 +9,7 @@ import pytest
 from multiaxial.angular import couple_axis_chain
 from multiaxial.classify import (
     FINGERPRINT_TOL,
+    ClassSignature,
     DegeneracyConfiguration,
     Tolerances,
     class_signature,
@@ -365,6 +366,18 @@ class TestOnePassDecision:
             == [14, 15, 16, 17, 18]
         result = self._equivalent_with_witness(rho)
         assert result.reason.endswith("ill-conditioned ranks 14, 15, 16, 17, 18 left out")
+
+    def test_signatures_rendered_only_for_a_returned_mismatch(self, monkeypatch):
+        renders = []
+        render = ClassSignature.render
+        monkeypatch.setattr(ClassSignature, "render",
+                            lambda sig: renders.append(sig.j) or render(sig))
+        rho = DensityMatrix(HalfInteger(6), _random_density(np.random.default_rng(5), 7))
+        self._equivalent_with_witness(rho)
+        assert renders == []
+        result = lu_equivalent(pure_to_density(make_bell()), pure_to_density(make_dicke(1, 1)))
+        assert result.reason == "degeneracy configurations differ: {D^2_2} vs {D^1_1, D^2_2}"
+        assert len(renders) == 2
 
     def test_every_rank_settled_names_no_rank_left_out(self):
         rho = DensityMatrix(HalfInteger(6), _random_density(np.random.default_rng(5), 7))
