@@ -512,7 +512,9 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
     index, weights = _mar_table(t.max_rank)
     comp = np.concatenate([*t.ranks, [0.0]])[index[ks - 1, -width:]]
     coeffs = weights[ks - 1, -width:] * comp
-    present = ~(np.max(np.abs(comp), axis=1) < zero_tol)
+    # an all-zero rank is absent even at zero_tol = 0; NaN counts as present
+    peak = np.max(np.abs(comp), axis=1)
+    present = ~(peak < zero_tol) & (peak != 0.0)
     magnitude = np.abs(coeffs)
     kept = magnitude > np.max(magnitude, axis=1, keepdims=True) * 1e-12
     # Conjugate-reversal symmetry makes the counts of small leading and

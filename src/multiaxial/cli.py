@@ -37,9 +37,10 @@ from .classify import (
     separability_from_signature,
     signature_from_tensors,
 )
-from .families import FAMILY_PARAMS, FamilyParameterError, family_density, family_ranges
-from .fano import check_state_spin, extract_tensors
+from .families import FAMILIES, FamilyParameterError, family_density
+from .fano import extract_tensors
 from .states import (
+    PSD_TOL,
     DensityMatrix,
     StateFormatError,
     as_density,
@@ -247,7 +248,6 @@ def cmd_generate(args) -> int:
     name = spec.get("family")
     try:
         rho, psd_ok, note = family_density(name, spec.get("params", {}))
-        check_state_spin(rho.j)
     except (ValueError, TypeError) as exc:
         # FamilyParameterError and SpinTooLargeError are ValueErrors; params
         # that are not a JSON object can raise a TypeError
@@ -261,9 +261,9 @@ def cmd_generate(args) -> int:
 def _family_error(exc: Exception, name) -> str:
     """The error line for a family that cannot be built, naming the family's
     valid ranges once (a missing-parameter message already names them)."""
-    if not (isinstance(name, str) and name in FAMILY_PARAMS):
+    if not (isinstance(name, str) and name in FAMILIES):
         return f"error: {exc}"
-    ranges = family_ranges(name)
+    ranges = FAMILIES[name].ranges
     return f"error: {exc}" if ranges in str(exc) else f"error: {exc} (valid ranges: {ranges})"
 
 
@@ -326,31 +326,26 @@ def cmd_sweep(args) -> int:
     rows = []
     try:
         for value in grid:
-            params = dict(fixed)
-            params[name] = float(value)
-            metrics = _sweep_metrics(args.family, params, reports, tolerances)
+            metrics = _sweep_metrics(args.family, {**fixed, name: float(value)}, reports,
+                                     tolerances)
             rows.append((float(value), metrics))
     except FamilyParameterError as exc:
         print(_family_error(exc, args.family), file=sys.stderr)
         return EXIT_USAGE
 
     boundaries = []
-    for column, shift in (("min_eigenvalue", -1e-10),
-                          ("ppt_min_eigenvalue", -1e-10)):
+    for column, report in (("min_eigenvalue", "psd"), ("ppt_min_eigenvalue", "ppt")):
         values = [m.get(column) for _, m in rows]
         if any(not isinstance(v, float) for v in values):
             continue
 
-        def signed(x, _column=column):
-            params = dict(fixed)
-            params[name] = x
-            return _sweep_metrics(args.family, params, [
-                "psd" if _column == "min_eigenvalue" else "ppt"
-            ], tolerances)[_column] - shift
+        def signed(x, column=column, report=report):
+            params = {**fixed, name: x}
+            return _sweep_metrics(args.family, params, [report], tolerances)[column] - PSD_TOL
 
         for i in range(len(rows) - 1):
-            f_lo = values[i] - shift
-            f_hi = values[i + 1] - shift
+            f_lo = values[i] - PSD_TOL
+            f_hi = values[i + 1] - PSD_TOL
             if (f_lo >= 0.0) != (f_hi >= 0.0):
                 root = _bisect_boundary(signed, rows[i][0], rows[i + 1][0], f_lo)
                 boundaries.append((column, root))

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .fano import check_state_spin
 from .halfint import HalfInteger, basis_index, dimension
 from .states import (
+    PSD_TOL,
     DensityMatrix,
     EulerAngles,
     PureState,
@@ -103,97 +106,41 @@ def make_uniaxial(r1: float, theta1: float, phi1: float) -> FamilyState:
     return FamilyState(rho, psd_ok, note)
 
 
-def _alignment_block(r2: float, theta: float) -> tuple[float, float]:
-    diag = r2 * (1.0 + math.cos(theta) ** 2) / (2.0 * math.sqrt(3.0))
-    corner = -(math.sqrt(3.0) / 2.0) * r2 * math.sin(theta) ** 2
-    return diag, corner
-
-
 def make_biaxial(r2: float, theta: float) -> FamilyState:
-    """Purely tensor-polarized spin-1 state in its principal alignment frame.
-
-    Axes {(theta, 0), (theta, pi)}; the corner diagonal entries both carry
-    the (1 + cos^2 theta) factor, which the trace and the stated tensor
-    components force.
-    """
-    if r2 <= 0.0:
-        raise FamilyParameterError("biaxial requires r2 > 0")
-    diag, corner = _alignment_block(r2, theta)
-    mat = (
-        np.array(
-            [
-                [1.0 + diag, 0.0, corner],
-                [0.0, 1.0 - 2.0 * diag, 0.0],
-                [corner, 0.0, 1.0 + diag],
-            ],
-            dtype=complex,
-        )
-        / 3.0
-    )
-    rho = DensityMatrix(HalfInteger.of(1), mat)
-    report = validate(rho)
-    psd_ok = report.min_eigenvalue >= -1e-10
-    note = "" if psd_ok else (
-        f"r2={r2:g}, theta={theta:g} not positive semi-definite "
-        f"(min eigenvalue {report.min_eigenvalue:.3e})"
-    )
-    return FamilyState(rho, psd_ok, note)
+    """Purely tensor-polarized spin-1 state: the triaxial state at r1 = 0."""
+    return _aligned_spin1(0.0, r2, theta, "biaxial", f"r2={r2:g}, theta={theta:g}")
 
 
 def make_triaxial(r1: float, r2: float, theta: float) -> FamilyState:
     """Vector plus tensor polarization: z-axis for rank 1, tilted pair for rank 2."""
+    return _aligned_spin1(r1, r2, theta, "triaxial", f"r1={r1:g}, r2={r2:g}, theta={theta:g}")
+
+
+def _aligned_spin1(r1: float, r2: float, theta: float, family: str, label: str) -> FamilyState:
+    """Spin-1 state with vector polarization r1 on z and tensor polarization r2
+    in its principal alignment frame, axes {(theta, 0), (theta, pi)}; the corner
+    diagonal entries both carry the (1 + cos^2 theta) factor, which the trace
+    and the stated tensor components force.  ``label`` names the parameters in
+    the note of a state that is not PSD."""
     if r2 <= 0.0:
-        raise FamilyParameterError("triaxial requires r2 > 0")
+        raise FamilyParameterError(f"{family} requires r2 > 0")
     c = SQRT32 * r1
-    diag, corner = _alignment_block(r2, theta)
-    mat = (
-        np.array(
-            [
-                [1.0 + c + diag, 0.0, corner],
-                [0.0, 1.0 - 2.0 * diag, 0.0],
-                [corner, 0.0, 1.0 - c + diag],
-            ],
-            dtype=complex,
-        )
-        / 3.0
-    )
+    diag = r2 * (1.0 + math.cos(theta) ** 2) / (2.0 * math.sqrt(3.0))
+    corner = -(math.sqrt(3.0) / 2.0) * r2 * math.sin(theta) ** 2
+    mat = np.array([[1.0 + c + diag, 0.0, corner],
+                    [0.0, 1.0 - 2.0 * diag, 0.0],
+                    [corner, 0.0, 1.0 - c + diag]], dtype=complex) / 3.0
     rho = DensityMatrix(HalfInteger.of(1), mat)
-    report = validate(rho)
-    psd_ok = report.min_eigenvalue >= -1e-10
+    min_eigenvalue = validate(rho).min_eigenvalue
+    psd_ok = min_eigenvalue >= PSD_TOL
     note = "" if psd_ok else (
-        f"r1={r1:g}, r2={r2:g}, theta={theta:g} not positive semi-definite "
-        f"(min eigenvalue {report.min_eigenvalue:.3e})"
+        f"{label} not positive semi-definite (min eigenvalue {min_eigenvalue:.3e})"
     )
     return FamilyState(rho, psd_ok, note)
 
 
 # ---------------------------------------------------------------------------
 # FamilySpec: {"family": "...", "params": {...}}
-
-FAMILY_PARAMS = {
-    "dicke": ("j", "m"),
-    "ghz": ("N",),
-    "w": ("N",),
-    "bell": (),
-    "separable_coherent": ("j", "theta", "phi"),
-    "uniaxial": ("r1", "theta1", "phi1"),
-    "biaxial": ("r2", "theta"),
-    "triaxial": ("r1", "r2", "theta"),
-}
-
-
-def family_ranges(name: str) -> str:
-    hints = {
-        "dicke": "j half-integer, 1/2 <= j <= 10, |m| <= j",
-        "ghz": "N integer, 2 <= N <= 20",
-        "w": "N integer, 2 <= N <= 20",
-        "bell": "no parameters",
-        "separable_coherent": "j half-integer, 1/2 <= j <= 10; theta/phi finite radians",
-        "uniaxial": "0 < r1 <= sqrt(2/3) for PSD; theta1, phi1 finite radians",
-        "biaxial": "0 < r2 <= sqrt(3); theta finite radians (PSD range depends on r2)",
-        "triaxial": "r1 finite, 0 < r2; theta finite radians (PSD checked post-construction)",
-    }
-    return hints[name]
 
 
 def _real(params: dict, name: str) -> float:
@@ -222,48 +169,59 @@ def _half_integer(params: dict, name: str) -> HalfInteger:
                                    f"got {params[name]!r}") from exc
 
 
+class Family(NamedTuple):
+    """Parameter parsers by name in constructor order, valid ranges, constructor."""
+
+    params: dict
+    ranges: str
+    build: Callable[..., PureState | FamilyState]
+
+
+FAMILIES = {
+    "dicke": Family({"j": _half_integer, "m": _half_integer},
+                    "j half-integer, 1/2 <= j <= 10, |m| <= j", make_dicke),
+    "ghz": Family({"N": _integer}, "N integer, 2 <= N <= 20", make_ghz),
+    "w": Family({"N": _integer}, "N integer, 2 <= N <= 20", make_w),
+    "bell": Family({}, "no parameters", make_bell),
+    "separable_coherent": Family({"j": _half_integer, "theta": _real, "phi": _real},
+                                 "j half-integer, 1/2 <= j <= 10; theta/phi finite radians",
+                                 make_coherent),
+    "uniaxial": Family({"r1": _real, "theta1": _real, "phi1": _real},
+                       "0 < r1 <= sqrt(2/3) for PSD; theta1, phi1 finite radians",
+                       make_uniaxial),
+    "biaxial": Family({"r2": _real, "theta": _real},
+                      "0 < r2 <= sqrt(3); theta finite radians (PSD range depends on r2)",
+                      make_biaxial),
+    "triaxial": Family({"r1": _real, "r2": _real, "theta": _real},
+                       "r1 finite, 0 < r2; theta finite radians (PSD checked post-construction)",
+                       make_triaxial),
+}
+
+
 def build_family(name: str, params: dict) -> PureState | FamilyState:
-    if not isinstance(name, str) or name not in FAMILY_PARAMS:
+    if not isinstance(name, str) or name not in FAMILIES:
         raise FamilyParameterError(
-            f"unknown family {name!r}; expected one of {sorted(FAMILY_PARAMS)}"
+            f"unknown family {name!r}; expected one of {sorted(FAMILIES)}"
         )
-    expected = FAMILY_PARAMS[name]
-    missing = [p for p in expected if p not in params]
+    family = FAMILIES[name]
+    missing = [p for p in family.params if p not in params]
     if missing:
         raise FamilyParameterError(
-            f"family {name!r} missing parameters {missing}; ranges: "
-            f"{family_ranges(name)}"
+            f"family {name!r} missing parameters {missing}; ranges: {family.ranges}"
         )
-    unknown = [p for p in params if p not in expected]
+    unknown = [p for p in params if p not in family.params]
     if unknown:
         raise FamilyParameterError(
             f"family {name!r} got unknown parameters {unknown}"
         )
-    if name == "dicke":
-        return make_dicke(_half_integer(params, "j"), _half_integer(params, "m"))
-    if name == "ghz":
-        return make_ghz(_integer(params, "N"))
-    if name == "w":
-        return make_w(_integer(params, "N"))
-    if name == "bell":
-        return make_bell()
-    if name == "separable_coherent":
-        return make_coherent(_half_integer(params, "j"), _real(params, "theta"),
-                             _real(params, "phi"))
-    if name == "uniaxial":
-        return make_uniaxial(
-            _real(params, "r1"), _real(params, "theta1"), _real(params, "phi1")
-        )
-    if name == "biaxial":
-        return make_biaxial(_real(params, "r2"), _real(params, "theta"))
-    return make_triaxial(
-        _real(params, "r1"), _real(params, "r2"), _real(params, "theta")
-    )
+    return family.build(*(parse(params, p) for p, parse in family.params.items()))
 
 
 def family_density(name: str, params: dict) -> tuple[DensityMatrix, bool, str]:
-    """Construct a family member as a density matrix with PSD flag and note."""
+    """Construct a family member as a density matrix with PSD flag and note;
+    a member whose spin is above the cap raises ``SpinTooLargeError``."""
     built = build_family(name, params)
     if isinstance(built, PureState):
-        return pure_to_density(built), True, ""
+        built = FamilyState(pure_to_density(built), True)
+    check_state_spin(built.rho.j)
     return built.rho, built.psd_ok, built.note

@@ -461,3 +461,10 @@ class TestTolerances:
         assert tol.zero == 1e-12
         assert tol.angle == 1e-6
         assert FINGERPRINT_TOL == 1e-7
+
+    def test_zero_tolerance_leaves_all_zero_ranks_absent(self):
+        tol = Tolerances(zero=0.0)
+        mixed = DensityMatrix(HalfInteger(2), np.eye(3) / 3)
+        assert class_signature(mixed, tol).render() == "{}"
+        assert class_signature(pure_to_density(make_ghz(3)), tol).render() == "{D^2_2, D^3_1,1,1}"
+        assert class_signature(pure_to_density(make_ghz(4)), tol).render() == "{D^2_2, D^4_2,2}"

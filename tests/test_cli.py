@@ -367,10 +367,11 @@ class TestSweep:
             rows = [r for r in csv.DictReader(fh) if r["row_type"] == "grid"]
         assert all(r["ppt_min_eigenvalue"] == "undetermined" for r in rows)
 
-    def test_spin_above_cap_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("report", ["class", "psd", "ppt"])
+    def test_spin_above_cap_exit_2(self, tmp_path, capsys, report):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--family", "ghz", "--vary", "N=20:22:3",
-                     "--report", "class", "--out", str(out)]) == 2
+                     "--report", report, "--out", str(out)]) == 2
         assert _one_spin_cap_error(capsys.readouterr().err)
         assert not out.exists()
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from multiaxial.angular import SpinTooLargeError
 from multiaxial.families import (
     FamilyParameterError,
     build_family,
@@ -167,6 +168,15 @@ class TestTriaxial:
             assert t.component(2, 2) == pytest.approx(
                 -(r2 / 2.0) * math.sin(th) ** 2, abs=1e-10)
 
+    def test_biaxial_is_triaxial_at_zero_r1(self):
+        for r2 in (0.05, 0.5, 1.0, math.sqrt(3.0), 2.5):
+            for th in np.linspace(0.0, math.pi, 9):
+                bi = make_biaxial(r2, float(th))
+                tri = make_triaxial(0.0, r2, float(th))
+                assert bi.rho.matrix.tobytes() == tri.rho.matrix.tobytes()
+                assert bi.psd_ok == tri.psd_ok
+        assert not make_biaxial(2.5, 0.3).psd_ok
+
     def test_theta_zero_is_pure_separable(self):
         fam = make_triaxial(math.sqrt(1.5), math.sqrt(3.0) / 2.0, 0.0)
         assert fam.psd_ok
@@ -217,6 +227,16 @@ class TestFamilySpec:
     def test_dicke_parity_rejected(self):
         with pytest.raises(FamilyParameterError, match="incompatible"):
             make_dicke(1, _h("1/2"))
+
+    @pytest.mark.parametrize("name, params", [
+        ("ghz", {"N": 21}),
+        ("w", {"N": 21}),
+        ("dicke", {"j": 11, "m": 0}),
+        ("separable_coherent", {"j": 11, "theta": 0.3, "phi": 0.4}),
+    ])
+    def test_family_density_refuses_spin_above_cap(self, name, params):
+        with pytest.raises(SpinTooLargeError):
+            family_density(name, params)
 
     def test_family_density_wraps_pure(self):
         rho, psd_ok, note = family_density("bell", {})
