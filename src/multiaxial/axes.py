@@ -354,7 +354,7 @@ def fit_rk(components: np.ndarray, axes: tuple) -> tuple[float, float]:
         raise ValueError("total axis multiplicity must equal the rank")
     coupled = axis_tensor(np.repeat([a.vector for a, _ in axes], mults, axis=0))
     denom = float(np.sum(np.abs(coupled) ** 2))
-    if denom < 1e-14:
+    if not denom > 0.0:
         raise DegenerateFitError("coupled axis tensor vanished")
     scale = complex(np.sum(np.conj(coupled) * components)) / denom
     residual = float(np.max(np.abs(components - scale * coupled)))
@@ -449,7 +449,7 @@ def _fit_residual(x: np.ndarray, mults: list[int],
     d_coupled = (np.fft.fft((rest[:, None, :] * d_quads).reshape(len(x), n), axis=1)[:, ::-1].T
                  * (2.0 ** (0.5 * k) / n / _sqrt_binomials(2 * k))[:, None])
     denom = float(np.sum(np.abs(coupled) ** 2))
-    if denom < 1e-14:
+    if not denom > 0.0:
         return np.full(2 * n, 1e3), np.zeros((2 * n, len(x)))
     s = complex(np.sum(np.conj(coupled) * comp)) / denom
     diff = comp - s * coupled

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -228,62 +229,50 @@ def _rotation_candidates(table_a, table_b, angle_tol: float):
     k1, u1, _ = table_a[i]
     k2, u2, _ = table_a[l]
     fa = _frame_from_pair(u1, u2)
-    for kb1, v1, _ in table_b:
-        if kb1 != k1:
+    heads1 = [v for k, v, _ in table_b if k == k1]
+    heads2 = [v for k, v, _ in table_b if k == k2]
+    signs = (1.0, -1.0)
+    for v1, v2, s1, s2 in itertools.product(heads1, heads2, signs, signs):
+        w1, w2 = s1 * v1, s2 * v2
+        angb = math.acos(max(-1.0, min(1.0, float(np.dot(w1, w2)))))
+        if abs(angb - ang) > max(1e-4, 10 * angle_tol):
             continue
-        for kb2, v2, _ in table_b:
-            if kb2 != k2:
-                continue
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    w1, w2 = s1 * v1, s2 * v2
-                    angb = math.acos(max(-1.0, min(1.0, float(np.dot(w1, w2)))))
-                    if abs(angb - ang) > max(1e-4, 10 * angle_tol):
-                        continue
-                    fb = _frame_from_pair(w1, w2)
-                    if fb is None:
-                        continue
-                    yield fb @ fa.T
+        fb = _frame_from_pair(w1, w2)
+        if fb is not None:
+            yield fb @ fa.T
 
 
 def _match_constellations(rot: np.ndarray, table_a, table_b, tol: float):
-    """Greedy per-rank matching of rotated A axes onto B axes.
-
-    Returns matched (rotated_a, signed_b) vector pairs, or None.
-    """
-    by_rank: dict[int, list[tuple[np.ndarray, int]]] = {}
-    for k, v, mult in table_b:
-        by_rank.setdefault(k, []).append((v, mult))
+    """Greedy matching of A's axes, turned by ``rot``, onto B's: each A axis,
+    in table order, takes the first free B axis of its rank and multiplicity
+    within ``tol`` as a line.  Returns (A vector, the B head nearest the
+    turned one, multiplicity) triples, or None."""
+    free = list(range(len(table_b)))
     pairs = []
-    consumed: dict[int, set] = {}
     for k, v, mult in table_a:
         rv = rot @ v
-        candidates = by_rank.get(k, [])
-        found = False
-        for idx, (w, wmult) in enumerate(candidates):
-            if idx in consumed.setdefault(k, set()):
+        for idx in free:
+            kb, w, mb = table_b[idx]
+            if kb != k or mb != mult:
                 continue
             dot = float(np.dot(rv, w))
-            if wmult == mult and math.acos(min(1.0, abs(dot))) <= tol:
-                consumed[k].add(idx)
-                head = w if dot >= 0.0 else -w
-                pairs.append((rv, head, mult))
-                found = True
+            if math.acos(min(1.0, abs(dot))) <= tol:
+                free.remove(idx)
+                pairs.append((v, w if dot >= 0.0 else -w, mult))
                 break
-        if not found:
+        else:
             return None
     return pairs
 
 
-def _kabsch_refine(rot: np.ndarray, pairs) -> np.ndarray:
-    a = np.array([rot.T @ rv for rv, _, _ in pairs])  # original A directions
-    b = np.array([w for _, w, _ in pairs])
-    weights = np.array([m for _, _, m in pairs], dtype=float)
+def _kabsch(pairs) -> np.ndarray:
+    """The rotation best mapping each A vector of ``pairs`` onto its B head,
+    weighted by multiplicity."""
+    a, b, weights = map(np.array, zip(*pairs))
     h = (a * weights[:, None]).T @ b
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
-    refined = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return refined
+    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
 
 
 def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
@@ -323,9 +312,8 @@ def _find_witness(
         pairs = _match_constellations(rot, table_a, table_b, 100 * witness_tol)
         if pairs is None:
             continue
-        refined = _kabsch_refine(rot, pairs)
-        pairs = _match_constellations(refined, table_a, table_b, witness_tol)
-        if pairs is None:
+        refined = _kabsch(pairs)
+        if _match_constellations(refined, table_a, table_b, witness_tol) is None:
             continue
         angles = euler_zyz_from_matrix(refined)
         rotated = rotate_density(rho_a, angles)

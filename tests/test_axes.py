@@ -71,6 +71,11 @@ def _vector(theta, phi):
                      math.cos(theta)])
 
 
+def _random_unit_vectors(k):
+    v = np.random.default_rng(5).normal(size=(k, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
 def _points_close(got, expected, tol=1e-7):
     assert got.shape == (len(expected), 3)
     for p, (theta, phi) in zip(got, expected):
@@ -345,6 +350,21 @@ class TestFitRk:
         z = Axis.from_vector(np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             fit_rk(t.rank_components(2), ((z, 1),))
+
+    @pytest.mark.parametrize("k", [36, 40])
+    def test_small_axis_tensor_still_fits(self, k):
+        # the axis tensor of k random unit vectors has a squared norm below
+        # 1e-15 here: small, but no product of axis quadratics vanishes
+        v = _random_unit_vectors(k)
+        r, residual = fit_rk(0.37 * axis_tensor(v), tuple((Axis.from_vector(u), 1) for u in v))
+        assert r == pytest.approx(0.37, rel=1e-12)
+        assert residual <= 1e-20
+
+    def test_zero_vector_is_refused(self):
+        with pytest.raises(DegenerateFitError):
+            fit_rk(np.ones(3, dtype=complex), ((Axis((0.0, 0.0, 0.0)), 1),))
+        f, jac = _fit_residual(np.zeros(3), [2], np.ones(5, dtype=complex))
+        assert np.all(f == 1e3) and not np.any(jac)
 
 
 class TestInvariantsAndRigidity:
@@ -835,6 +855,15 @@ class TestRefineAxes:
             v = _vector(theta, phi)
             assert min(_line_angle(axis.unit_vector, v) for axis, n in refined
                        if n == mult) <= 1e-10
+
+    @pytest.mark.parametrize("k", [36, 40])
+    def test_refines_a_small_axis_tensor(self, k):
+        # every component of every axis 1e-6 off: the fit starts near 1e-15
+        v = _random_unit_vectors(k)
+        comp = 0.37 * axis_tensor(v)
+        start = tuple((Axis.from_vector(u + 1e-6), 1) for u in v)
+        assert fit_rk(comp, start)[1] > 1e-16
+        assert fit_rk(comp, _refine_axes(comp, start))[1] <= 1e-20
 
     def test_fit_through_the_pole(self):
         # a double axis 1e-5 rad from z, started on the far side of the pole:

@@ -39,6 +39,7 @@ from multiaxial.states import (
     pure_to_density,
     rotate_density,
 )
+from test_properties import majorana_state, random_points
 
 
 def _h(x):
@@ -386,6 +387,35 @@ class TestOnePassDecision:
         assert result.reason == "witness rotation maps the constellations and the density matrices"
 
 
+class TestChiralPairs:
+    """A chiral state and its complex conjugate, whose Majorana points are
+    reflected (y -> -y): every invariant agrees, but no rotation maps one
+    onto the other, so the Kabsch rotation of each candidate fails the
+    density check."""
+
+    TURN = EulerAngles(0.9, 2.2, 4.1)
+
+    def _assert_no_witness_to_the_conjugate(self, rho):
+        conj = DensityMatrix(rho.j, rho.matrix.conj())
+        for other in (conj, rotate_density(conj, self.TURN)):
+            result = lu_equivalent(rho, other)
+            assert result.verdict == "fingerprint-match-only", result.reason
+            assert result.reason == "invariants agree but no single witness rotation was found"
+            assert result.witness is None
+
+    @pytest.mark.parametrize("twice_j", [3, 5, 8, 12])
+    def test_pure(self, twice_j):
+        points = random_points(np.random.default_rng(twice_j), twice_j)
+        self._assert_no_witness_to_the_conjugate(
+            pure_to_density(majorana_state(points, [1] * twice_j)))
+
+    @pytest.mark.parametrize("twice_j", [3, 6, 10])
+    def test_mixed(self, twice_j):
+        rng = np.random.default_rng(twice_j)
+        self._assert_no_witness_to_the_conjugate(
+            DensityMatrix(HalfInteger(twice_j), _random_density(rng, twice_j + 1)))
+
+
 class TestHighMultiplicity:
     """m-fold axes whose roots scatter wider than the 1e-2 clustering (m >= 7)."""
 
@@ -436,6 +466,18 @@ class TestHighMultiplicity:
         rho = rotate_density(pure_to_density(make_ghz(19)), EulerAngles(1.0, 1e-7, 0.0))
         result = lu_equivalent(rho, rotate_density(rho, EulerAngles(0.0, 0.0, 0.0)))
         assert result.verdict == "equivalent", result.reason
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: 1e-7 rad off z, the z-axis trimming reads rank 12 of "
+        "W 2j = 13 as D^12_11,1 and rank 13 of coherent 2j = 20 as D^13_12,1"))
+    @pytest.mark.parametrize("twice_j, build", [
+        (13, make_w), (20, lambda n: make_coherent(HalfInteger(n), 0.0, 0.0)),
+    ], ids=["w-13", "coherent-20"])
+    def test_tilted_off_z_equivalent_to_turned_copies(self, twice_j, build):
+        rho = rotate_density(pure_to_density(build(twice_j)), EulerAngles(1.0, 1e-7, 0.3))
+        for g in (EulerAngles(0.9, 2.2, 4.1), EulerAngles(0.0, 0.0, 0.0)):
+            result = lu_equivalent(rho, rotate_density(rho, g))
+            assert result.verdict == "equivalent", result.reason
 
     @pytest.mark.xfail(strict=True, raises=DegenerateFitError, reason=(
         "ROADMAP item 2: rank 15 of this two-coherent 2j = 20 mixture fits no "

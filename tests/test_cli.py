@@ -22,6 +22,7 @@ from multiaxial.states import (
     read_state,
     write_state,
 )
+from test_properties import majorana_state, random_points
 
 
 @pytest.fixture
@@ -74,6 +75,14 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["signature"] == "{}"
         assert all(not r["present"] for r in doc["ranks"])
+
+    def test_mixed_higher_spin_separability_undetermined(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        write_state(path, DensityMatrix(HalfInteger(3), np.diag([0.4, 0.3, 0.2, 0.1])))
+        assert main(["analyze", str(path)]) == 0
+        separability = json.loads(capsys.readouterr().out)["separability"]
+        assert separability["method"] == "undetermined"
+        assert separability["separable"] is None
 
     def test_deterministic_output(self, ghz3_file, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -144,7 +153,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol-angle", "-1"), ("--tol-angle", "nan"), ("--tol-angle", "inf"),
-        ("--tol-zero", "nan"), ("--tol-zero", "-1"), ("--tol-zero", "0"),
+        ("--tol-angle", "abc"), ("--tol-zero", "nan"), ("--tol-zero", "-1"), ("--tol-zero", "0"),
     ])
     def test_bad_tolerance_named_exit_1(self, ghz3_file, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +226,17 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "inequivalent"
 
+    def test_chiral_pair_fingerprint_match_only(self, tmp_path, capsys):
+        # a chiral state and its complex conjugate: equal invariants, no witness
+        points = random_points(np.random.default_rng(5), 5)
+        rho = pure_to_density(majorana_state(points, [1] * 5))
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        write_state(path_a, rho)
+        write_state(path_b, DensityMatrix(rho.j, rho.matrix.conj()))
+        assert main(["compare", str(path_a), str(path_b)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "fingerprint-match-only"
+
     def test_spin_mismatch_exit_1(self, ghz3_file, tmp_path):
         other = tmp_path / "ghz4.json"
         write_state(other, pure_to_density(make_ghz(4)))
@@ -247,6 +267,23 @@ class TestGenerate:
         assert main(["generate", str(spec), "--out", str(out)]) == 0
         rho = read_state(out)
         assert np.allclose(rho.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
+
+    def test_outside_psd_range_warns_and_writes(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "uniaxial",
+                                    "params": {"r1": 0.9, "theta1": 0.3, "phi1": 0.0}}))
+        out = tmp_path / "state.json"
+        assert main(["generate", str(spec), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert read_state(out).j == HalfInteger(2)
+
+    def test_spec_not_json_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{not json")
+        assert main(["generate", str(spec)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read family spec: ")
 
     def test_invalid_family_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -378,6 +415,17 @@ class TestSweep:
     def test_bad_spec_exit_1(self):
         assert main(["sweep", "--family", "uniaxial",
                      "--vary", "r1=0.1-0.5-3"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--vary", "r1=0.1:0.5:1", "--fix", "theta1=0", "--fix", "phi1=0"],
+        ["--vary", "r1=0.1:0.5:3", "--fix", "theta1", "--fix", "phi1=0"],
+    ], ids=["one-step", "fix-without-value"])
+    def test_bad_grid_or_assignment_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "uniaxial", *argv, "--out", str(out)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad sweep specification: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--family", "ghz", "--vary", "N=2:3:3"],
