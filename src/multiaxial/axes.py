@@ -589,10 +589,10 @@ def _sylvester_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return index, weights, scale
 
 
-def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> np.ndarray | None:
-    """The axes of the rank-k polynomial ``coeffs`` (ascending, formal degree
-    2k) as unit lines, one per row, an m-fold axis as m equal rows, when it
-    has a multiple root; else None.
+def root_structure(items) -> list[np.ndarray]:
+    """For each (coeffs, k, start) of ``items``, the axes of the rank-k polynomial
+    ``coeffs`` (ascending, formal degree 2k) as unit lines, one per row, an
+    m-fold axis as m equal rows, when it has a multiple root; else no rows.
 
     Stage 1 of Z. Zeng, "Computing multiple roots of inexact polynomials",
     Math. Comp. 74 (2005) 869.  With u = gcd(p, p'), p = u v and p' = u w,
@@ -608,39 +608,56 @@ def root_structure(coeffs: np.ndarray, k: int, start: int = 1) -> np.ndarray | N
     nearest antipode, which has the same multiplicity, and each axis takes
     the mean of the two estimates.  The first d whose axis
     multiplicities lie within ``MULTIPLICITY_TOL`` of positive integers
-    that add up to k, not all 1, gives the structure.
+    that add up to k, not all 1, gives the structure.  The items sweep d in
+    lockstep, each with its own matrix and SVD; the singular ones of a step
+    share one ``_stacked_roots`` call for v and one ``_horner`` pass for
+    w / v', zero-padded and bit for bit as alone.
     """
-    n = 2 * k
-    deriv = coeffs[1:] * np.arange(1, n + 1)
-    stacked = np.concatenate([deriv, [0], -np.append(coeffs, 0)])
-    noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(n))
-    for d in range(min(start, n), n):
-        index, weights, scale = _sylvester_table(n, d)
-        _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
-        if sv[-1] > noise * sv[0]:
-            continue
-        null = vh[-1].conj() * weights
-        v, w = null[: d + 1], null[d + 1:]
-        roots = np.roots(v[::-1])
-        dv = v[1:] * np.arange(1, d + 1)
-        # an overflow far out gives nan, which counts as multiplicity 0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            num, den = _horner(np.stack([w[::-1], dv[::-1]], axis=1)[:, :, None], roots)
-            estimates = num / den
-        keep = np.abs(estimates) > 0.5
-        roots, estimates = roots[keep], estimates[keep]
-        if len(roots) % 2:  # the antipode of the root nearest 0 lies at infinity
-            i = np.argmin(np.abs(roots))
-            roots, estimates = np.append(roots, np.inf), np.append(estimates, estimates[i])
-        u = _root_vectors(roots)
-        heads, tails = np.array(_antipodal_pairs(u, math.inf), dtype=int).reshape(-1, 2).T
-        mults = 0.5 * (estimates[heads] + estimates[tails])
-        counts = np.rint(np.real(mults))
-        if (np.all(np.abs(mults - counts) <= MULTIPLICITY_TOL)
-                and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
-            lines = u[heads] - u[tails]
-            return np.repeat(lines / _row_norms(lines)[:, None], counts.astype(int), axis=0)
-    return None
+    out = [np.zeros((0, 3)) for _ in items]
+    sweeps = []  # (item, k, p' and -p stacked for the gather, noise level, d)
+    for i, (coeffs, k, start) in enumerate(items):
+        deriv = coeffs[1:] * np.arange(1, 2 * k + 1)
+        noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(2 * k))
+        if start < 2 * k:
+            sweeps.append((i, k, np.concatenate([deriv, [0], -np.append(coeffs, 0)]), noise, start))
+    while sweeps:
+        singular = []
+        for i, k, stacked, noise, d in sweeps:
+            index, weights, scale = _sylvester_table(2 * k, d)
+            _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
+            if not sv[-1] > noise * sv[0]:
+                singular.append((i, k, d, vh[-1].conj() * weights))
+        if singular:
+            width = max(d for _, _, d, _ in singular)
+            v_desc = np.zeros((len(singular), width + 1), dtype=complex)
+            columns = np.zeros((width, 2, len(singular), 1), dtype=complex)  # w and v', descending
+            for row, (_, _, d, null) in enumerate(singular):
+                v, w = null[: d + 1], null[d + 1:]
+                v_desc[row, width - d:] = v[::-1]
+                dv = v[1:] * np.arange(1, d + 1)
+                columns[width - d:, :, row, 0] = np.stack([w[::-1], dv[::-1]], axis=1)
+            roots, live = _stacked_roots(v_desc)
+            # an overflow far out gives nan, which counts as multiplicity 0
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                num, den = _horner(columns, roots)
+                estimates = num / den
+            for (i, k, _, _), z, est, mask in zip(singular, roots, estimates, live):
+                keep = mask & (np.abs(est) > 0.5)
+                z, est = z[keep], est[keep]
+                if len(z) % 2:  # the antipode of the root nearest 0 lies at infinity
+                    nearest = np.argmin(np.abs(z))
+                    z, est = np.append(z, np.inf), np.append(est, est[nearest])
+                u = _root_vectors(z)
+                heads, tails = np.array(_antipodal_pairs(u, math.inf), dtype=int).reshape(-1, 2).T
+                mults = 0.5 * (est[heads] + est[tails])
+                counts = np.rint(np.real(mults))
+                if (np.all(np.abs(mults - counts) <= MULTIPLICITY_TOL)
+                        and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
+                    lines = u[heads] - u[tails]
+                    out[i] = np.repeat(lines / _row_norms(lines)[:, None], counts.astype(int), axis=0)
+        sweeps = [(i, k, stacked, noise, d + 1) for i, k, stacked, noise, d in sweeps
+                  if d + 1 < 2 * k and not len(out[i])]
+    return out
 
 
 def solve_axes(
@@ -649,12 +666,13 @@ def solve_axes(
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
     roots: RankRoots | None = None,
+    structure: np.ndarray | None = None,
 ) -> RankDecomposition:
     """Find the k axes and the invariant scalar r_k of one rank.
 
-    ``roots`` is this rank's entry of ``rank_roots(t, ...)`` when the caller
-    has run the root stage over several ranks; without it the stage runs
-    for this rank alone.
+    ``roots`` and ``structure`` are this rank's entries of ``rank_roots(t,
+    ...)`` and ``_structures(t, ...)`` when the caller has run those stages
+    over several ranks; without them they run for this rank alone.
 
     The axes are proposed as lines with multiplicity: from the structure
     stage when some root is ill conditioned (``root_structure``), then
@@ -668,9 +686,11 @@ def solve_axes(
         (roots,) = rank_roots(t, [k], zero_tol)
     if roots.vectors is None:
         return RankDecomposition(k, 0.0, ())
+    if structure is None and roots.ill:
+        structure = _structures(t, {k: roots})[k]
     comp = t.rank_components(k)
     gate = pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR
-    for lines, settled in _proposals(t, k, roots, _antipode_within(k, pair_tol)):
+    for lines, settled in _proposals(k, roots, structure, _antipode_within(k, pair_tol)):
         axes = _ordered_axis_list(*cluster_directions(lines, pair_tol))
         r_k, residual = fit_rk(comp, axes)
         if residual > GATE_FLOOR:
@@ -690,15 +710,21 @@ def _antipode_within(k: int, pair_tol: float) -> float:
     return max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
 
 
-def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, within: float):
+def _structures(t: SphericalTensorSet, stage: dict[int, RankRoots]) -> dict[int, np.ndarray]:
+    """Rank -> ``root_structure`` lines of every rank of ``stage`` with an ill
+    root, from one call; each sweep starts above the rank's other roots."""
+    ill = [k for k, roots in stage.items() if roots.ill]
+    return dict(zip(ill, root_structure(
+        [(mar_polynomial(t, k), k, len(stage[k].vectors) - stage[k].ill + 1) for k in ill])))
+
+
+def _proposals(k: int, roots: RankRoots, structure: np.ndarray | None, within: float):
     """The structure stage's lines, when some root is ill conditioned and the
     stage finds a multiple root, then the lines of the roots themselves; each
     an array with one unit line per row, paired with whether a fit to it
     counts as settled (``RankDecomposition.settled``)."""
-    if roots.ill:
-        lines = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
-        if lines is not None:
-            yield lines, True
+    if roots.ill and len(structure):
+        yield structure, True
     vectors = roots.vectors
     pairs = _antipodal_pairs(vectors, within)
     unpaired = [vectors[i] for i, j in pairs if j is None]
@@ -716,24 +742,37 @@ def solve_all_axes(
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
 ) -> list[RankDecomposition]:
-    """``solve_axes`` of every rank k = 1 .. 2j, from one root stage.
+    """``solve_axes`` of every rank k = 1 .. 2j, from one root stage and one
+    structure stage (``_structures``) over all ranks.
 
-    The ranks whose axes are their roots' own lines (``_simple_axes``) are
-    fitted from one array pass; the rest, and any whose first fit leaves a
-    residual above ``GATE_FLOOR``, go to ``solve_axes``.  Each entry equals
-    what ``solve_axes`` returns for its rank alone.
+    Absent ranks are settled here, and so are the ranks whose axes are their
+    roots' own lines (``_simple_axes``), those whose every root was trimmed
+    to a z axis (one k-fold axis on z) and those where the structure stage
+    found a multiple root, when that first proposal fits within
+    ``GATE_FLOOR`` (``solve_axes`` would neither refine nor reject it).  The
+    rest go to ``solve_axes`` with their roots and structure.  Each entry
+    equals its rank's ``solve_axes``.
     """
     ranks = range(1, t.max_rank + 1)
     stage = rank_roots(t, ranks, zero_tol)
+    structure = _structures(t, dict(zip(ranks, stage)))
     simple = _simple_axes(ranks, stage, pair_tol)
     out = []
     for k, roots in zip(ranks, stage):
-        if k in simple:
-            r_k, residual = fit_rk(t.rank_components(k), simple[k])
-            if residual <= GATE_FLOOR:  # solve_axes would neither refine nor reject it
-                out.append(RankDecomposition(k, r_k, simple[k], residual))
+        if roots.vectors is None:  # absent, as solve_axes returns it
+            out.append(RankDecomposition(k, 0.0, ()))
+            continue
+        first = simple.get(k)
+        if not len(roots.vectors):  # z_axes == k
+            first = ((Axis((0.0, 0.0, 1.0)), k),)
+        elif len(structure.get(k, ())):
+            first = _ordered_axis_list(*cluster_directions(structure[k], pair_tol))
+        if first:
+            r_k, residual = fit_rk(t.rank_components(k), first)
+            if residual <= GATE_FLOOR:
+                out.append(RankDecomposition(k, r_k, first, residual))
                 continue
-        out.append(solve_axes(t, k, zero_tol=zero_tol, pair_tol=pair_tol, roots=roots))
+        out.append(solve_axes(t, k, zero_tol, pair_tol, roots=roots, structure=structure.get(k)))
     return out
 
 

@@ -183,12 +183,13 @@ def _complex_to_json(z: complex) -> dict:
 
 
 def _complex_from_json(obj) -> complex:
+    parts = (obj.get("re"), obj.get("im", 0.0)) if isinstance(obj, dict) else (obj, 0.0)
+    # JSON numbers only: a bool is an int, and float() would read a string
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise StateFormatError(f"malformed complex entry: {obj!r}")
     try:
-        if isinstance(obj, (int, float)):
-            z = complex(obj)
-        else:
-            z = complex(float(obj["re"]), float(obj.get("im", 0.0)))
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        z = complex(float(parts[0]), float(parts[1]))
+    except OverflowError as exc:  # an integer beyond the float range
         raise StateFormatError(f"malformed complex entry: {obj!r}") from exc
     if not cmath.isfinite(z):
         raise StateFormatError(f"non-finite complex entry: {obj!r}")

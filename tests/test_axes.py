@@ -715,7 +715,7 @@ class TestRootStage:
 
     def test_solve_axes_alone_equals_solve_all_axes(self, monkeypatch):
         deferred = _count_solve_axes(monkeypatch)
-        for name, t in _root_stage_states(family_twojs=(3, 8, 12)):
+        for name, t in _root_stage_states(family_twojs=(3, 8, 12, 20)):
             together = solve_all_axes(t)
             for k in range(1, t.max_rank + 1):
                 assert solve_axes(t, k) == together[k - 1], (name, k)
@@ -749,6 +749,50 @@ class TestRootStage:
             stage = rank_roots(t, ranks)
             assert stage[k - 1].ill == 0
             assert k not in _simple_axes(ranks, stage, PAIR_TOL)
+
+    def test_lockstep_structure_stage_equals_one_call_per_rank(self, monkeypatch):
+        # every present rank from trial degree 1 and again from k, so that a
+        # step meets v of different degrees, zero-padded to one stack
+        stacks = []
+
+        def recording(coeffs):
+            stacks.append(coeffs)
+            return _stacked_roots(coeffs)
+
+        monkeypatch.setattr(axes_module, "_stacked_roots", recording)
+        states = [(name, t) for name, t in _root_stage_states(family_twojs=range(2, 21))
+                  if not name.startswith(("mixed", "pure"))]
+        # ill roots and no multiple root: each sweep runs to d = 2k - 1
+        states += [(name, t) for name, t, _ in _deferring_inputs() if name.startswith("two-coherent")]
+        found = 0
+        for name, t in states:
+            ks = [k for k in range(1, t.max_rank + 1)
+                  if np.max(np.abs(t.rank_components(k))) >= ZERO_TOL]
+            items = [(mar_polynomial(t, k), k, start) for k in ks for start in (1, k)]
+            together = root_structure(items)
+            for item, lines in zip(items, together):
+                (alone,) = root_structure([item])
+                assert lines.shape == alone.shape and lines.tobytes() == alone.tobytes(), (name, item[1:])
+                found += len(lines) > 0
+        padded = sum(int(np.count_nonzero(c[:, 0] == 0.0)) for c in stacks)
+        assert found > 2000 and padded > 2000
+
+    @pytest.mark.parametrize("name", ["coherent-turned", "w", "dicke"])
+    def test_family_state_calls_solve_axes_for_no_rank(self, monkeypatch, name):
+        # every rank of a turned coherent state is one k-fold axis read by the
+        # structure stage; every present rank of an aligned W or Dicke state
+        # is trimmed to a k-fold z axis
+        j = HalfInteger(20)
+        psi = {"coherent-turned": rotate_pure(make_coherent(j, 0.7, 1.3), EulerAngles(0.4, 1.1, 2.3)),
+               "w": make_w(20), "dicke": make_dicke(j, HalfInteger(0))}[name]
+        t = extract_tensors(pure_to_density(psi))
+        deferred = _count_solve_axes(monkeypatch)
+        together = solve_all_axes(t)
+        assert deferred == []
+        for k, decomp in enumerate(together, 1):
+            assert decomp == solve_axes(t, k), k
+            assert [m for _, m in decomp.axes] in ([k], []), k
+        assert sum(decomp.present for decomp in together) >= 10
 
     def test_generic_state_calls_solve_axes_for_no_rank(self, monkeypatch):
         deferred = _count_solve_axes(monkeypatch)
@@ -941,10 +985,10 @@ class TestRootStructure:
             for k in range(2, twoj + 1):
                 if np.max(np.abs(t.rank_components(k))) < ZERO_TOL:
                     continue
-                lines = root_structure(mar_polynomial(t, k), k)
+                (lines,) = root_structure([(mar_polynomial(t, k), k, 1)])
                 if psi is ghz and k == twoj:
                     if twoj % 2:
-                        assert lines is None
+                        assert lines.shape == (0, 3)
                         continue
                     expected = majorana_roots(psi) @ turn.T
                 else:
@@ -957,7 +1001,7 @@ class TestRootStructure:
         rho = g @ g.conj().T
         t = extract_tensors(DensityMatrix(HalfInteger(11), rho / np.trace(rho).real))
         for k in range(1, 12):
-            assert root_structure(mar_polynomial(t, k), k) is None
+            assert root_structure([(mar_polynomial(t, k), k, 1)])[0].shape == (0, 3)
 
     @pytest.mark.parametrize("mults", [(1, 2), (2, 1), (3, 1, 1), (1, 2, 2)])
     def test_axis_on_z_takes_the_root_at_infinity(self, mults):
@@ -968,7 +1012,7 @@ class TestRootStructure:
         vectors = np.repeat(axes, mults, axis=0)
         coeffs = (axis_tensor(vectors) * _sqrt_binomials(2 * len(vectors)))[::-1]  # as mar_polynomial
         assert coeffs[-1] == 0.0
-        _assert_lines_on(root_structure(coeffs, len(vectors)), vectors)
+        _assert_lines_on(root_structure([(coeffs, len(vectors), 1)])[0], vectors)
 
     @pytest.mark.parametrize("k", [4, 9])
     def test_start_beyond_the_distinct_roots(self, k):
@@ -980,8 +1024,8 @@ class TestRootStructure:
         coeffs = mar_polynomial(t, k)
         expected = np.tile(_zyz(g) @ _vector(0.7, 1.3), (k, 1))
         for start in range(1, 2 * k):
-            _assert_lines_on(root_structure(coeffs, k, start), expected)
-        assert root_structure(coeffs, k, 2 * k) is None
+            _assert_lines_on(root_structure([(coeffs, k, start)])[0], expected)
+        assert root_structure([(coeffs, k, 2 * k)])[0].shape == (0, 3)
 
 
 class TestSylvesterMatrix:
@@ -1002,7 +1046,7 @@ class TestSylvesterMatrix:
         for k in range(1, 21):
             coeffs = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
             seen.clear()
-            assert root_structure(coeffs, k) is None
+            assert root_structure([(coeffs, k, 1)])[0].shape == (0, 3)
             assert len(seen) == 2 * k - 1
             for d, matrix in enumerate(seen, 1):
                 reference = sylvester_matrix_reference(coeffs, d)

@@ -139,9 +139,14 @@ class TestAnalyze:
         '{"j": "1/2", "amplitudes": [{"re": "abc"}, 0]}',
         '{"j": "1/2", "amplitudes": [1' + "0" * 400 + ', 0]}',
         '\xff\xfe{"j": "1/2", "amplitudes": [1, 0]}',
+        '{"j": "1/2", "amplitudes": [{"re": true}, 0]}',
+        '{"j": "1/2", "amplitudes": [{"re": "1"}, 0]}',
+        '{"j": "1/2", "amplitudes": [true, 0]}',
+        '{"j": "1/2", "matrix": [[true, 0], [0, false]]}',
     ], ids=["j-bool", "j-null", "j-list", "j-infinite", "ragged-matrix", "matrix-number",
             "matrix-of-numbers", "amplitudes-number", "amplitudes-object", "entry-string",
-            "entry-overflow", "not-utf8"])
+            "entry-overflow", "not-utf8", "entry-re-bool", "entry-re-numeric-string",
+            "entry-bool", "matrix-entry-bool"])
     def test_malformed_state_file_one_error_line_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_bytes(text.encode("latin-1"))

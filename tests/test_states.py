@@ -239,3 +239,15 @@ class TestStateFiles:
         # with ">"; the entry itself is rejected
         with pytest.raises(StateFormatError, match="non-finite"):
             state_from_json(doc)
+
+    @pytest.mark.parametrize("entry", [
+        {"re": True}, {"re": "1"}, {"re": 1.0, "im": False}, {"re": 1.0, "im": "0"}, {"im": 0.0},
+        True, "1", None,
+    ], ids=["re-bool", "re-string", "im-bool", "im-string", "no-re", "bool", "string", "null"])
+    def test_rejects_entries_that_are_not_json_numbers(self, entry):
+        # a bool is an int to Python and float() reads a numeric string, so
+        # both would otherwise pass as the number 1
+        for doc in ({"j": "1/2", "amplitudes": [entry, 0.0]},
+                    {"j": "1/2", "matrix": [[entry, 0.0], [0.0, 0.0]]}):
+            with pytest.raises(StateFormatError, match="malformed complex entry"):
+                state_from_json(doc)
