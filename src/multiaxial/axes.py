@@ -496,22 +496,31 @@ class RankRoots(NamedTuple):
 
 
 def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list[RankRoots]:
-    """Root stage of ``solve_axes`` for several ranks at once.
+    """Root stage of ``solve_axes`` for several ranks of one tensor set, as
+    ``_root_stage`` runs it for many."""
+    (stage,) = _root_stage([(t, ranks)], zero_tol)
+    return stage
 
-    Each present rank's MAR polynomial loses its matched roots at 0 and
-    infinity (z axes) and has its other roots found (``_stacked_roots``) and
-    polished in one pass over all ranks, then placed on the sphere as unit
-    vectors.
-    """
-    ks = np.asarray(ranks, dtype=int)
-    if not len(ks):
-        return []
-    if ks.min() < 1 or ks.max() > t.max_rank:
-        raise ValueError(f"ranks {ks.tolist()} not all within 1..2j = {t.max_rank}")
-    width = 2 * int(ks.max()) + 1
-    index, weights = _mar_table(t.max_rank)
-    comp = np.concatenate([*t.ranks, [0.0]])[index[ks - 1, -width:]]
-    coeffs = weights[ks - 1, -width:] * comp
+
+def _root_stage(requests, zero_tol: float) -> list[list[RankRoots]]:
+    """``rank_roots`` of each (tensor set, ranks) of ``requests`` in one pass
+    over all their rows, each set's gathered with its own ``_mar_table`` and
+    right-aligned to the widest rank with zeros before.  Each present rank's
+    MAR polynomial loses its matched roots at 0 and infinity (z axes) and has
+    its other roots found (``_stacked_roots``) and polished, then placed on
+    the sphere as unit vectors."""
+    sets = [t for t, ranks in requests for _ in ranks]
+    ks = np.array([k for _, ranks in requests for k in ranks], dtype=int)
+    bounds = np.cumsum([0, *(len(ranks) for _, ranks in requests)]).tolist()
+    width = 2 * int(ks.max(initial=0)) + 1
+    comp, coeffs = np.zeros((2, len(ks), width), dtype=complex)
+    for (t, _), start, stop in zip(requests, bounds, bounds[1:]):
+        own, w = ks[start:stop], min(width, 2 * t.max_rank + 1)
+        if len(own) and (own.min() < 1 or own.max() > t.max_rank):
+            raise ValueError(f"ranks {own.tolist()} not all within 1..2j = {t.max_rank}")
+        index, weights = _mar_table(t.max_rank)
+        comp[start:stop, -w:] = np.concatenate([*t.ranks, [0.0]])[index[own - 1, -w:]]
+        coeffs[start:stop, -w:] = weights[own - 1, -w:] * comp[start:stop, -w:]
     # an all-zero rank is absent even at zero_tol = 0; NaN counts as present
     peak = np.max(np.abs(comp), axis=1)
     present = ~(peak < zero_tol) & (peak != 0.0)
@@ -525,31 +534,31 @@ def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list
     stage = [RankRoots(s, np.zeros((0, 3))) if p else RankRoots(0, None)
              for s, p in zip(stripped.tolist(), present.tolist())]
     rows = np.flatnonzero(present & (stripped < ks))
-    if not len(rows):
-        return stage
-    # the trimmed polynomials, right-aligned in rows as long as the longest
-    cut = stripped[rows, None]
-    size = 2 * (ks[rows, None] - cut) + 1
-    slots = np.arange(int(size.max()))
-    source = np.maximum(slots + (width - len(slots)) - cut, 0)
-    trimmed = np.where(slots >= len(slots) - size,
-                       np.take_along_axis(coeffs[rows], source, axis=1), 0.0)
-    roots, live = _stacked_roots(trimmed)
-    best, slopes = _polish_roots(trimmed, roots, live)
-    counts = np.sum(live, axis=1)
-    z = best[live]
-    # inf or nan (|p'| = 0, or an overflow far out) counts as ill
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cond = (np.repeat([np.linalg.norm(t.ranks[k]) for k in ks[rows].tolist()], counts)
-                * (1.0 + np.abs(z) ** 2) ** (0.5 * np.repeat(counts, counts) - 0.5)
-                / slopes[live])
-    starts = np.cumsum([0, *counts[:-1]])
-    ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
-    for i, v, n_ill in zip(rows.tolist(), np.split(_root_vectors(z), starts[1:]), ill.tolist()):
-        # the trimming may have cut a multiple axis near z in two, so
-        # what it left all counts as ill
-        stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else n_ill)
-    return stage
+    if len(rows):
+        # the trimmed polynomials, right-aligned in rows as long as the longest
+        cut = stripped[rows, None]
+        size = 2 * (ks[rows, None] - cut) + 1
+        slots = np.arange(int(size.max()))
+        source = np.maximum(slots + (width - len(slots)) - cut, 0)
+        trimmed = np.where(slots >= len(slots) - size,
+                           np.take_along_axis(coeffs[rows], source, axis=1), 0.0)
+        roots, live = _stacked_roots(trimmed)
+        best, slopes = _polish_roots(trimmed, roots, live)
+        counts = np.sum(live, axis=1)
+        z = best[live]
+        norms = [np.linalg.norm(sets[i].ranks[k]) for i, k in zip(rows.tolist(), ks[rows].tolist())]
+        # inf or nan (|p'| = 0, or an overflow far out) counts as ill
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cond = (np.repeat(norms, counts)
+                    * (1.0 + np.abs(z) ** 2) ** (0.5 * np.repeat(counts, counts) - 0.5)
+                    / slopes[live])
+        starts = np.cumsum([0, *counts[:-1]])
+        ill = np.add.reduceat((~(cond < SIMPLE_ROOT_COND)).astype(int), starts)
+        for i, v, n_ill in zip(rows.tolist(), np.split(_root_vectors(z), starts[1:]), ill.tolist()):
+            # the trimming may have cut a multiple axis near z in two, so
+            # what it left all counts as ill
+            stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else n_ill)
+    return [stage[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 @lru_cache(maxsize=None)
@@ -649,7 +658,9 @@ def root_structure(items) -> list[np.ndarray]:
                     z, est = np.append(z, np.inf), np.append(est, est[nearest])
                 u = _root_vectors(z)
                 heads, tails = np.array(_antipodal_pairs(u, math.inf), dtype=int).reshape(-1, 2).T
-                mults = 0.5 * (est[heads] + est[tails])
+                # an infinite estimate (v' = 0 at a root) gives nan, which fails below
+                with np.errstate(invalid="ignore"):
+                    mults = 0.5 * (est[heads] + est[tails])
                 counts = np.rint(np.real(mults))
                 if (np.all(np.abs(mults - counts) <= MULTIPLICITY_TOL)
                         and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
@@ -670,9 +681,9 @@ def solve_axes(
 ) -> RankDecomposition:
     """Find the k axes and the invariant scalar r_k of one rank.
 
-    ``roots`` and ``structure`` are this rank's entries of ``rank_roots(t,
-    ...)`` and ``_structures(t, ...)`` when the caller has run those stages
-    over several ranks; without them they run for this rank alone.
+    ``roots`` and ``structure`` are this rank's entries of the root stage
+    and ``_structures`` when the caller has run those stages over several
+    ranks; without them they run for this rank alone.
 
     The axes are proposed as lines with multiplicity: from the structure
     stage when some root is ill conditioned (``root_structure``), then
@@ -687,7 +698,7 @@ def solve_axes(
     if roots.vectors is None:
         return RankDecomposition(k, 0.0, ())
     if structure is None and roots.ill:
-        structure = _structures(t, {k: roots})[k]
+        structure = _structures([(0, t, k, roots)])[0, k]
     comp = t.rank_components(k)
     gate = pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR
     for lines, settled in _proposals(k, roots, structure, _antipode_within(k, pair_tol)):
@@ -710,12 +721,12 @@ def _antipode_within(k: int, pair_tol: float) -> float:
     return max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
 
 
-def _structures(t: SphericalTensorSet, stage: dict[int, RankRoots]) -> dict[int, np.ndarray]:
-    """Rank -> ``root_structure`` lines of every rank of ``stage`` with an ill
-    root, from one call; each sweep starts above the rank's other roots."""
-    ill = [k for k, roots in stage.items() if roots.ill]
-    return dict(zip(ill, root_structure(
-        [(mar_polynomial(t, k), k, len(stage[k].vectors) - stage[k].ill + 1) for k in ill])))
+def _structures(items) -> dict[tuple, np.ndarray]:
+    """(set, k) -> ``root_structure`` lines of each (set, t, k, roots) of ``items``
+    with an ill root, from one call; each sweep starts above its other roots."""
+    ill = [(s, t, k, roots) for s, t, k, roots in items if roots.ill]
+    return dict(zip([(s, k) for s, _, k, _ in ill], root_structure(
+        [(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1) for _, t, k, roots in ill])))
 
 
 def _proposals(k: int, roots: RankRoots, structure: np.ndarray | None, within: float):
@@ -742,44 +753,54 @@ def solve_all_axes(
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
 ) -> list[RankDecomposition]:
-    """``solve_axes`` of every rank k = 1 .. 2j, from one root stage and one
-    structure stage (``_structures``) over all ranks.
+    """``solve_axes`` of every rank k = 1 .. 2j: ``solve_many_axes`` of one set."""
+    (ranks,) = solve_many_axes([t], zero_tol, pair_tol)
+    return ranks
+
+
+def solve_many_axes(sets, zero_tol: float = ZERO_TOL,
+                    pair_tol: float = PAIR_TOL) -> list[list[RankDecomposition]]:
+    """``solve_all_axes`` of each tensor set of ``sets``, from one root stage
+    (``_root_stage``), one structure stage (``_structures``) and one
+    simple-axes pass over every (set, rank); the sets may differ in spin.
 
     Absent ranks are settled here, and so are the ranks whose axes are their
     roots' own lines (``_simple_axes``), those whose every root was trimmed
     to a z axis (one k-fold axis on z) and those where the structure stage
     found a multiple root, when that first proposal fits within
     ``GATE_FLOOR`` (``solve_axes`` would neither refine nor reject it).  The
-    rest go to ``solve_axes`` with their roots and structure.  Each entry
-    equals its rank's ``solve_axes``.
+    rest go to ``solve_axes`` with their roots and structure, set by set and
+    rank by rank, so an error raised is the first failing set's own.
+    Each entry equals its rank's ``solve_axes``.
     """
-    ranks = range(1, t.max_rank + 1)
-    stage = rank_roots(t, ranks, zero_tol)
-    structure = _structures(t, dict(zip(ranks, stage)))
-    simple = _simple_axes(ranks, stage, pair_tol)
-    out = []
-    for k, roots in zip(ranks, stage):
+    stages = _root_stage([(t, range(1, t.max_rank + 1)) for t in sets], zero_tol)
+    items = [(s, t, k, roots) for s, (t, stage) in enumerate(zip(sets, stages))
+             for k, roots in enumerate(stage, 1)]
+    structure = _structures(items)
+    simple = _simple_axes(items, pair_tol)
+    out = [[] for _ in sets]
+    for s, t, k, roots in items:
         if roots.vectors is None:  # absent, as solve_axes returns it
-            out.append(RankDecomposition(k, 0.0, ()))
+            out[s].append(RankDecomposition(k, 0.0, ()))
             continue
-        first = simple.get(k)
+        first = simple.get((s, k))
         if not len(roots.vectors):  # z_axes == k
             first = ((Axis((0.0, 0.0, 1.0)), k),)
-        elif len(structure.get(k, ())):
-            first = _ordered_axis_list(*cluster_directions(structure[k], pair_tol))
+        elif len(structure.get((s, k), ())):
+            first = _ordered_axis_list(*cluster_directions(structure[s, k], pair_tol))
         if first:
             r_k, residual = fit_rk(t.rank_components(k), first)
             if residual <= GATE_FLOOR:
-                out.append(RankDecomposition(k, r_k, first, residual))
+                out[s].append(RankDecomposition(k, r_k, first, residual))
                 continue
-        out.append(solve_axes(t, k, zero_tol, pair_tol, roots=roots, structure=structure.get(k)))
+        out[s].append(solve_axes(t, k, zero_tol, pair_tol, roots=roots, structure=structure.get((s, k))))
     return out
 
 
-def _simple_axes(ranks, stage: list[RankRoots], pair_tol: float) -> dict[int, tuple]:
-    """Rank -> ordered axes, for every rank whose ``solve_axes`` proposal is
-    its roots' own lines, each line an axis of its own; one array pass over
-    all such ranks.
+def _simple_axes(items, pair_tol: float) -> dict[tuple, tuple]:
+    """(set, rank) -> ordered axes, for every (set, tensor set, k, roots) of
+    ``items`` whose ``solve_axes`` proposal is its roots' own lines, each
+    line an axis of its own; one array pass over all such ranks.
 
     A rank qualifies when it has 2k roots, none ill conditioned and none
     trimmed to a z axis (the roots' lines are then the only proposal); when
@@ -791,15 +812,15 @@ def _simple_axes(ranks, stage: list[RankRoots], pair_tol: float) -> dict[int, tu
     Gram matrices are taken per rank, as ``u @ u.T`` rounds differently from
     a batched product, so every line and head is the same to the bit.
     """
-    picked = [(k, roots.vectors) for k, roots in zip(ranks, stage) if roots.vectors is not None
+    picked = [(s, k, roots.vectors) for s, _, k, roots in items if roots.vectors is not None
               and not roots.ill and not roots.z_axes and len(roots.vectors) == 2 * k]
     if not picked:
         return {}
-    ks = [k for k, _ in picked]
+    ks = [k for _, k, _ in picked]
     n = 2 * max(ks)
     vectors = np.zeros((len(ks), n, 3))
     gram = np.zeros((len(ks), n, n))
-    for i, (k, u) in enumerate(picked):
+    for i, (_, k, u) in enumerate(picked):
         vectors[i, : 2 * k] = u
         gram[i, : 2 * k, : 2 * k] = u @ u.T
     batch, index = np.arange(len(ks))[:, None], np.arange(n)
@@ -816,12 +837,12 @@ def _simple_axes(ranks, stage: list[RankRoots], pair_tol: float) -> dict[int, tu
     lines = vectors[rank, head] - vectors[rank, nearest[rank, head]]
     lines = lines / _row_norms(lines)[:, None]
     starts, start = {}, 0
-    for k, paired_rank in zip(ks, ok.tolist()):
+    for (s, k, _), paired_rank in zip(picked, ok.tolist()):
         if paired_rank:
-            starts[k], start = start, start + k
-    m = max(starts, default=1)
+            starts[s, k], start = start, start + k
+    m = max((k for _, k in starts), default=1)
     cosines = np.zeros((len(starts), m, m))
-    for i, (k, start) in enumerate(starts.items()):
+    for i, ((_, k), start) in enumerate(starts.items()):
         block = lines[start: start + k]
         cosines[i, :k, :k] = block @ block.T
     # cluster_directions's test, on the same products
@@ -829,8 +850,8 @@ def _simple_axes(ranks, stage: list[RankRoots], pair_tol: float) -> dict[int, tu
     close = np.any(np.arccos(np.minimum(1.0, np.abs(cosines[:, rows, cols]))) <= pair_tol, axis=1)
     # the normalisations of cluster_directions and _canonical_heads
     heads = _canonical_heads((lines + 0.0) / _row_norms(lines)[:, None])
-    return {k: _axis_list(heads[start: start + k].tolist(), [1] * k)
-            for (k, start), merged in zip(starts.items(), close.tolist()) if not merged}
+    return {(s, k): _axis_list(heads[start: start + k].tolist(), [1] * k)
+            for ((s, k), start), merged in zip(starts.items(), close.tolist()) if not merged}
 
 
 def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:

@@ -17,6 +17,7 @@ from .axes import (
     fit_rk,
     pairwise_invariants,
     solve_all_axes,
+    solve_many_axes,
 )
 from .fano import SphericalTensorSet, extract_tensors
 from .halfint import HalfInteger
@@ -83,9 +84,13 @@ class ClassSignature:
 def signature_from_tensors(
     t: SphericalTensorSet, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> ClassSignature:
-    ranks = tuple(solve_all_axes(t, zero_tol=tolerances.zero, pair_tol=tolerances.angle))
-    pairwise = tuple(pairwise_invariants([d for d in ranks if d.present]))
-    return ClassSignature(t.j, ranks, pairwise)
+    return _signature(t, solve_all_axes(t, zero_tol=tolerances.zero, pair_tol=tolerances.angle))
+
+
+def _signature(t: SphericalTensorSet, ranks) -> ClassSignature:
+    """The signature of ``t`` from the decompositions of its ranks k = 1 .. 2j."""
+    ranks = tuple(ranks)
+    return ClassSignature(t.j, ranks, tuple(pairwise_invariants([d for d in ranks if d.present])))
 
 
 def class_signature(
@@ -348,11 +353,14 @@ def lu_equivalent(
     fix a rotation; it has to map rho_a onto rho_b.  Without one, the
     configuration or fingerprint mismatch decides if there is one, and
     ``fingerprint-match-only`` otherwise.
+
+    Both states are signed in one pass (``solve_many_axes``), each as its
+    own ``class_signature`` would sign it.
     """
     if rho_a.j != rho_b.j:
         raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
-    sig_a = class_signature(rho_a, tolerances)
-    sig_b = class_signature(rho_b, tolerances)
+    sets = [extract_tensors(rho_a), extract_tensors(rho_b)]
+    sig_a, sig_b = map(_signature, sets, solve_many_axes(sets, tolerances.zero, tolerances.angle))
 
     def differ() -> EquivalenceResult:
         return EquivalenceResult(

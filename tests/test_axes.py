@@ -1,6 +1,7 @@
 """Per-rank axis systems, r_k fitting, and the top rank against the Majorana points."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
 )
 from test_properties import _crowded_majorana_state
 
-from multiaxial.angular import couple_axis_chain
+from multiaxial.angular import couple_axis_chain, wigner_d_matrix
 from multiaxial import axes as axes_module
 from multiaxial.axes import (
     POLISH_STEPS,
@@ -42,6 +43,7 @@ from multiaxial.axes import (
     root_structure,
     solve_all_axes,
     solve_axes,
+    solve_many_axes,
 )
 from multiaxial.families import (
     make_bell,
@@ -639,6 +641,20 @@ def _non_mutual_antipodes(rng) -> SphericalTensorSet:
     return _tensors_with_roots(8, np.vstack([chain, others, -others]))
 
 
+def _turned(t: SphericalTensorSet, angles) -> SphericalTensorSet:
+    """``t`` turned by the Euler angles (alpha, beta, gamma): each rank times
+    its Wigner D matrix, both ascending in q."""
+    return SphericalTensorSet(t.j, tuple(
+        wigner_d_matrix(HalfInteger(2 * k), *angles)[::-1, ::-1] @ c for k, c in enumerate(t.ranks)))
+
+
+def _bits(decomps) -> list:
+    """Each rank's k, r_k, fit residual, settled flag and multiplicities, and
+    the bytes of its axis vectors."""
+    return [(d.k, d.r_k.hex(), d.fit_residual.hex(), d.settled, [m for _, m in d.axes],
+             np.array([a.vector for a, _ in d.axes]).tobytes()) for d in decomps]
+
+
 def _stereographic(z):
     """(2 Re z, 2 Im z, 1 - |z|^2) / (1 + |z|^2), evaluated through w = 1/z
     beyond the unit circle so that |z| = 1e200 does not overflow."""
@@ -748,7 +764,7 @@ class TestRootStage:
             ranks = range(1, k + 1)
             stage = rank_roots(t, ranks)
             assert stage[k - 1].ill == 0
-            assert k not in _simple_axes(ranks, stage, PAIR_TOL)
+            assert (0, k) not in _simple_axes([(0, t, r, s) for r, s in zip(ranks, stage)], PAIR_TOL)
 
     def test_lockstep_structure_stage_equals_one_call_per_rank(self, monkeypatch):
         # every present rank from trial degree 1 and again from k, so that a
@@ -776,6 +792,26 @@ class TestRootStage:
                 found += len(lines) > 0
         padded = sum(int(np.count_nonzero(c[:, 0] == 0.0)) for c in stacks)
         assert found > 2000 and padded > 2000
+
+    def test_many_set_pass_equals_one_call_per_set(self, monkeypatch):
+        # a batch pads each set's rows to its widest rank, sends its ill ranks
+        # through one structure stage and its simple ones through one array
+        # pass; every set must keep the bits of its own solve_all_axes
+        deferred = _count_solve_axes(monkeypatch)
+        rng = np.random.default_rng(30)
+        batches = [[t, _turned(t, rng.uniform(0.0, 2.0 * math.pi, 3))]
+                   for _, t in _root_stage_states(family_twojs=range(2, 21))]
+        # ill roots at most ranks, several of which go on to solve_axes
+        batches.append([t for name, t, _ in _deferring_inputs() if name.startswith("two-coherent")])
+        batches.append([t for name, t in _root_stage_states(family_twojs=(3, 12, 20))
+                        if name.split("-")[1] in ("3", "12", "20")])
+        assert {t.max_rank for t in batches[-1]} == {3, 12, 20}
+        for sets in batches:
+            together = solve_many_axes(sets)
+            assert len(together) == len(sets)
+            for t, decomps in zip(sets, together):
+                assert _bits(decomps) == _bits(solve_all_axes(t)), t.max_rank
+        assert deferred
 
     @pytest.mark.parametrize("name", ["coherent-turned", "w", "dicke"])
     def test_family_state_calls_solve_axes_for_no_rank(self, monkeypatch, name):
@@ -1026,6 +1062,22 @@ class TestRootStructure:
         for start in range(1, 2 * k):
             _assert_lines_on(root_structure([(coeffs, k, start)])[0], expected)
         assert root_structure([(coeffs, k, 2 * k)])[0].shape == (0, 3)
+
+    def test_infinite_multiplicity_estimate_warns_nothing(self):
+        # v' exactly 0 at a root makes the estimate w / v' complex infinity;
+        # its mean with the antipode's is nan, and that degree is skipped
+        cases = [(make_w(20), k) for k in (14, 16, 17)]
+        cases += [(make_dicke(HalfInteger(20), HalfInteger(0)), k) for k in (14, 20)]
+        for psi, k in cases:
+            t = extract_tensors(pure_to_density(psi))
+            item = (mar_polynomial(t, k), k, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                (quiet,) = root_structure([item])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (strict,) = root_structure([item])
+            assert strict.shape == quiet.shape and strict.tobytes() == quiet.tobytes(), k
 
 
 class TestSylvesterMatrix:
