@@ -495,20 +495,14 @@ class RankRoots(NamedTuple):
                   # of them beside z axes
 
 
-def rank_roots(t: SphericalTensorSet, ranks, zero_tol: float = ZERO_TOL) -> list[RankRoots]:
-    """Root stage of ``solve_axes`` for several ranks of one tensor set, as
-    ``_root_stage`` runs it for many."""
-    (stage,) = _root_stage([(t, ranks)], zero_tol)
-    return stage
-
-
 def _root_stage(requests, zero_tol: float) -> list[list[RankRoots]]:
-    """``rank_roots`` of each (tensor set, ranks) of ``requests`` in one pass
-    over all their rows, each set's gathered with its own ``_mar_table`` and
-    right-aligned to the widest rank with zeros before.  Each present rank's
-    MAR polynomial loses its matched roots at 0 and infinity (z axes) and has
-    its other roots found (``_stacked_roots``) and polished, then placed on
-    the sphere as unit vectors."""
+    """The ``RankRoots`` of each (tensor set, ranks) of ``requests``, rank by
+    rank, from one pass over all their rows, each set's gathered with its own
+    ``_mar_table`` and right-aligned to the widest rank with zeros before; a
+    rank's entry has the bits of a pass over that rank alone.  Each present
+    rank's MAR polynomial loses its matched roots at 0 and infinity (z axes)
+    and has its other roots found (``_stacked_roots``) and polished, then
+    placed on the sphere as unit vectors."""
     sets = [t for t, ranks in requests for _ in ranks]
     ks = np.array([k for _, ranks in requests for k in ranks], dtype=int)
     bounds = np.cumsum([0, *(len(ranks) for _, ranks in requests)]).tolist()
@@ -676,42 +670,10 @@ def solve_axes(
     k: int,
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
-    roots: RankRoots | None = None,
-    structure: np.ndarray | None = None,
 ) -> RankDecomposition:
-    """Find the k axes and the invariant scalar r_k of one rank.
-
-    ``roots`` and ``structure`` are this rank's entries of the root stage
-    and ``_structures`` when the caller has run those stages over several
-    ranks; without them they run for this rank alone.
-
-    The axes are proposed as lines with multiplicity: from the structure
-    stage when some root is ill conditioned (``root_structure``), then
-    from the roots themselves.  Lines closer than ``pair_tol`` are merged,
-    the distinct axes are refined with their multiplicities held fixed, and
-    the first proposal whose fit leaves a residual of at most
-    pair_tol^2 ||t^k|| (about the residual of merging two axes pair_tol
-    apart) plus ``GATE_FLOOR`` is accepted.
-    """
-    if roots is None:
-        (roots,) = rank_roots(t, [k], zero_tol)
-    if roots.vectors is None:
-        return RankDecomposition(k, 0.0, ())
-    if structure is None and roots.ill:
-        structure = _structures([(0, t, k, roots)])[0, k]
-    comp = t.rank_components(k)
-    gate = pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR
-    for lines, settled in _proposals(k, roots, structure, _antipode_within(k, pair_tol)):
-        axes = _ordered_axis_list(*cluster_directions(lines, pair_tol))
-        r_k, residual = fit_rk(comp, axes)
-        if residual > GATE_FLOOR:
-            axes = _refine_axes(comp, axes)
-            r_k, residual = fit_rk(comp, axes)
-        if residual <= gate:
-            return RankDecomposition(k, r_k, axes, residual, settled)
-    raise DegenerateFitError(
-        f"rank {k}: no axis structure fits; the roots leave a residual of "
-        f"{residual:.3g}, above the gate {gate:.3g}")
+    """Find the k axes and the invariant scalar r_k of one rank: the rank's
+    entry of ``solve_all_axes``, from stages run for this rank alone."""
+    return _solve([(t, [k])], zero_tol, pair_tol)[0][0]
 
 
 def _antipode_within(k: int, pair_tol: float) -> float:
@@ -729,14 +691,27 @@ def _structures(items) -> dict[tuple, np.ndarray]:
         [(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1) for _, t, k, roots in ill])))
 
 
-def _proposals(k: int, roots: RankRoots, structure: np.ndarray | None, within: float):
-    """The structure stage's lines, when some root is ill conditioned and the
-    stage finds a multiple root, then the lines of the roots themselves; each
-    an array with one unit line per row, paired with whether a fit to it
-    counts as settled (``RankDecomposition.settled``)."""
+def _proposals(k: int, roots: RankRoots, simple: tuple | None, structure: np.ndarray | None,
+               pair_tol: float):
+    """The ordered axes to fit to one present rank, in turn, each paired with
+    whether a fit to it counts as settled (``RankDecomposition.settled``).
+
+    A rank whose axes the simple-axes pass read (``simple``, its roots' own
+    lines) has those as its only proposal.  Else come the structure stage's
+    lines, when some root is ill conditioned and the stage found a multiple
+    root; then one k-fold axis on z when every root was trimmed to a z axis,
+    or else the lines of the paired roots with the z axes beside them.
+    Lines closer than ``pair_tol`` are merged (``cluster_directions``)."""
+    if simple:
+        yield simple, True
+        return
     if roots.ill and len(structure):
-        yield structure, True
+        yield _ordered_axis_list(*cluster_directions(structure, pair_tol)), True
     vectors = roots.vectors
+    if not len(vectors):  # z_axes == k
+        yield ((Axis((0.0, 0.0, 1.0)), k),), True
+        return
+    within = _antipode_within(k, pair_tol)
     pairs = _antipodal_pairs(vectors, within)
     unpaired = [vectors[i] for i, j in pairs if j is None]
     if unpaired:
@@ -744,8 +719,8 @@ def _proposals(k: int, roots: RankRoots, structure: np.ndarray | None, within: f
                                f"partner within {within:g} rad", unpaired)
     heads, tails = np.array(pairs, dtype=int).reshape(-1, 2).T
     lines = vectors[heads] - vectors[tails]
-    yield (np.vstack([lines / _row_norms(lines)[:, None], np.tile([0.0, 0.0, 1.0], (roots.z_axes, 1))]),
-           not roots.ill)
+    lines = np.vstack([lines / _row_norms(lines)[:, None], np.tile([0.0, 0.0, 1.0], (roots.z_axes, 1))])
+    yield _ordered_axis_list(*cluster_directions(lines, pair_tol)), not roots.ill
 
 
 def solve_all_axes(
@@ -760,47 +735,57 @@ def solve_all_axes(
 
 def solve_many_axes(sets, zero_tol: float = ZERO_TOL,
                     pair_tol: float = PAIR_TOL) -> list[list[RankDecomposition]]:
-    """``solve_all_axes`` of each tensor set of ``sets``, from one root stage
-    (``_root_stage``), one structure stage (``_structures``) and one
-    simple-axes pass over every (set, rank); the sets may differ in spin.
+    """``solve_all_axes`` of each tensor set of ``sets``, in one pass over
+    every (set, rank); the sets may differ in spin."""
+    return _solve([(t, range(1, t.max_rank + 1)) for t in sets], zero_tol, pair_tol)
 
-    Absent ranks are settled here, and so are the ranks whose axes are their
-    roots' own lines (``_simple_axes``), those whose every root was trimmed
-    to a z axis (one k-fold axis on z) and those where the structure stage
-    found a multiple root, when that first proposal fits within
-    ``GATE_FLOOR`` (``solve_axes`` would neither refine nor reject it).  The
-    rest go to ``solve_axes`` with their roots and structure, set by set and
-    rank by rank, so an error raised is the first failing set's own.
-    Each entry equals its rank's ``solve_axes``.
+
+def _solve(requests, zero_tol: float, pair_tol: float) -> list[list[RankDecomposition]]:
+    """The ``RankDecomposition`` of each rank of each (tensor set, ranks) of
+    ``requests``, from one root stage (``_root_stage``), one structure stage
+    (``_structures``) and one simple-axes pass (``_simple_axes``) over every
+    (set, rank); each entry has the bits of its rank's ``solve_axes``.
+
+    Each present rank then fits its ``_proposals`` in turn.  A fit within
+    ``GATE_FLOOR`` is accepted as it stands; else the distinct axes are
+    refined with their multiplicities held fixed, and the fit is accepted
+    when it leaves a residual of at most pair_tol^2 ||t^k|| (about the
+    residual of merging two axes pair_tol apart) plus ``GATE_FLOOR``.  The
+    ranks are settled set by set and rank by rank, so an error raised is the
+    first failing rank's own.
     """
-    stages = _root_stage([(t, range(1, t.max_rank + 1)) for t in sets], zero_tol)
-    items = [(s, t, k, roots) for s, (t, stage) in enumerate(zip(sets, stages))
-             for k, roots in enumerate(stage, 1)]
+    stages = _root_stage(requests, zero_tol)
+    items = [(s, t, k, roots) for s, ((t, ranks), stage) in enumerate(zip(requests, stages))
+             for k, roots in zip(ranks, stage)]
     structure = _structures(items)
     simple = _simple_axes(items, pair_tol)
-    out = [[] for _ in sets]
+    out = [[] for _ in requests]
     for s, t, k, roots in items:
-        if roots.vectors is None:  # absent, as solve_axes returns it
+        if roots.vectors is None:
             out[s].append(RankDecomposition(k, 0.0, ()))
             continue
-        first = simple.get((s, k))
-        if not len(roots.vectors):  # z_axes == k
-            first = ((Axis((0.0, 0.0, 1.0)), k),)
-        elif len(structure.get((s, k), ())):
-            first = _ordered_axis_list(*cluster_directions(structure[s, k], pair_tol))
-        if first:
-            r_k, residual = fit_rk(t.rank_components(k), first)
-            if residual <= GATE_FLOOR:
-                out[s].append(RankDecomposition(k, r_k, first, residual))
-                continue
-        out[s].append(solve_axes(t, k, zero_tol, pair_tol, roots=roots, structure=structure.get((s, k))))
+        comp = t.rank_components(k)
+        for axes, settled in _proposals(k, roots, simple.get((s, k)), structure.get((s, k)), pair_tol):
+            r_k, residual = fit_rk(comp, axes)
+            if residual > GATE_FLOOR:
+                axes = _refine_axes(comp, axes)
+                r_k, residual = fit_rk(comp, axes)
+            # ||t^k|| only for a fit that misses the floor
+            if residual <= GATE_FLOOR or residual <= (
+                    gate := pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR):
+                out[s].append(RankDecomposition(k, r_k, axes, residual, settled))
+                break
+        else:
+            raise DegenerateFitError(
+                f"rank {k}: no axis structure fits; the roots leave a residual of "
+                f"{residual:.3g}, above the gate {gate:.3g}")
     return out
 
 
 def _simple_axes(items, pair_tol: float) -> dict[tuple, tuple]:
     """(set, rank) -> ordered axes, for every (set, tensor set, k, roots) of
-    ``items`` whose ``solve_axes`` proposal is its roots' own lines, each
-    line an axis of its own; one array pass over all such ranks.
+    ``items`` whose root-line proposal (``_proposals``) is its roots' own
+    lines, each line an axis of its own; one array pass over all such ranks.
 
     A rank qualifies when it has 2k roots, none ill conditioned and none
     trimmed to a z axis (the roots' lines are then the only proposal); when

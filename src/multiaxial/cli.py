@@ -152,11 +152,8 @@ def render_text_report(doc: dict) -> str:
         if not item["present"]:
             lines.append(f"rank {item['k']}: absent")
             continue
-        config = item["configuration"]
-        pretty = config
-        if "_" in config:
-            head, tail = config.split("_", 1)
-            pretty = head + "_{" + tail + "}"
+        head, tail = item["configuration"].split("_", 1)
+        pretty = head + "_{" + tail + "}"
         lines.append(
             f"rank {item['k']}: r = {item['r_k']:.9f}   {pretty}   "
             f"residual = {item['fit_residual']:.2e}"

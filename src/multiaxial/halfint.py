@@ -26,11 +26,7 @@ class HalfInteger:
             raise TypeError("bool is not a quantum number")
         if isinstance(value, int):
             return HalfInteger(2 * value)
-        if isinstance(value, str):
-            frac = Fraction(value)
-        else:
-            frac = Fraction(value)
-        twice = frac * 2
+        twice = Fraction(value) * 2
         if twice.denominator != 1:
             raise ValueError(f"not a half-integer: {value!r}")
         return HalfInteger(int(twice))

@@ -27,6 +27,7 @@ from multiaxial.axes import (
     _fit_residual,
     _polish_roots,
     _refine_axes,
+    _root_stage,
     _root_vectors,
     _row_norms,
     _simple_axes,
@@ -39,7 +40,6 @@ from multiaxial.axes import (
     least_squares,
     mar_polynomial,
     pairwise_invariants,
-    rank_roots,
     root_structure,
     solve_all_axes,
     solve_axes,
@@ -574,18 +574,27 @@ def _root_stage_states(family_twojs=range(2, 15)):
             yield f"{name}-{twoj}-rotated", extract_tensors(rotate_density(rho, angles))
 
 
-def _count_solve_axes(monkeypatch) -> list:
-    """The ranks of every later call through ``axes.solve_axes``, the binding
-    ``solve_all_axes`` uses (this module's own import is not counted)."""
-    ranks = []
-    original = axes_module.solve_axes
+def _count_deferred(monkeypatch) -> list:
+    """Every later step that goes beyond fitting a rank's first proposal, as
+    ("refine", k) for a refinement (``_refine_axes``) and ("pair", roots) for
+    a pairing of a rank's roots (``_antipodal_pairs`` with a finite bound;
+    the structure stage pairs with an infinite one).  A rank with neither is
+    settled by one fit of a proposal read off the stages' arrays."""
+    steps = []
+    refine, pair = axes_module._refine_axes, axes_module._antipodal_pairs
 
-    def counting(t, k, *args, **kwargs):
-        ranks.append(k)
-        return original(t, k, *args, **kwargs)
+    def refining(comp, axes):
+        steps.append(("refine", len(comp) // 2))
+        return refine(comp, axes)
 
-    monkeypatch.setattr(axes_module, "solve_axes", counting)
-    return ranks
+    def pairing(u, within):
+        if math.isfinite(within):
+            steps.append(("pair", len(u)))
+        return pair(u, within)
+
+    monkeypatch.setattr(axes_module, "_refine_axes", refining)
+    monkeypatch.setattr(axes_module, "_antipodal_pairs", pairing)
+    return steps
 
 
 def _outcome(call):
@@ -606,8 +615,9 @@ def _tensors_with_roots(k: int, vectors: np.ndarray) -> SphericalTensorSet:
 
 
 def _deferring_inputs():
-    """(name, tensors, pair_tol), each with ranks that ``solve_all_axes``
-    leaves to ``solve_axes``, for every reason it has."""
+    """(name, tensors, pair_tol), each with ranks that no first proposal
+    settles by one fit: their roots are paired, or their axes refined
+    (``_count_deferred``), for every reason there is."""
     # ill roots; at rank 16 also non-mutual nearest antipodes
     yield "crowded-majorana", extract_tensors(_crowded_majorana_state()), PAIR_TOL
     rng = np.random.default_rng(14)
@@ -679,7 +689,7 @@ class TestRootStage:
         degrees, padded, rows = set(), 0, 0
         for _, t in _root_stage_states():
             batches.clear()
-            stage = rank_roots(t, range(1, t.max_rank + 1))
+            stage = _root_stage([(t, range(1, t.max_rank + 1))], ZERO_TOL)[0]
             if not batches:
                 continue  # every present rank trimmed to z axes
             (coeffs, roots, live, best), = batches
@@ -706,7 +716,7 @@ class TestRootStage:
         # roots bit for bit those of its own np.roots
         rng = np.random.default_rng(12)
         t = extract_tensors(rotate_density(pure_to_density(make_ghz(6)), EulerAngles(0.3, 1e-5, 0.0)))
-        (stage,) = rank_roots(t, [4])
+        ((stage,),) = _root_stage([(t, [4])], ZERO_TOL)
         assert stage.z_axes == 2 and len(stage.vectors) == 4
         desc = mar_polynomial(t, 4)[::-1]
         rows = [rng.normal(size=2) + 1j * rng.normal(size=2),  # degree 1
@@ -730,7 +740,7 @@ class TestRootStage:
             assert got[~mask].tobytes() == bytes(16 * (40 - len(want)))
 
     def test_solve_axes_alone_equals_solve_all_axes(self, monkeypatch):
-        deferred = _count_solve_axes(monkeypatch)
+        deferred = _count_deferred(monkeypatch)
         for name, t in _root_stage_states(family_twojs=(3, 8, 12, 20)):
             together = solve_all_axes(t)
             for k in range(1, t.max_rank + 1):
@@ -739,7 +749,7 @@ class TestRootStage:
         assert deferred
 
     def test_every_deferred_rank_equals_solve_axes(self, monkeypatch):
-        deferred = _count_solve_axes(monkeypatch)
+        deferred = _count_deferred(monkeypatch)
         all_simple = []
         for name, t, pair_tol in _deferring_inputs():
             alone = [_outcome(lambda: solve_axes(t, k, pair_tol=pair_tol))
@@ -754,15 +764,15 @@ class TestRootStage:
         assert all_simple == ["two-coherent-14"]
 
     def test_array_pass_pairs_no_unmatched_roots(self):
-        # the gate on the first fit would send these ranks to solve_axes as
-        # well; the pass must not pair them in the first place
+        # the gate on the first fit would refine these ranks as well; the
+        # pass must not pair them in the first place
         u = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         turned = u @ np.array([[1.0, 0.0, 0.0], [0.0, math.cos(0.01), -math.sin(0.01)],
                                [0.0, math.sin(0.01), math.cos(0.01)]]).T
         for t, k in ((_non_mutual_antipodes(np.random.default_rng(1)), 8),
                      (_tensors_with_roots(2, np.vstack([u, -turned])), 2)):  # antipodes 0.01 rad off
             ranks = range(1, k + 1)
-            stage = rank_roots(t, ranks)
+            stage = _root_stage([(t, ranks)], ZERO_TOL)[0]
             assert stage[k - 1].ill == 0
             assert (0, k) not in _simple_axes([(0, t, r, s) for r, s in zip(ranks, stage)], PAIR_TOL)
 
@@ -797,11 +807,11 @@ class TestRootStage:
         # a batch pads each set's rows to its widest rank, sends its ill ranks
         # through one structure stage and its simple ones through one array
         # pass; every set must keep the bits of its own solve_all_axes
-        deferred = _count_solve_axes(monkeypatch)
+        deferred = _count_deferred(monkeypatch)
         rng = np.random.default_rng(30)
         batches = [[t, _turned(t, rng.uniform(0.0, 2.0 * math.pi, 3))]
                    for _, t in _root_stage_states(family_twojs=range(2, 21))]
-        # ill roots at most ranks, several of which go on to solve_axes
+        # ill roots at most ranks, several of which have their roots paired
         batches.append([t for name, t, _ in _deferring_inputs() if name.startswith("two-coherent")])
         batches.append([t for name, t in _root_stage_states(family_twojs=(3, 12, 20))
                         if name.split("-")[1] in ("3", "12", "20")])
@@ -822,7 +832,7 @@ class TestRootStage:
         psi = {"coherent-turned": rotate_pure(make_coherent(j, 0.7, 1.3), EulerAngles(0.4, 1.1, 2.3)),
                "w": make_w(20), "dicke": make_dicke(j, HalfInteger(0))}[name]
         t = extract_tensors(pure_to_density(psi))
-        deferred = _count_solve_axes(monkeypatch)
+        deferred = _count_deferred(monkeypatch)
         together = solve_all_axes(t)
         assert deferred == []
         for k, decomp in enumerate(together, 1):
@@ -831,7 +841,7 @@ class TestRootStage:
         assert sum(decomp.present for decomp in together) >= 10
 
     def test_generic_state_calls_solve_axes_for_no_rank(self, monkeypatch):
-        deferred = _count_solve_axes(monkeypatch)
+        deferred = _count_deferred(monkeypatch)
         rng = np.random.default_rng(20)
         g = rng.normal(size=(21, 21)) + 1j * rng.normal(size=(21, 21))
         rho = g @ g.conj().T

@@ -1,6 +1,8 @@
 """Degeneracy configurations, signatures, separability and LU equivalence."""
 
 import math
+import os
+import sys
 import time
 
 import numpy as np
@@ -414,6 +416,50 @@ class TestChiralPairs:
         rng = np.random.default_rng(twice_j)
         self._assert_no_witness_to_the_conjugate(
             DensityMatrix(HalfInteger(twice_j), _random_density(rng, twice_j + 1)))
+
+
+def _fixed_set_compares(names) -> dict:
+    """name -> (rho_a, rho_b) of the compares of ``tools/fixed_set.py`` named
+    in ``names``, built by the set's own numpy code."""
+    saved_path, write_bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+    try:
+        import fixed_set
+    finally:
+        # the import turns bytecode writing off and puts perfbench/ on the path
+        sys.path[:], sys.dont_write_bytecode = saved_path, write_bytecode
+    out = {}
+    for name, rho_a, rho_b in fixed_set.cases():
+        if name in names:
+            out[name] = rho_a, rho_b
+            if len(out) == len(names):
+                return out
+    raise LookupError(sorted(set(names) - set(out)))
+
+
+class TestNearMisses:
+    """The six ``majorana-moved`` compares of ``tools/fixed_set.py`` whose B
+    state, one Majorana point moved by up to 0.01 rad, is mapped from A
+    within the witness search's 1e-6 density bound by a rotation read off
+    both states' covariant frames.  Each has two distinct Majorana points,
+    and the move changes the angle between them only at second order.  They
+    read ``inequivalent`` from their axes: seed 47 because every witness
+    candidate fails the strict rematch, the other five by their
+    fingerprints, before any search."""
+
+    SEEDS = (21, 27, 38, 42, 47, 49)
+
+    @pytest.fixture(scope="class")
+    def compares(self):
+        return _fixed_set_compares({f"majorana-moved/{seed}" for seed in self.SEEDS})
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reads_inequivalent(self, compares, seed):
+        rho_a, rho_b = compares[f"majorana-moved/{seed}"]
+        j = HalfInteger(rho_a.shape[0] - 1)
+        result = lu_equivalent(DensityMatrix(j, rho_a), DensityMatrix(j, rho_b))
+        assert result.verdict == "inequivalent", result.reason
+        assert result.witness is None
 
 
 class TestHighMultiplicity:
