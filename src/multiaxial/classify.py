@@ -12,9 +12,7 @@ import numpy as np
 from .axes import (
     PAIR_TOL,
     ZERO_TOL,
-    Axis,
     RankDecomposition,
-    fit_rk,
     pairwise_invariants,
     solve_all_axes,
     solve_many_axes,
@@ -105,18 +103,12 @@ def class_signature(
 
 @lru_cache(maxsize=None)
 def separable_reference_r(twice_j: int) -> dict[int, float]:
-    """Reference r_k of the aligned product state |j j><j j|, all axes on z."""
-    j = HalfInteger(twice_j)
-    dim = twice_j + 1
-    mat = np.zeros((dim, dim), dtype=complex)
+    """Reference r_k of the aligned product state |j j><j j|, as the axis
+    stage reads them: every rank is one k-fold axis on z."""
+    mat = np.zeros((twice_j + 1, twice_j + 1), dtype=complex)
     mat[0, 0] = 1.0
-    t = extract_tensors(DensityMatrix(j, mat))
-    z_axis = Axis.from_vector(np.array([0.0, 0.0, 1.0]))
-    out = {}
-    for k in range(1, t.max_rank + 1):
-        r, _ = fit_rk(t.rank_components(k), ((z_axis, k),))
-        out[k] = r
-    return out
+    t = extract_tensors(DensityMatrix(HalfInteger(twice_j), mat))
+    return {d.k: d.r_k for d in solve_all_axes(t)}
 
 
 @dataclass(frozen=True)
@@ -175,12 +167,10 @@ class EquivalenceResult:
 
 
 def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
-    for da, db in zip(a.ranks, b.ranks):
-        if abs(da.r_k - db.r_k) > FINGERPRINT_TOL:
-            return False
-    if len(a.pairwise) != len(b.pairwise):
-        return False
-    return all(abs(x - y) <= FINGERPRINT_TOL for x, y in zip(a.pairwise, b.pairwise))
+    r_a, r_b = [d.r_k for d in a.ranks], [d.r_k for d in b.ranks]
+    return len(a.pairwise) == len(b.pairwise) and bool(
+        np.all(np.abs(np.subtract(r_a, r_b)) <= FINGERPRINT_TOL)
+        and np.all(np.abs(np.subtract(a.pairwise, b.pairwise)) <= FINGERPRINT_TOL))
 
 
 def _rank_axis_table(decomps) -> list[tuple[int, np.ndarray, int]]:
@@ -327,9 +317,13 @@ def _find_witness(
     return None
 
 
-def _fingerprints_differ() -> EquivalenceResult:
-    return EquivalenceResult(
-        "inequivalent", "invariant fingerprints (r_k, pairwise cosines) differ")
+def _inequivalent(sig_a: ClassSignature, sig_b: ClassSignature,
+                  configurations: bool) -> EquivalenceResult:
+    """``inequivalent`` for differing degeneracy configurations, which renders
+    both signatures, or else for differing fingerprints."""
+    return EquivalenceResult("inequivalent", (
+        f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}"
+        if configurations else "invariant fingerprints (r_k, pairwise cosines) differ"))
 
 
 def lu_equivalent(
@@ -362,16 +356,10 @@ def lu_equivalent(
     sets = [extract_tensors(rho_a), extract_tensors(rho_b)]
     sig_a, sig_b = map(_signature, sets, solve_many_axes(sets, tolerances.zero, tolerances.angle))
 
-    def differ() -> EquivalenceResult:
-        return EquivalenceResult(
-            "inequivalent",
-            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}",
-        )
-
     present = [(da, db) for da, db in zip(sig_a.ranks, sig_b.ranks)
                if da.present or db.present]
     if any(not (da.present and db.present) for da, db in present):
-        return differ()
+        return _inequivalent(sig_a, sig_b, True)
     if not present:
         # No axes at all: both are the maximally mixed state.
         return EquivalenceResult("equivalent", "both states have no axes",
@@ -381,15 +369,10 @@ def lu_equivalent(
     config_mismatch = {da.k for da, db in present
                        if degeneracy_configuration(da) != degeneracy_configuration(db)}
     if any(da.k in config_mismatch for da, _ in settled):
-        return differ()
-    if config_mismatch:
-        mismatch = differ
-    elif not _fingerprints_match(sig_a, sig_b):
-        mismatch = _fingerprints_differ
-    else:
-        mismatch = None
-    if mismatch is not None and not left_out:
-        return mismatch()
+        return _inequivalent(sig_a, sig_b, True)
+    mismatch = bool(config_mismatch) or not _fingerprints_match(sig_a, sig_b)
+    if mismatch and not left_out:
+        return _inequivalent(sig_a, sig_b, bool(config_mismatch))
 
     table_a = _rank_axis_table(da for da, _ in settled)
     if left_out and _anchor_pair(table_a) is None:
@@ -405,7 +388,5 @@ def lu_equivalent(
                       "ranks and the density matrices; ill-conditioned ranks "
                       + ", ".join(map(str, left_out)) + " left out")
         return EquivalenceResult("equivalent", reason, witness)
-    return mismatch() if mismatch is not None else EquivalenceResult(
-        "fingerprint-match-only",
-        "invariants agree but no single witness rotation was found",
-    )
+    return _inequivalent(sig_a, sig_b, bool(config_mismatch)) if mismatch else EquivalenceResult(
+        "fingerprint-match-only", "invariants agree but no single witness rotation was found")

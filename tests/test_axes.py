@@ -824,7 +824,7 @@ class TestRootStage:
         assert deferred
 
     @pytest.mark.parametrize("name", ["coherent-turned", "w", "dicke"])
-    def test_family_state_calls_solve_axes_for_no_rank(self, monkeypatch, name):
+    def test_family_state_defers_no_rank(self, monkeypatch, name):
         # every rank of a turned coherent state is one k-fold axis read by the
         # structure stage; every present rank of an aligned W or Dicke state
         # is trimmed to a k-fold z axis
@@ -840,7 +840,7 @@ class TestRootStage:
             assert [m for _, m in decomp.axes] in ([k], []), k
         assert sum(decomp.present for decomp in together) >= 10
 
-    def test_generic_state_calls_solve_axes_for_no_rank(self, monkeypatch):
+    def test_generic_state_defers_no_rank(self, monkeypatch):
         deferred = _count_deferred(monkeypatch)
         rng = np.random.default_rng(20)
         g = rng.normal(size=(21, 21)) + 1j * rng.normal(size=(21, 21))

@@ -311,7 +311,10 @@ class TestLUEquivalence:
 
     def test_maximally_mixed_pair(self):
         rho = DensityMatrix(_h(1), np.eye(3) / 3.0)
-        assert lu_equivalent(rho, rho).verdict == "equivalent"
+        result = lu_equivalent(rho, rho)
+        assert result.verdict == "equivalent"
+        assert result.reason == "both states have no axes"
+        assert result.witness == EulerAngles(0.0, 0.0, 0.0)
 
     def test_symmetric(self):
         a = pure_to_density(make_ghz(3))
@@ -459,6 +462,8 @@ class TestNearMisses:
         j = HalfInteger(rho_a.shape[0] - 1)
         result = lu_equivalent(DensityMatrix(j, rho_a), DensityMatrix(j, rho_b))
         assert result.verdict == "inequivalent", result.reason
+        if seed != 47:
+            assert result.reason == "invariant fingerprints (r_k, pairwise cosines) differ"
         assert result.witness is None
 
 
