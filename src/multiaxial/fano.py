@@ -97,10 +97,17 @@ def check_state_spin(j: HalfInteger) -> None:
 
 
 def extract_tensors(rho: DensityMatrix) -> SphericalTensorSet:
-    """All t^k_q = Tr(rho tau^k_q) for k = 0 .. 2j, as one gather over the tau table."""
+    """All t^k_q = Tr(rho tau^k_q) for k = 0 .. 2j, as one gather over the tau table.
+
+    The gather reads the Hermitian part (rho + rho^dagger)/2, as ``validate``
+    does for its eigenvalues: a rounding-level anti-Hermitian part would
+    break t^k_q* = (-1)^q t^k_-q, so the roots of a rank would no longer
+    come in antipodal pairs.  An exactly Hermitian rho keeps every bit.
+    """
     n = rho.j.twice
     check_state_spin(rho.j)
     index, weight = _tau_table(n)
-    flat = (np.ravel(rho.matrix)[index] * weight).sum(axis=1)
+    hermitian = 0.5 * (rho.matrix + rho.matrix.conj().T)
+    flat = (np.ravel(hermitian)[index] * weight).sum(axis=1)
     ranks = tuple(flat[k * k: (k + 1) * (k + 1)] for k in range(n + 1))
     return SphericalTensorSet(rho.j, ranks)

@@ -113,6 +113,29 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["validation"]["is_valid"] is False
 
+    @pytest.mark.parametrize("diagonal, entry, signature", [
+        ((0.5, 0.3, 0.2), (0, 1), "{D^1_1, D^2_2}"),
+        ((0.4, 0.2, 0.2, 0.1, 0.1), (0, 2), "{D^1_1, D^2_1,1, D^3_1,1,1, D^4_2,1,1}"),
+    ], ids=["spin-1", "spin-2"])
+    def test_anti_hermitian_defect_classifies_hermitian_part(self, tmp_path, capsys,
+                                                             diagonal, entry, signature):
+        # one off-diagonal 1e-11 without its mirror: a valid state whose
+        # anti-Hermitian part, were it read, would break the antipodal
+        # pairing of the roots
+        j = HalfInteger(len(diagonal) - 1)
+        mat = np.diag(diagonal).astype(complex)
+        mat[entry] = 1e-11
+        path = str(tmp_path / "defect.json")
+        write_state(path, DensityMatrix(j, mat))
+        assert main(["analyze", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["validation"]["is_valid"] is True
+        assert doc["validation"]["hermiticity_defect"] == 1e-11
+        hermitian = DensityMatrix(j, 0.5 * (mat + mat.conj().T))
+        assert doc["signature"] == signature == classify.class_signature(hermitian).render()
+        assert main(["compare", path, path]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
+
     def test_spin_above_cap_exit_2(self, ghz21_file, capsys):
         assert main(["analyze", ghz21_file]) == 2
         captured = capsys.readouterr()

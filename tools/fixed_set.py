@@ -22,16 +22,19 @@ Usage::
 ``--write`` writes ``DIR/compares.json``: per case the verdict, the reason
 and, for ``equivalent``, the witness residual max|R(rho_A) - rho_B| with R
 built from the benchmark's own spin matrices.  It also writes
-``DIR/analyses.json``: for the rho_A of every compare, and for one random
-mixed and one random pure state at each 2j = 1..20 (``default_rng(23)``),
-the signature and the sha256 of ``json.dumps(build_report(...),
-sort_keys=True)``, or the classifier error.  ``--src`` names the library's
-source directory (default: ``src`` of this checkout), so one script writes
-the set for any tree.  ``--diff A B`` prints the verdict changes and the
-reason-only changes separately, then the residual changes at an unchanged
-verdict and every ``equivalent`` of B whose residual exceeds 1e-6, then the
-signature changes and the byte-only changes of the analyses; it exits 1
-when there is a verdict change, such a residual or a signature change.
+``DIR/analyses.json``: for the rho_A of every compare, for one random mixed
+and one random pure state at each 2j = 1..20 (``default_rng(23)``), and for
+the ``hermitian-defect`` set (one random mixed state at each 2j = 1..20,
+``default_rng(29)``, plus an anti-Hermitian part a - a^dagger scaled to
+1e-11 max-abs, inside the 1e-10 that ``validate`` accepts), the signature
+and the sha256 of ``json.dumps(build_report(...), sort_keys=True)``, or the
+classifier error.  ``--src`` names the library's source directory
+(default: ``src`` of this checkout), so one script writes the set for any
+tree.  ``--diff A B`` prints the verdict changes and the reason-only
+changes separately, then the residual changes at an unchanged verdict and
+every ``equivalent`` of B whose residual exceeds 1e-6, then the signature
+changes and the byte-only changes of the analyses; it exits 1 when there
+is a verdict change, such a residual or a signature change.
 """
 
 from __future__ import annotations
@@ -151,6 +154,12 @@ def analysis_states():
     for twoj in range(1, 21):
         yield f"random/mixed/2j={twoj}", inputs.random_mixed(rng, twoj).matrix
         yield f"random/pure/2j={twoj}", inputs.random_pure(rng, twoj).matrix
+    rng = np.random.default_rng(29)
+    for twoj in range(1, 21):
+        rho = inputs.random_mixed(rng, twoj).matrix
+        a = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+        defect = a - a.conj().T
+        yield f"hermitian-defect/2j={twoj}", rho + 1e-11 * defect / np.max(np.abs(defect))
 
 
 def analyze(lib, rho) -> dict:
