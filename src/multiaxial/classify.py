@@ -17,13 +17,22 @@ from .axes import (
     solve_all_axes,
     solve_many_axes,
 )
-from .fano import SphericalTensorSet, extract_tensors
+from .fano import SphericalTensorSet, check_state_spin, extract_tensors
 from .halfint import HalfInteger
 from .states import DensityMatrix, EulerAngles, rotate_density, validate
 
 #: r_k and pairwise-cosine comparisons, between two states or against the
 #: separable reference.
 FINGERPRINT_TOL = 1e-7
+#: Eigenvalue gap of a covariant form, relative to j(j + 1), above which
+#: its eigenvectors fix a frame.
+FRAME_GAP_TOL = 1e-6
+#: max|R rho_A R^dagger - rho_B| up to which a frame rotation is a witness:
+#: the 786 equivalent compares of tools/fixed_set.py map within 7.4e-15,
+#: the nearest inequivalent pair (a moved Majorana point) within 1.5e-8.
+FRAME_WITNESS_TOL = 1e-10
+FRAME_REASON = ("witness rotation read off the covariant frames maps the density "
+                f"matrices within {FRAME_WITNESS_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -293,6 +302,119 @@ def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
     return EulerAngles(alpha + shift, beta, gamma - shift)
 
 
+# ---------------------------------------------------------------------------
+# Frame witness: a rotation read off covariant 3 x 3 forms of rho
+
+
+@lru_cache(maxsize=None)
+def _spin_matrices(twice_j: int) -> np.ndarray:
+    """J_x, J_y, J_z over the basis m = j .. -j, stacked."""
+    # <m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)), in doubled units
+    tm = np.arange(twice_j - 2, -twice_j - 1, -2)
+    raising = np.diag(0.5 * np.sqrt(twice_j * (twice_j + 2) - tm * (tm + 2.0)), 1)
+    stack = np.array([(raising + raising.T) / 2, (raising - raising.T) / 2j,
+                      np.diag(0.5 * np.arange(twice_j, -twice_j - 1, -2))])
+    stack.flags.writeable = False
+    return stack
+
+
+def _covariant_forms(rho: np.ndarray, spins: np.ndarray):
+    """C1 = Re Tr(rho {J_a, J_b})/2, C2 = Re Tr(rho J_a rho J_b) and
+    C3 = Re Tr(rho^2 {J_a, J_b})/2, one at a time; rho -> U rho U^dagger
+    turns each as R C R^T."""
+    rho_j = rho @ spins
+
+    def form(left, right):
+        c = np.einsum("aij,bji->ab", left, right).real
+        return 0.5 * (c + c.T)
+
+    yield form(rho_j, spins)
+    yield form(rho_j, rho_j)
+    yield form(rho @ rho_j, spins)
+
+
+def _form_frame(form: np.ndarray, scale: float) -> tuple[tuple[bool, bool], np.ndarray]:
+    """Which eigenvalue gaps of ``form`` (ascending) exceed FRAME_GAP_TOL
+    relative to ``scale``, and its eigenvectors."""
+    values, vectors = np.linalg.eigh(form)
+    low, high = np.diff(values) > FRAME_GAP_TOL * scale
+    return (bool(low), bool(high)), vectors
+
+
+#: Columns z, x, y: the rotation taking x to z.
+_X_TO_Z = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def _turn_to_z(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A rotation G taking ``u`` to z, and G applied to ``rho``."""
+    g = _X_TO_Z @ _frame_from_pair(u, _farthest_axis(u)).T
+    return g, rotate_density(rho, euler_zyz_from_matrix(g)).matrix
+
+
+def _rz(phi: float) -> np.ndarray:
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
+    """Rotations taking the line of ``u_a`` to that of ``u_b``, best first.
+
+    Both states are turned so that the line is z (B both ways up); the
+    largest off-diagonal entry of A there, at Delta = m - m', fixes the
+    angle about z up to 2 pi / Delta.  Per head of B, the angle whose turn
+    of A best matches B in that frame is proposed."""
+    g_a, za = _turn_to_z(rho_a, u_a)
+    off = np.triu(np.abs(za), 1)
+    row, col = np.unravel_index(int(np.argmax(off)), off.shape)
+    delta = max(col - row, 1)
+    # m - m' of each entry: the basis runs m = j .. -j
+    steps = np.arange(len(za))[None, :] - np.arange(len(za))[:, None]
+    candidates = []
+    for head in (u_b, -u_b):
+        g_b, zb = _turn_to_z(rho_b, head)
+        base = np.angle(za[row, col]) - np.angle(zb[row, col]) if off[row, col] > 0.0 else 0.0
+        phis = (base + 2.0 * math.pi * np.arange(delta)) / delta
+        # exp(-i phi J_z) multiplies entry (m, m') by exp(-i phi (m - m'))
+        turned = np.exp(-1j * phis[:, None, None] * steps) * za
+        misses = np.max(np.abs(turned - zb), axis=(1, 2))
+        best = int(np.argmin(misses))
+        candidates.append((misses[best], g_b.T @ _rz(phis[best]) @ g_a))
+    return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]
+
+
+def _frame_witness(rho_a: DensityMatrix, rho_b: DensityMatrix) -> EulerAngles | None:
+    """A rotation mapping rho_a onto rho_b within FRAME_WITNESS_TOL, read off
+    the first covariant form whose gaps exceed FRAME_GAP_TOL on both sides
+    in the same pattern; None when no candidate maps them or every form is
+    isotropic on a side."""
+    twice_j = rho_a.j.twice
+    spins = _spin_matrices(twice_j)
+    scale = 0.25 * twice_j * (twice_j + 2)
+    for form_a, form_b in zip(_covariant_forms(rho_a.matrix, spins),
+                              _covariant_forms(rho_b.matrix, spins)):
+        gaps, v_a = _form_frame(form_a, scale)
+        gaps_b, v_b = _form_frame(form_b, scale)
+        if any(gaps) and gaps == gaps_b:
+            break
+    else:
+        return None
+    if all(gaps):
+        # R V_A = V_B S for a diagonal sign matrix S, det R = +1
+        orientation = np.linalg.det(v_a) * np.linalg.det(v_b)
+        candidates = [v_b @ np.diag(signs) @ v_a.T
+                      for signs in itertools.product((1.0, -1.0), repeat=3)
+                      if math.prod(signs) * orientation > 0.0]
+    else:
+        # one gap: the eigenvector of the isolated eigenvalue is an axis
+        isolated = 0 if gaps[0] else 2
+        candidates = _axial_candidates(rho_a, rho_b, v_a[:, isolated], v_b[:, isolated])
+    for rot in candidates:
+        angles = euler_zyz_from_matrix(rot)
+        if np.max(np.abs(rotate_density(rho_a, angles).matrix - rho_b.matrix)) <= FRAME_WITNESS_TOL:
+            return angles
+    return None
+
+
 def _find_witness(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
@@ -331,6 +453,28 @@ def lu_equivalent(
     rho_b: DensityMatrix,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquivalenceResult:
+    """``equivalent`` with a frame witness when the covariant frames of the
+    two states give one (``_frame_witness``), else the decision of the axis
+    stage (``_axis_decision``).
+
+    Symmetric states are LU-equivalent exactly when one U^(x)N maps one onto
+    the other, so a rotation that maps rho_a onto rho_b within
+    FRAME_WITNESS_TOL is a complete witness, and no signature is needed.
+    """
+    if rho_a.j != rho_b.j:
+        raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
+    check_state_spin(rho_a.j)
+    witness = _frame_witness(rho_a, rho_b)
+    if witness is not None:
+        return EquivalenceResult("equivalent", FRAME_REASON, witness)
+    return _axis_decision(rho_a, rho_b, tolerances)
+
+
+def _axis_decision(
+    rho_a: DensityMatrix,
+    rho_b: DensityMatrix,
+    tolerances: Tolerances,
+) -> EquivalenceResult:
     """One decision from the configurations, the invariant fingerprint and
     at most one witness search.
 
@@ -351,8 +495,6 @@ def lu_equivalent(
     Both states are signed in one pass (``solve_many_axes``), each as its
     own ``class_signature`` would sign it.
     """
-    if rho_a.j != rho_b.j:
-        raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
     sets = [extract_tensors(rho_a), extract_tensors(rho_b)]
     sig_a, sig_b = map(_signature, sets, solve_many_axes(sets, tolerances.zero, tolerances.angle))
 

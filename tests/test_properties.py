@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from oracles import majorana_roots, reconstruct_density
 
 from multiaxial.classify import (
+    DEFAULT_TOLERANCES,
     FINGERPRINT_TOL,
+    FRAME_REASON,
+    FRAME_WITNESS_TOL,
+    _axis_decision,
+    _covariant_forms,
+    _form_frame,
+    _spin_matrices,
     class_signature,
     degeneracy_configuration,
     lu_equivalent,
@@ -141,6 +148,13 @@ def _check_rotated_copy_is_equivalent_with_a_witness(rho, g):
     assert np.max(np.abs(mapped.matrix - rotated.matrix)) <= 1e-6
 
 
+def isotropic_forms(rho) -> bool:
+    """No covariant form of ``rho`` has an eigenvalue gap that fixes a frame."""
+    twice_j = rho.j.twice
+    return not any(any(_form_frame(form, 0.25 * twice_j * (twice_j + 2))[0])
+                   for form in _covariant_forms(rho.matrix, _spin_matrices(twice_j)))
+
+
 def _check_tensor_round_trip(rho):
     back = reconstruct_density(extract_tensors(rho))
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-12
@@ -156,6 +170,19 @@ def test_invariants_survive_rotation(rho, g):
 @given(states(), angles)
 def test_rotated_copy_is_equivalent_with_a_witness(rho, g):
     _check_rotated_copy_is_equivalent_with_a_witness(rho, g)
+
+
+@PROPERTY_SETTINGS
+@given(states(), angles)
+def test_rotated_copy_has_a_frame_witness_or_isotropic_forms(rho, g):
+    rotated = rotate_density(rho, g)
+    result = lu_equivalent(rho, rotated)
+    if result.reason != FRAME_REASON:
+        assert isotropic_forms(rho), result.reason
+        return
+    assert result.verdict == "equivalent"
+    assert np.max(np.abs(rotate_density(rho, result.witness).matrix - rotated.matrix)) \
+        <= FRAME_WITNESS_TOL
 
 
 @PROPERTY_SETTINGS
@@ -236,7 +263,10 @@ def test_crowded_rotated_copy_is_equivalent_from_the_settled_ranks():
     rho = _crowded_majorana_state()
     g = EulerAngles(1.6057853602487964, 2.0741980560268862, 1.5)
     _check_rotated_copy_is_equivalent_with_a_witness(rho, g)
-    assert "ill-conditioned ranks 5, 6, 7" in lu_equivalent(rho, rotate_density(rho, g)).reason
+    rotated = rotate_density(rho, g)
+    assert lu_equivalent(rho, rotated).reason == FRAME_REASON
+    # the axis path finds its witness from the settled ranks alone
+    assert "ill-conditioned ranks 5, 6, 7" in _axis_decision(rho, rotated, DEFAULT_TOLERANCES).reason
 
 
 def test_crowded_state_is_not_equivalent_to_a_moved_copy():
