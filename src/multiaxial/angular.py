@@ -104,13 +104,22 @@ def wigner_d_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues m = -j .. j of J_y, exact, and its eigenvectors in the
-    columns of a matrix over the basis m = j .. -j."""
+def spin_matrices(twice_j: int) -> np.ndarray:
+    """J_x, J_y, J_z over the basis m = j .. -j, stacked."""
     # <m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)), in doubled units
     tm = np.arange(twice_j - 2, -twice_j - 1, -2)
     raising = np.diag(0.5 * np.sqrt(twice_j * (twice_j + 2) - tm * (tm + 2.0)), 1)
-    _, vectors = np.linalg.eigh((raising - raising.T) / 2j)
+    stack = np.array([(raising + raising.T) / 2, (raising - raising.T) / 2j,
+                      np.diag(0.5 * np.arange(twice_j, -twice_j - 1, -2))])
+    stack.flags.writeable = False
+    return stack
+
+
+@lru_cache(maxsize=None)
+def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues m = -j .. j of J_y, exact, and its eigenvectors in the
+    columns of a matrix over the basis m = j .. -j."""
+    _, vectors = np.linalg.eigh(spin_matrices(twice_j)[1])
     values = 0.5 * np.arange(-twice_j, twice_j + 1, 2)
     values.flags.writeable = vectors.flags.writeable = False
     return values, vectors

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .angular import spin_matrices
 from .axes import (
     PAIR_TOL,
     ZERO_TOL,
@@ -27,12 +28,13 @@ FINGERPRINT_TOL = 1e-7
 #: Eigenvalue gap of a covariant form, relative to j(j + 1), above which
 #: its eigenvectors fix a frame.
 FRAME_GAP_TOL = 1e-6
-#: max|R rho_A R^dagger - rho_B| up to which a frame rotation is a witness:
-#: the 786 equivalent compares of tools/fixed_set.py map within 7.4e-15,
-#: the nearest inequivalent pair (a moved Majorana point) within 1.5e-8.
-FRAME_WITNESS_TOL = 1e-10
+#: max|R rho_A R^dagger - rho_B| up to which a rotation is a witness, on
+#: either path: the 786 equivalent compares of tools/fixed_set.py map within
+#: 7.4e-15, the nearest inequivalent pair (a moved Majorana point) within
+#: 1.5e-8.
+WITNESS_TOL = 1e-10
 FRAME_REASON = ("witness rotation read off the covariant frames maps the density "
-                f"matrices within {FRAME_WITNESS_TOL:g}")
+                f"matrices within {WITNESS_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -303,19 +305,8 @@ def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
 
 
 # ---------------------------------------------------------------------------
-# Frame witness: a rotation read off covariant 3 x 3 forms of rho
-
-
-@lru_cache(maxsize=None)
-def _spin_matrices(twice_j: int) -> np.ndarray:
-    """J_x, J_y, J_z over the basis m = j .. -j, stacked."""
-    # <m+1| J_+ |m> = sqrt(j(j+1) - m(m+1)), in doubled units
-    tm = np.arange(twice_j - 2, -twice_j - 1, -2)
-    raising = np.diag(0.5 * np.sqrt(twice_j * (twice_j + 2) - tm * (tm + 2.0)), 1)
-    stack = np.array([(raising + raising.T) / 2, (raising - raising.T) / 2j,
-                      np.diag(0.5 * np.arange(twice_j, -twice_j - 1, -2))])
-    stack.flags.writeable = False
-    return stack
+# Witness: rotations read off covariant 3 x 3 forms of rho or the axes, and
+# the one test that accepts them
 
 
 def _covariant_forms(rho: np.ndarray, spins: np.ndarray):
@@ -382,13 +373,12 @@ def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
     return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]
 
 
-def _frame_witness(rho_a: DensityMatrix, rho_b: DensityMatrix) -> EulerAngles | None:
-    """A rotation mapping rho_a onto rho_b within FRAME_WITNESS_TOL, read off
-    the first covariant form whose gaps exceed FRAME_GAP_TOL on both sides
-    in the same pattern; None when no candidate maps them or every form is
-    isotropic on a side."""
+def _frame_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix) -> list[np.ndarray]:
+    """Rotations read off the first covariant form whose gaps exceed
+    FRAME_GAP_TOL on both sides in the same pattern; none when every form
+    is isotropic on a side or the patterns differ."""
     twice_j = rho_a.j.twice
-    spins = _spin_matrices(twice_j)
+    spins = spin_matrices(twice_j)
     scale = 0.25 * twice_j * (twice_j + 2)
     for form_a, form_b in zip(_covariant_forms(rho_a.matrix, spins),
                               _covariant_forms(rho_b.matrix, spins)):
@@ -397,44 +387,36 @@ def _frame_witness(rho_a: DensityMatrix, rho_b: DensityMatrix) -> EulerAngles | 
         if any(gaps) and gaps == gaps_b:
             break
     else:
-        return None
+        return []
     if all(gaps):
         # R V_A = V_B S for a diagonal sign matrix S, det R = +1
         orientation = np.linalg.det(v_a) * np.linalg.det(v_b)
-        candidates = [v_b @ np.diag(signs) @ v_a.T
-                      for signs in itertools.product((1.0, -1.0), repeat=3)
-                      if math.prod(signs) * orientation > 0.0]
-    else:
-        # one gap: the eigenvector of the isolated eigenvalue is an axis
-        isolated = 0 if gaps[0] else 2
-        candidates = _axial_candidates(rho_a, rho_b, v_a[:, isolated], v_b[:, isolated])
-    for rot in candidates:
-        angles = euler_zyz_from_matrix(rot)
-        if np.max(np.abs(rotate_density(rho_a, angles).matrix - rho_b.matrix)) <= FRAME_WITNESS_TOL:
-            return angles
-    return None
+        return [v_b @ np.diag(signs) @ v_a.T
+                for signs in itertools.product((1.0, -1.0), repeat=3)
+                if math.prod(signs) * orientation > 0.0]
+    # one gap: the eigenvector of the isolated eigenvalue is an axis
+    isolated = 0 if gaps[0] else 2
+    return _axial_candidates(rho_a, rho_b, v_a[:, isolated], v_b[:, isolated])
 
 
-def _find_witness(
-    rho_a: DensityMatrix,
-    rho_b: DensityMatrix,
-    table_a: list,
-    table_b: list,
-    tolerances: Tolerances,
-) -> EulerAngles | None:
-    """A rotation mapping A's axes onto B's, rank by rank, that also maps
-    rho_a onto rho_b."""
-    witness_tol = max(tolerances.angle, 1e-6)
+def _constellation_candidates(table_a, table_b, tolerances: Tolerances):
+    """Kabsch rotations of A's axes onto the B axes they match, rank by rank
+    and as lines within 100 max(tol_angle, 1e-6) rad, under each anchor
+    candidate."""
+    match_tol = 100 * max(tolerances.angle, 1e-6)
     for rot in _rotation_candidates(table_a, table_b, tolerances.angle):
-        pairs = _match_constellations(rot, table_a, table_b, 100 * witness_tol)
-        if pairs is None:
-            continue
-        refined = _kabsch(pairs)
-        if _match_constellations(refined, table_a, table_b, witness_tol) is None:
-            continue
-        angles = euler_zyz_from_matrix(refined)
-        rotated = rotate_density(rho_a, angles)
-        if float(np.max(np.abs(rotated.matrix - rho_b.matrix))) <= 1e-6:
+        pairs = _match_constellations(rot, table_a, table_b, match_tol)
+        if pairs is not None:
+            yield _kabsch(pairs)
+
+
+def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngles | None:
+    """The first of ``rotations`` that maps rho_a onto rho_b within
+    WITNESS_TOL, max-abs over the entries, as Euler angles; None if none
+    does."""
+    for rot in rotations:
+        angles = euler_zyz_from_matrix(rot)
+        if np.max(np.abs(rotate_density(rho_a, angles).matrix - rho_b.matrix)) <= WITNESS_TOL:
             return angles
     return None
 
@@ -453,18 +435,20 @@ def lu_equivalent(
     rho_b: DensityMatrix,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquivalenceResult:
-    """``equivalent`` with a frame witness when the covariant frames of the
-    two states give one (``_frame_witness``), else the decision of the axis
-    stage (``_axis_decision``).
+    """``equivalent`` with a witness read off the covariant frames of the
+    two states when one of their candidates maps them
+    (``_frame_candidates``), else the decision of the axis stage
+    (``_axis_decision``).
 
     Symmetric states are LU-equivalent exactly when one U^(x)N maps one onto
-    the other, so a rotation that maps rho_a onto rho_b within
-    FRAME_WITNESS_TOL is a complete witness, and no signature is needed.
+    the other, so a rotation that maps rho_a onto rho_b within WITNESS_TOL
+    is a complete witness, and no signature is needed.  Both paths only
+    propose rotations; ``_witness`` is the one test that accepts one.
     """
     if rho_a.j != rho_b.j:
         raise ValueError(f"spin mismatch: {rho_a.j} vs {rho_b.j}")
     check_state_spin(rho_a.j)
-    witness = _frame_witness(rho_a, rho_b)
+    witness = _witness(rho_a, rho_b, _frame_candidates(rho_a, rho_b))
     if witness is not None:
         return EquivalenceResult("equivalent", FRAME_REASON, witness)
     return _axis_decision(rho_a, rho_b, tolerances)
@@ -475,22 +459,17 @@ def _axis_decision(
     rho_b: DensityMatrix,
     tolerances: Tolerances,
 ) -> EquivalenceResult:
-    """One decision from the configurations, the invariant fingerprint and
-    at most one witness search.
+    """One witness search over the two states' axes; the configurations and
+    the invariant fingerprints choose the verdict only when it fails.
 
     A rank that is not settled on both sides (its axes and r_k are ill
     conditioned on one side) can read differently in two orientations of
-    one state, so it is no evidence either way; the r_k and cosines of a
-    settled rank may still carry the error of simple roots crowded around
-    its multiple axis (2e-7 seen).  So ``inequivalent`` is read off before
-    any search only when the ranks present differ, when a rank settled on
-    both sides has two configurations, or when every rank is settled and
-    the configurations or fingerprints (r_k and pairwise cosines) differ.
-    The witness is then sought from the settled ranks, or from every
-    present rank when the settled axes all lie on one line and so do not
-    fix a rotation; it has to map rho_a onto rho_b.  Without one, the
-    configuration or fingerprint mismatch decides if there is one, and
-    ``fingerprint-match-only`` otherwise.
+    one state, so the search takes its candidates from the settled ranks,
+    or from every present rank when the settled axes all lie on one line
+    and so do not fix a rotation.  Without a witness, differing
+    configurations or fingerprints (r_k and pairwise cosines) give
+    ``inequivalent``, and ``fingerprint-match-only`` is left otherwise.
+    Differing present ranks give ``inequivalent`` before any search.
 
     Both states are signed in one pass (``solve_many_axes``), each as its
     own ``class_signature`` would sign it.
@@ -508,21 +487,13 @@ def _axis_decision(
                                  EulerAngles(0.0, 0.0, 0.0))
     settled = [(da, db) for da, db in present if da.settled and db.settled]
     left_out = sorted({da.k for da, _ in present} - {da.k for da, _ in settled})
-    config_mismatch = {da.k for da, db in present
-                       if degeneracy_configuration(da) != degeneracy_configuration(db)}
-    if any(da.k in config_mismatch for da, _ in settled):
-        return _inequivalent(sig_a, sig_b, True)
-    mismatch = bool(config_mismatch) or not _fingerprints_match(sig_a, sig_b)
-    if mismatch and not left_out:
-        return _inequivalent(sig_a, sig_b, bool(config_mismatch))
-
     table_a = _rank_axis_table(da for da, _ in settled)
     if left_out and _anchor_pair(table_a) is None:
         # the settled axes lie on one line: they do not fix the rotation
         settled, left_out = present, []
         table_a = _rank_axis_table(da for da, _ in settled)
-    witness = _find_witness(rho_a, rho_b, table_a,
-                            _rank_axis_table(db for _, db in settled), tolerances)
+    witness = _witness(rho_a, rho_b, _constellation_candidates(
+        table_a, _rank_axis_table(db for _, db in settled), tolerances))
     if witness is not None:
         reason = "witness rotation maps the constellations and the density matrices"
         if left_out:
@@ -530,5 +501,9 @@ def _axis_decision(
                       "ranks and the density matrices; ill-conditioned ranks "
                       + ", ".join(map(str, left_out)) + " left out")
         return EquivalenceResult("equivalent", reason, witness)
-    return _inequivalent(sig_a, sig_b, bool(config_mismatch)) if mismatch else EquivalenceResult(
+    configurations = any(degeneracy_configuration(da) != degeneracy_configuration(db)
+                         for da, db in present)
+    if configurations or not _fingerprints_match(sig_a, sig_b):
+        return _inequivalent(sig_a, sig_b, configurations)
+    return EquivalenceResult(
         "fingerprint-match-only", "invariants agree but no single witness rotation was found")

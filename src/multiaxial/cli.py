@@ -220,6 +220,11 @@ def cmd_compare(args) -> int:
     if a.j != b.j:
         print(f"error: spin mismatch j={a.j} vs j={b.j}", file=sys.stderr)
         return EXIT_USAGE
+    for path, rho in ((args.state_a, a), (args.state_b, b)):
+        failed = validate(rho).failed_test
+        if failed is not None:
+            print(f"error: {path} is not a valid state: {failed}", file=sys.stderr)
+            return EXIT_VALIDATION
     result = lu_equivalent(a, b, _tolerances(args))
     doc = {"verdict": result.verdict, "reason": result.reason}
     if result.witness is not None:

@@ -86,12 +86,20 @@ class ValidationReport:
     purity: float
 
     @property
+    def failed_test(self) -> str | None:
+        """The first validation test failed, with its value and bound; None
+        for a valid state."""
+        if not self.hermiticity_defect <= HERMITICITY_TOL:
+            return f"hermiticity defect {self.hermiticity_defect:.3e} > {HERMITICITY_TOL:g}"
+        if not self.trace_defect <= TRACE_TOL:
+            return f"trace defect {self.trace_defect:.3e} > {TRACE_TOL:g}"
+        if not self.min_eigenvalue >= PSD_TOL:
+            return f"minimum eigenvalue {self.min_eigenvalue:.3e} < {PSD_TOL:g}"
+        return None
+
+    @property
     def is_valid(self) -> bool:
-        return (
-            self.hermiticity_defect <= HERMITICITY_TOL
-            and self.trace_defect <= TRACE_TOL
-            and self.min_eigenvalue >= PSD_TOL
-        )
+        return self.failed_test is None
 
     @property
     def is_pure(self) -> bool:

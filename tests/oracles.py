@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from multiaxial.angular import tau_matrix
+from multiaxial.angular import spin_matrices, tau_matrix
 from multiaxial.axes import (
     ZERO_TOL,
     _display_angles,
@@ -137,3 +137,40 @@ def wigner_d(j, mprime, m, alpha: float, beta: float, gamma: float) -> complex:
     mp, mm = HalfInteger.of(mprime), HalfInteger.of(m)
     phase = cmath.exp(-1j * (float(mp) * alpha + float(mm) * gamma))
     return phase * wigner_small_d(j, mp, mm, beta)
+
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+#: Two generators of each rotation group, as (axis, fold): the tetrahedral
+#: group T (12 rotations), the octahedral O (24) and the icosahedral I (60).
+GROUP_GENERATORS = {
+    "T": (((0.0, 0.0, 1.0), 2), ((1.0, 1.0, 1.0), 3)),
+    "O": (((0.0, 0.0, 1.0), 4), ((1.0, 1.0, 1.0), 3)),
+    "I": (((0.0, 1.0, _PHI), 5), ((1.0, 1.0, 1.0), 3)),
+}
+
+
+def twirl(rho: DensityMatrix, group: str) -> DensityMatrix:
+    """sum_g D(g) rho D(g)^dagger / |G| over the rotation group ``group``
+    ("T", "O" or "I"), closed from its two generators.  Each element is
+    kept as a 3 x 3 rotation, to tell the elements apart, beside its spin-j
+    matrix: the product of the generators' exp(-i theta n.J), which D(g)
+    equals up to sign."""
+    spins = spin_matrices(rho.j.twice)
+    generators = []
+    for axis, fold in GROUP_GENERATORS[group]:
+        n = np.array(axis) / np.linalg.norm(axis)
+        theta = 2.0 * math.pi / fold
+        cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+        rot = np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * cross @ cross
+        values, vectors = np.linalg.eigh(np.tensordot(n, spins, 1))
+        generators.append((rot, (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T))
+    elements = {}
+    frontier = [(np.eye(3), np.eye(len(rho.matrix), dtype=complex))]
+    while frontier:
+        rot, u = frontier.pop()
+        key = tuple(np.round(rot, 8).ravel() + 0.0)
+        if key not in elements:
+            elements[key] = u
+            frontier += [(g_rot @ rot, g_u @ u) for g_rot, g_u in generators]
+    return DensityMatrix(rho.j, sum(u @ rho.matrix @ u.conj().T for u in elements.values())
+                         / len(elements))

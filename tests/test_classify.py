@@ -13,7 +13,7 @@ from multiaxial.angular import couple_axis_chain
 from multiaxial.classify import (
     FINGERPRINT_TOL,
     FRAME_REASON,
-    FRAME_WITNESS_TOL,
+    WITNESS_TOL,
     ClassSignature,
     DegeneracyConfiguration,
     Tolerances,
@@ -45,6 +45,7 @@ from multiaxial.states import (
     pure_to_density,
     rotate_density,
 )
+from oracles import twirl
 from test_properties import isotropic_forms, majorana_state, random_points
 
 
@@ -355,11 +356,12 @@ class TestOnePassDecision:
         target = rotate_density(rho, self.TURN)
         result = _axis_decision(rho, target, Tolerances())
         assert result.verdict == "equivalent", result.reason
-        assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) < 1e-6
+        assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
+            <= WITNESS_TOL
         framed = lu_equivalent(rho, target)
         assert (framed.verdict, framed.reason) == ("equivalent", FRAME_REASON)
         assert np.max(np.abs(rotate_density(rho, framed.witness).matrix - target.matrix)) \
-            <= FRAME_WITNESS_TOL
+            <= WITNESS_TOL
         return result
 
     @pytest.mark.parametrize("twice_j", [17, 19])
@@ -453,11 +455,11 @@ def _fixed_set_compares(names) -> dict:
 class TestNearMisses:
     """The six ``majorana-moved`` compares of ``tools/fixed_set.py`` whose B
     state, one Majorana point moved by up to 0.01 rad, is mapped from A
-    within the witness search's 1e-6 density bound by a rotation read off
-    both states' covariant frames.  Each has two distinct Majorana points,
-    and the move changes the angle between them only at second order.  They
-    read ``inequivalent`` by their fingerprints: seed 47 after every witness
-    candidate fails the strict rematch, the other five before any search."""
+    within 1.5e-8 to about 1e-6 by a rotation read off both states'
+    covariant frames.  Each has two distinct Majorana points, and the move
+    changes the angle between them only at second order.  No candidate of
+    either path maps them within WITNESS_TOL, so they read ``inequivalent``
+    by their fingerprints."""
 
     SEEDS = (21, 27, 38, 42, 47, 49)
 
@@ -526,7 +528,7 @@ class TestHighMultiplicity:
         result = lu_equivalent(rho, target)
         assert (result.verdict, result.reason) == ("equivalent", FRAME_REASON)
         assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
-            <= FRAME_WITNESS_TOL
+            <= WITNESS_TOL
 
     def test_ghz_tilted_off_z_equivalent_to_identity_rotated_copy(self):
         # the identity rotation changes the matrix only in its last bits;
@@ -614,7 +616,8 @@ class TestFrameWitness:
         result = lu_equivalent(rho, target)
         assert result.verdict == "equivalent", result.reason
         assert result.reason == "witness rotation maps the constellations and the density matrices"
-        assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) <= 1e-6
+        assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
+            <= WITNESS_TOL
 
     # Near-pole draws that Hypothesis once found and only a local example
     # store kept (ROADMAP items 8 and 9).  The draws themselves were lost;
@@ -637,7 +640,35 @@ class TestFrameWitness:
         result = lu_equivalent(rho, target)
         assert (result.verdict, result.reason) == ("equivalent", FRAME_REASON)
         assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
-            <= FRAME_WITNESS_TOL
+            <= WITNESS_TOL
+
+
+class TestIsotropicStates:
+    """States twirled over the tetrahedral, octahedral and icosahedral
+    rotation groups have isotropic covariant forms at every spin, so the
+    frames give no candidate and their compares take the axis path."""
+
+    TURN = EulerAngles(0.9, 2.2, 4.1)
+
+    @pytest.mark.parametrize("twice_j", [6, 9, 12, 16, 20])
+    @pytest.mark.parametrize("group", ["T", "O", "I"])
+    def test_turned_copy_equivalent_and_mirror_never_inequivalent(self, group, twice_j):
+        rng = np.random.default_rng([twice_j, "TOI".index(group)])
+        psi = rng.normal(size=twice_j + 1) + 1j * rng.normal(size=twice_j + 1)
+        for seed in (_random_density(rng, twice_j + 1), np.outer(psi, psi.conj()) / np.vdot(psi, psi)):
+            rho = twirl(DensityMatrix(HalfInteger(twice_j), seed), group)
+            assert isotropic_forms(rho)
+            target = rotate_density(rho, self.TURN)
+            result = lu_equivalent(rho, target)
+            assert result.verdict == "equivalent", result.reason
+            assert result.reason.startswith("witness rotation maps the constellations")
+            assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
+                <= WITNESS_TOL
+            # rho* has the configurations and fingerprints of rho, so only a
+            # misread signature could make it inequivalent; equivalent
+            # (achiral) and fingerprint-match-only (chiral) are both right
+            mirror = rotate_density(DensityMatrix(rho.j, rho.matrix.conj()), self.TURN)
+            assert lu_equivalent(rho, mirror).verdict != "inequivalent"
 
 
 class TestTolerances:

@@ -276,6 +276,21 @@ class TestCompare:
         assert captured.out == ""
         assert _one_spin_cap_error(captured.err)
 
+    @pytest.mark.parametrize("diagonal, failed", [
+        ((1.2, -0.2, 0.0), "minimum eigenvalue -2.000e-01 < -1e-10"),
+        ((1.0, 1.0, 0.0), "trace defect 1.000e+00 > 1e-10"),
+    ], ids=["negative", "trace-2"])
+    @pytest.mark.parametrize("order", ["bad-bad", "bad-good", "good-bad"])
+    def test_invalid_state_exit_2(self, tmp_path, capsys, diagonal, failed, order):
+        # each of these read equivalent to itself before compare validated
+        paths = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json"}
+        write_state(paths["bad"], DensityMatrix(HalfInteger(2), np.diag(diagonal)))
+        write_state(paths["good"], DensityMatrix(HalfInteger(2), np.diag([0.5, 0.5, 0.0])))
+        assert main(["compare", *(str(paths[name]) for name in order.split("-"))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {paths['bad']} is not a valid state: {failed}"]
+
 
 class TestGenerate:
     def test_ghz4_round_trip(self, tmp_path):

@@ -32,9 +32,10 @@ classifier error.  ``--src`` names the library's source directory
 (default: ``src`` of this checkout), so one script writes the set for any
 tree.  ``--diff A B`` prints the verdict changes and the reason-only
 changes separately, then the residual changes at an unchanged verdict and
-every ``equivalent`` of B whose residual exceeds 1e-6, then the signature
-changes and the byte-only changes of the analyses; it exits 1 when there
-is a verdict change, such a residual or a signature change.
+every ``equivalent`` of B whose residual exceeds 1e-10 (the library's
+witness bound, ``classify.WITNESS_TOL``), then the signature changes and
+the byte-only changes of the analyses; it exits 1 when there is a verdict
+change, such a residual or a signature change.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/ or the --src tree
 import inputs  # noqa: E402
 
-WITNESS_BOUND = 1e-6
+WITNESS_BOUND = 1e-10
 
 
 def random_points(rng, count: int):
