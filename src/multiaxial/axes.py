@@ -495,26 +495,20 @@ class RankRoots(NamedTuple):
                   # of them beside z axes
 
 
-def _root_stage(requests, zero_tol: float) -> list[list[RankRoots]]:
-    """The ``RankRoots`` of each (tensor set, ranks) of ``requests``, rank by
-    rank, from one pass over all their rows, each set's gathered with its own
-    ``_mar_table`` and right-aligned to the widest rank with zeros before; a
-    rank's entry has the bits of a pass over that rank alone.  Each present
-    rank's MAR polynomial loses its matched roots at 0 and infinity (z axes)
-    and has its other roots found (``_stacked_roots``) and polished, then
-    placed on the sphere as unit vectors."""
-    sets = [t for t, ranks in requests for _ in ranks]
-    ks = np.array([k for _, ranks in requests for k in ranks], dtype=int)
-    bounds = np.cumsum([0, *(len(ranks) for _, ranks in requests)]).tolist()
-    width = 2 * int(ks.max(initial=0)) + 1
-    comp, coeffs = np.zeros((2, len(ks), width), dtype=complex)
-    for (t, _), start, stop in zip(requests, bounds, bounds[1:]):
-        own, w = ks[start:stop], min(width, 2 * t.max_rank + 1)
-        if len(own) and (own.min() < 1 or own.max() > t.max_rank):
-            raise ValueError(f"ranks {own.tolist()} not all within 1..2j = {t.max_rank}")
-        index, weights = _mar_table(t.max_rank)
-        comp[start:stop, -w:] = np.concatenate([*t.ranks, [0.0]])[index[own - 1, -w:]]
-        coeffs[start:stop, -w:] = weights[own - 1, -w:] * comp[start:stop, -w:]
+def _root_stage(t: SphericalTensorSet, ks, zero_tol: float) -> list[RankRoots]:
+    """The ``RankRoots`` of the ranks ``ks`` of ``t``, in order, from one
+    pass over their rows of ``_mar_table``, gathered at the table's full
+    width; a rank's entry has the bits of a pass over that rank alone.
+    Each present rank's MAR polynomial loses its matched roots at 0 and
+    infinity (z axes) and has its other roots found (``_stacked_roots``)
+    and polished, then placed on the sphere as unit vectors."""
+    ks = np.array(ks, dtype=int)
+    if len(ks) and (ks.min() < 1 or ks.max() > t.max_rank):
+        raise ValueError(f"ranks {ks.tolist()} not all within 1..2j = {t.max_rank}")
+    index, weights = _mar_table(t.max_rank)
+    comp = np.concatenate([*t.ranks, [0.0]], dtype=complex)[index[ks - 1]]
+    coeffs = weights[ks - 1] * comp
+    width = 2 * t.max_rank + 1
     # an all-zero rank is absent even at zero_tol = 0; NaN counts as present
     peak = np.max(np.abs(comp), axis=1)
     present = ~(peak < zero_tol) & (peak != 0.0)
@@ -540,7 +534,7 @@ def _root_stage(requests, zero_tol: float) -> list[list[RankRoots]]:
         best, slopes = _polish_roots(trimmed, roots, live)
         counts = np.sum(live, axis=1)
         z = best[live]
-        norms = [np.linalg.norm(sets[i].ranks[k]) for i, k in zip(rows.tolist(), ks[rows].tolist())]
+        norms = [np.linalg.norm(t.ranks[k]) for k in ks[rows].tolist()]
         # inf or nan (|p'| = 0, or an overflow far out) counts as ill
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             cond = (np.repeat(norms, counts)
@@ -552,7 +546,7 @@ def _root_stage(requests, zero_tol: float) -> list[list[RankRoots]]:
             # the trimming may have cut a multiple axis near z in two, so
             # what it left all counts as ill
             stage[i] = stage[i]._replace(vectors=v, ill=len(v) if stage[i].z_axes else n_ill)
-    return [stage[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    return stage
 
 
 @lru_cache(maxsize=None)
@@ -673,7 +667,7 @@ def solve_axes(
 ) -> RankDecomposition:
     """Find the k axes and the invariant scalar r_k of one rank: the rank's
     entry of ``solve_all_axes``, from stages run for this rank alone."""
-    return _solve([(t, [k])], zero_tol, pair_tol)[0][0]
+    return _solve(t, [k], zero_tol, pair_tol)[0]
 
 
 def _antipode_within(k: int, pair_tol: float) -> float:
@@ -683,12 +677,12 @@ def _antipode_within(k: int, pair_tol: float) -> float:
     return max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
 
 
-def _structures(items) -> dict[tuple, np.ndarray]:
-    """(set, k) -> ``root_structure`` lines of each (set, t, k, roots) of ``items``
-    with an ill root, from one call; each sweep starts above its other roots."""
-    ill = [(s, t, k, roots) for s, t, k, roots in items if roots.ill]
-    return dict(zip([(s, k) for s, _, k, _ in ill], root_structure(
-        [(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1) for _, t, k, roots in ill])))
+def _structures(t: SphericalTensorSet, items) -> dict[int, np.ndarray]:
+    """k -> ``root_structure`` lines of each (k, roots) of ``items`` with an
+    ill root, from one call; each sweep starts above its other roots."""
+    ill = [(k, roots) for k, roots in items if roots.ill]
+    return dict(zip([k for k, _ in ill], root_structure(
+        [(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1) for k, roots in ill])))
 
 
 def _proposals(k: int, roots: RankRoots, simple: tuple | None, structure: np.ndarray | None,
@@ -728,44 +722,34 @@ def solve_all_axes(
     zero_tol: float = ZERO_TOL,
     pair_tol: float = PAIR_TOL,
 ) -> list[RankDecomposition]:
-    """``solve_axes`` of every rank k = 1 .. 2j: ``solve_many_axes`` of one set."""
-    (ranks,) = solve_many_axes([t], zero_tol, pair_tol)
-    return ranks
+    """``solve_axes`` of every rank k = 1 .. 2j."""
+    return _solve(t, range(1, t.max_rank + 1), zero_tol, pair_tol)
 
 
-def solve_many_axes(sets, zero_tol: float = ZERO_TOL,
-                    pair_tol: float = PAIR_TOL) -> list[list[RankDecomposition]]:
-    """``solve_all_axes`` of each tensor set of ``sets``, in one pass over
-    every (set, rank); the sets may differ in spin."""
-    return _solve([(t, range(1, t.max_rank + 1)) for t in sets], zero_tol, pair_tol)
-
-
-def _solve(requests, zero_tol: float, pair_tol: float) -> list[list[RankDecomposition]]:
-    """The ``RankDecomposition`` of each rank of each (tensor set, ranks) of
-    ``requests``, from one root stage (``_root_stage``), one structure stage
-    (``_structures``) and one simple-axes pass (``_simple_axes``) over every
-    (set, rank); each entry has the bits of its rank's ``solve_axes``.
+def _solve(t: SphericalTensorSet, ks, zero_tol: float, pair_tol: float) -> list[RankDecomposition]:
+    """The ``RankDecomposition`` of each rank of ``ks`` of ``t``, from one
+    root stage (``_root_stage``), one structure stage (``_structures``) and
+    one simple-axes pass (``_simple_axes``) over those ranks; each entry has
+    the bits of its rank's ``solve_axes``.
 
     Each present rank then fits its ``_proposals`` in turn.  A fit within
     ``GATE_FLOOR`` is accepted as it stands; else the distinct axes are
     refined with their multiplicities held fixed, and the fit is accepted
     when it leaves a residual of at most pair_tol^2 ||t^k|| (about the
     residual of merging two axes pair_tol apart) plus ``GATE_FLOOR``.  The
-    ranks are settled set by set and rank by rank, so an error raised is the
-    first failing rank's own.
+    ranks are settled in order, so an error raised is the first failing
+    rank's own.
     """
-    stages = _root_stage(requests, zero_tol)
-    items = [(s, t, k, roots) for s, ((t, ranks), stage) in enumerate(zip(requests, stages))
-             for k, roots in zip(ranks, stage)]
-    structure = _structures(items)
+    items = list(zip(ks, _root_stage(t, ks, zero_tol)))
+    structure = _structures(t, items)
     simple = _simple_axes(items, pair_tol)
-    out = [[] for _ in requests]
-    for s, t, k, roots in items:
+    out = []
+    for k, roots in items:
         if roots.vectors is None:
-            out[s].append(RankDecomposition(k, 0.0, ()))
+            out.append(RankDecomposition(k, 0.0, ()))
             continue
         comp = t.rank_components(k)
-        for axes, settled in _proposals(k, roots, simple.get((s, k)), structure.get((s, k)), pair_tol):
+        for axes, settled in _proposals(k, roots, simple.get(k), structure.get(k), pair_tol):
             r_k, residual = fit_rk(comp, axes)
             if residual > GATE_FLOOR:
                 axes = _refine_axes(comp, axes)
@@ -773,7 +757,7 @@ def _solve(requests, zero_tol: float, pair_tol: float) -> list[list[RankDecompos
             # ||t^k|| only for a fit that misses the floor
             if residual <= GATE_FLOOR or residual <= (
                     gate := pair_tol ** 2 * float(np.linalg.norm(comp)) + GATE_FLOOR):
-                out[s].append(RankDecomposition(k, r_k, axes, residual, settled))
+                out.append(RankDecomposition(k, r_k, axes, residual, settled))
                 break
         else:
             raise DegenerateFitError(
@@ -782,10 +766,10 @@ def _solve(requests, zero_tol: float, pair_tol: float) -> list[list[RankDecompos
     return out
 
 
-def _simple_axes(items, pair_tol: float) -> dict[tuple, tuple]:
-    """(set, rank) -> ordered axes, for every (set, tensor set, k, roots) of
-    ``items`` whose root-line proposal (``_proposals``) is its roots' own
-    lines, each line an axis of its own; one array pass over all such ranks.
+def _simple_axes(items, pair_tol: float) -> dict[int, tuple]:
+    """k -> ordered axes, for every (k, roots) of ``items`` whose root-line
+    proposal (``_proposals``) is its roots' own lines, each line an axis of
+    its own; one array pass over all such ranks.
 
     A rank qualifies when it has 2k roots, none ill conditioned and none
     trimmed to a z axis (the roots' lines are then the only proposal); when
@@ -797,15 +781,15 @@ def _simple_axes(items, pair_tol: float) -> dict[tuple, tuple]:
     Gram matrices are taken per rank, as ``u @ u.T`` rounds differently from
     a batched product, so every line and head is the same to the bit.
     """
-    picked = [(s, k, roots.vectors) for s, _, k, roots in items if roots.vectors is not None
+    picked = [(k, roots.vectors) for k, roots in items if roots.vectors is not None
               and not roots.ill and not roots.z_axes and len(roots.vectors) == 2 * k]
     if not picked:
         return {}
-    ks = [k for _, k, _ in picked]
+    ks = [k for k, _ in picked]
     n = 2 * max(ks)
     vectors = np.zeros((len(ks), n, 3))
     gram = np.zeros((len(ks), n, n))
-    for i, (_, k, u) in enumerate(picked):
+    for i, (k, u) in enumerate(picked):
         vectors[i, : 2 * k] = u
         gram[i, : 2 * k, : 2 * k] = u @ u.T
     batch, index = np.arange(len(ks))[:, None], np.arange(n)
@@ -822,12 +806,12 @@ def _simple_axes(items, pair_tol: float) -> dict[tuple, tuple]:
     lines = vectors[rank, head] - vectors[rank, nearest[rank, head]]
     lines = lines / _row_norms(lines)[:, None]
     starts, start = {}, 0
-    for (s, k, _), paired_rank in zip(picked, ok.tolist()):
+    for k, paired_rank in zip(ks, ok.tolist()):
         if paired_rank:
-            starts[s, k], start = start, start + k
-    m = max((k for _, k in starts), default=1)
+            starts[k], start = start, start + k
+    m = max(starts, default=1)
     cosines = np.zeros((len(starts), m, m))
-    for i, ((_, k), start) in enumerate(starts.items()):
+    for i, (k, start) in enumerate(starts.items()):
         block = lines[start: start + k]
         cosines[i, :k, :k] = block @ block.T
     # cluster_directions's test, on the same products
@@ -835,8 +819,8 @@ def _simple_axes(items, pair_tol: float) -> dict[tuple, tuple]:
     close = np.any(np.arccos(np.minimum(1.0, np.abs(cosines[:, rows, cols]))) <= pair_tol, axis=1)
     # the normalisations of cluster_directions and _canonical_heads
     heads = _canonical_heads((lines + 0.0) / _row_norms(lines)[:, None])
-    return {(s, k): _axis_list(heads[start: start + k].tolist(), [1] * k)
-            for ((s, k), start), merged in zip(starts.items(), close.tolist()) if not merged}
+    return {k: _axis_list(heads[start: start + k].tolist(), [1] * k)
+            for (k, start), merged in zip(starts.items(), close.tolist()) if not merged}
 
 
 def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:

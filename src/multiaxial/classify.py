@@ -16,7 +16,6 @@ from .axes import (
     RankDecomposition,
     pairwise_invariants,
     solve_all_axes,
-    solve_many_axes,
 )
 from .fano import SphericalTensorSet, check_state_spin, extract_tensors
 from .halfint import HalfInteger
@@ -93,12 +92,7 @@ class ClassSignature:
 def signature_from_tensors(
     t: SphericalTensorSet, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> ClassSignature:
-    return _signature(t, solve_all_axes(t, zero_tol=tolerances.zero, pair_tol=tolerances.angle))
-
-
-def _signature(t: SphericalTensorSet, ranks) -> ClassSignature:
-    """The signature of ``t`` from the decompositions of its ranks k = 1 .. 2j."""
-    ranks = tuple(ranks)
+    ranks = tuple(solve_all_axes(t, zero_tol=tolerances.zero, pair_tol=tolerances.angle))
     return ClassSignature(t.j, ranks, tuple(pairwise_invariants([d for d in ranks if d.present])))
 
 
@@ -421,13 +415,17 @@ def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngl
     return None
 
 
-def _inequivalent(sig_a: ClassSignature, sig_b: ClassSignature,
-                  configurations: bool) -> EquivalenceResult:
-    """``inequivalent`` for differing degeneracy configurations, which renders
-    both signatures, or else for differing fingerprints."""
-    return EquivalenceResult("inequivalent", (
-        f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}"
-        if configurations else "invariant fingerprints (r_k, pairwise cosines) differ"))
+def _without_witness(sig_a: ClassSignature, sig_b: ClassSignature,
+                     configurations: bool) -> EquivalenceResult:
+    """The verdict when no rotation maps the states: ``inequivalent`` for
+    differing degeneracy configurations, which renders both signatures, or
+    for differing fingerprints, and ``fingerprint-match-only`` otherwise."""
+    if configurations or not _fingerprints_match(sig_a, sig_b):
+        return EquivalenceResult("inequivalent", (
+            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}"
+            if configurations else "invariant fingerprints (r_k, pairwise cosines) differ"))
+    return EquivalenceResult(
+        "fingerprint-match-only", "invariants agree but no single witness rotation was found")
 
 
 def lu_equivalent(
@@ -469,22 +467,21 @@ def _axis_decision(
     and so do not fix a rotation.  Without a witness, differing
     configurations or fingerprints (r_k and pairwise cosines) give
     ``inequivalent``, and ``fingerprint-match-only`` is left otherwise.
-    Differing present ranks give ``inequivalent`` before any search.
-
-    Both states are signed in one pass (``solve_many_axes``), each as its
-    own ``class_signature`` would sign it.
+    Differing present ranks give ``inequivalent`` before any search.  With
+    no present rank on either side, no axes fix a rotation, and the identity
+    is the one candidate.
     """
-    sets = [extract_tensors(rho_a), extract_tensors(rho_b)]
-    sig_a, sig_b = map(_signature, sets, solve_many_axes(sets, tolerances.zero, tolerances.angle))
+    sig_a, sig_b = class_signature(rho_a, tolerances), class_signature(rho_b, tolerances)
 
     present = [(da, db) for da, db in zip(sig_a.ranks, sig_b.ranks)
                if da.present or db.present]
     if any(not (da.present and db.present) for da, db in present):
-        return _inequivalent(sig_a, sig_b, True)
+        return _without_witness(sig_a, sig_b, True)
     if not present:
-        # No axes at all: both are the maximally mixed state.
-        return EquivalenceResult("equivalent", "both states have no axes",
-                                 EulerAngles(0.0, 0.0, 0.0))
+        if np.max(np.abs(rho_a.matrix - rho_b.matrix)) <= WITNESS_TOL:
+            return EquivalenceResult("equivalent", "both states have no axes",
+                                     EulerAngles(0.0, 0.0, 0.0))
+        return _without_witness(sig_a, sig_b, False)
     settled = [(da, db) for da, db in present if da.settled and db.settled]
     left_out = sorted({da.k for da, _ in present} - {da.k for da, _ in settled})
     table_a = _rank_axis_table(da for da, _ in settled)
@@ -501,9 +498,5 @@ def _axis_decision(
                       "ranks and the density matrices; ill-conditioned ranks "
                       + ", ".join(map(str, left_out)) + " left out")
         return EquivalenceResult("equivalent", reason, witness)
-    configurations = any(degeneracy_configuration(da) != degeneracy_configuration(db)
-                         for da, db in present)
-    if configurations or not _fingerprints_match(sig_a, sig_b):
-        return _inequivalent(sig_a, sig_b, configurations)
-    return EquivalenceResult(
-        "fingerprint-match-only", "invariants agree but no single witness rotation was found")
+    return _without_witness(sig_a, sig_b, any(
+        degeneracy_configuration(da) != degeneracy_configuration(db) for da, db in present))

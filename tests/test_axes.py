@@ -14,7 +14,7 @@ from oracles import (
 )
 from test_properties import _crowded_majorana_state
 
-from multiaxial.angular import couple_axis_chain, wigner_d_matrix
+from multiaxial.angular import couple_axis_chain
 from multiaxial import axes as axes_module
 from multiaxial.axes import (
     POLISH_STEPS,
@@ -43,7 +43,6 @@ from multiaxial.axes import (
     root_structure,
     solve_all_axes,
     solve_axes,
-    solve_many_axes,
 )
 from multiaxial.families import (
     make_bell,
@@ -651,20 +650,6 @@ def _non_mutual_antipodes(rng) -> SphericalTensorSet:
     return _tensors_with_roots(8, np.vstack([chain, others, -others]))
 
 
-def _turned(t: SphericalTensorSet, angles) -> SphericalTensorSet:
-    """``t`` turned by the Euler angles (alpha, beta, gamma): each rank times
-    its Wigner D matrix, both ascending in q."""
-    return SphericalTensorSet(t.j, tuple(
-        wigner_d_matrix(HalfInteger(2 * k), *angles)[::-1, ::-1] @ c for k, c in enumerate(t.ranks)))
-
-
-def _bits(decomps) -> list:
-    """Each rank's k, r_k, fit residual, settled flag and multiplicities, and
-    the bytes of its axis vectors."""
-    return [(d.k, d.r_k.hex(), d.fit_residual.hex(), d.settled, [m for _, m in d.axes],
-             np.array([a.vector for a, _ in d.axes]).tobytes()) for d in decomps]
-
-
 def _stereographic(z):
     """(2 Re z, 2 Im z, 1 - |z|^2) / (1 + |z|^2), evaluated through w = 1/z
     beyond the unit circle so that |z| = 1e200 does not overflow."""
@@ -689,7 +674,7 @@ class TestRootStage:
         degrees, padded, rows = set(), 0, 0
         for _, t in _root_stage_states():
             batches.clear()
-            stage = _root_stage([(t, range(1, t.max_rank + 1))], ZERO_TOL)[0]
+            stage = _root_stage(t, range(1, t.max_rank + 1), ZERO_TOL)
             if not batches:
                 continue  # every present rank trimmed to z axes
             (coeffs, roots, live, best), = batches
@@ -716,7 +701,7 @@ class TestRootStage:
         # roots bit for bit those of its own np.roots
         rng = np.random.default_rng(12)
         t = extract_tensors(rotate_density(pure_to_density(make_ghz(6)), EulerAngles(0.3, 1e-5, 0.0)))
-        ((stage,),) = _root_stage([(t, [4])], ZERO_TOL)
+        (stage,) = _root_stage(t, [4], ZERO_TOL)
         assert stage.z_axes == 2 and len(stage.vectors) == 4
         desc = mar_polynomial(t, 4)[::-1]
         rows = [rng.normal(size=2) + 1j * rng.normal(size=2),  # degree 1
@@ -772,9 +757,9 @@ class TestRootStage:
         for t, k in ((_non_mutual_antipodes(np.random.default_rng(1)), 8),
                      (_tensors_with_roots(2, np.vstack([u, -turned])), 2)):  # antipodes 0.01 rad off
             ranks = range(1, k + 1)
-            stage = _root_stage([(t, ranks)], ZERO_TOL)[0]
+            stage = _root_stage(t, ranks, ZERO_TOL)
             assert stage[k - 1].ill == 0
-            assert (0, k) not in _simple_axes([(0, t, r, s) for r, s in zip(ranks, stage)], PAIR_TOL)
+            assert k not in _simple_axes(list(zip(ranks, stage)), PAIR_TOL)
 
     def test_lockstep_structure_stage_equals_one_call_per_rank(self, monkeypatch):
         # every present rank from trial degree 1 and again from k, so that a
@@ -802,26 +787,6 @@ class TestRootStage:
                 found += len(lines) > 0
         padded = sum(int(np.count_nonzero(c[:, 0] == 0.0)) for c in stacks)
         assert found > 2000 and padded > 2000
-
-    def test_many_set_pass_equals_one_call_per_set(self, monkeypatch):
-        # a batch pads each set's rows to its widest rank, sends its ill ranks
-        # through one structure stage and its simple ones through one array
-        # pass; every set must keep the bits of its own solve_all_axes
-        deferred = _count_deferred(monkeypatch)
-        rng = np.random.default_rng(30)
-        batches = [[t, _turned(t, rng.uniform(0.0, 2.0 * math.pi, 3))]
-                   for _, t in _root_stage_states(family_twojs=range(2, 21))]
-        # ill roots at most ranks, several of which have their roots paired
-        batches.append([t for name, t, _ in _deferring_inputs() if name.startswith("two-coherent")])
-        batches.append([t for name, t in _root_stage_states(family_twojs=(3, 12, 20))
-                        if name.split("-")[1] in ("3", "12", "20")])
-        assert {t.max_rank for t in batches[-1]} == {3, 12, 20}
-        for sets in batches:
-            together = solve_many_axes(sets)
-            assert len(together) == len(sets)
-            for t, decomps in zip(sets, together):
-                assert _bits(decomps) == _bits(solve_all_axes(t)), t.max_rank
-        assert deferred
 
     @pytest.mark.parametrize("name", ["coherent-turned", "w", "dicke"])
     def test_family_state_defers_no_rank(self, monkeypatch, name):

@@ -321,6 +321,15 @@ class TestLUEquivalence:
         assert result.reason == "both states have no axes"
         assert result.witness == EulerAngles(0.0, 0.0, 0.0)
 
+    def test_no_axes_pair_takes_the_witness_test(self):
+        # every rank absent at tol_zero = 0.1, yet the states differ: the
+        # identity fails the witness test and the invariants agree
+        a = DensityMatrix(_h(1), np.diag([0.34, 0.33, 0.33]))
+        b = DensityMatrix(_h(1), np.diag([0.33, 0.34, 0.33]))
+        result = lu_equivalent(a, b, Tolerances(zero=0.1))
+        assert result.verdict == "fingerprint-match-only" and result.witness is None
+        assert lu_equivalent(a, b).verdict == "inequivalent"
+
     def test_symmetric(self):
         a = pure_to_density(make_ghz(3))
         b = rotate_density(a, EulerAngles(0.2, 0.8, 1.4))
