@@ -188,8 +188,10 @@ def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
     norm = float(np.linalg.norm(n))
     if norm < 1e-9:
         return None
-    n = n / norm
-    return np.column_stack([u1, n, np.cross(u1, n)])
+    # columns u1, n and u1 x n, formed as np.cross forms it, without its overhead
+    (a0, a1, a2), (b0, b1, b2) = u1.tolist(), (n / norm).tolist()
+    return np.array([[a0, b0, a1 * b2 - a2 * b1], [a1, b1, a2 * b0 - a0 * b2],
+                     [a2, b2, a0 * b1 - a1 * b0]])
 
 
 def _farthest_axis(u: np.ndarray) -> np.ndarray:
@@ -336,34 +338,32 @@ def _turn_to_z(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return g, rotate_density(rho, euler_zyz_from_matrix(g)).matrix
 
 
-def _rz(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
     """Rotations taking the line of ``u_a`` to that of ``u_b``, best first.
 
-    Both states are turned so that the line is z (B both ways up); the
+    Both states are turned once so that the line is z; a pi turn about x, a
+    phase times the anti-identity, then reverses B for its other head.  The
     largest off-diagonal entry of A there, at Delta = m - m', fixes the
     angle about z up to 2 pi / Delta.  Per head of B, the angle whose turn
     of A best matches B in that frame is proposed."""
     g_a, za = _turn_to_z(rho_a, u_a)
+    g_b, zb = _turn_to_z(rho_b, u_b)
     off = np.triu(np.abs(za), 1)
     row, col = np.unravel_index(int(np.argmax(off)), off.shape)
     delta = max(col - row, 1)
     # m - m' of each entry: the basis runs m = j .. -j
     steps = np.arange(len(za))[None, :] - np.arange(len(za))[:, None]
     candidates = []
-    for head in (u_b, -u_b):
-        g_b, zb = _turn_to_z(rho_b, head)
-        base = np.angle(za[row, col]) - np.angle(zb[row, col]) if off[row, col] > 0.0 else 0.0
+    for g, z in ((g_b, zb), (np.diag([1.0, -1.0, -1.0]) @ g_b, zb[::-1, ::-1])):
+        base = np.angle(za[row, col]) - np.angle(z[row, col]) if off[row, col] > 0.0 else 0.0
         phis = (base + 2.0 * math.pi * np.arange(delta)) / delta
         # exp(-i phi J_z) multiplies entry (m, m') by exp(-i phi (m - m'))
         turned = np.exp(-1j * phis[:, None, None] * steps) * za
-        misses = np.max(np.abs(turned - zb), axis=(1, 2))
+        misses = np.max(np.abs(turned - z), axis=(1, 2))
         best = int(np.argmin(misses))
-        candidates.append((misses[best], g_b.T @ _rz(phis[best]) @ g_a))
+        cos, sin = math.cos(phis[best]), math.sin(phis[best])
+        rz = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+        candidates.append((misses[best], g.T @ rz @ g_a))
     return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]
 
 

@@ -25,6 +25,9 @@ from multiaxial.classify import (
     separability_from_signature,
     separable_reference_r,
     _axis_decision,
+    _farthest_axis,
+    _frame_from_pair,
+    _turn_to_z,
 )
 from multiaxial.families import (
     make_bell,
@@ -650,6 +653,52 @@ class TestFrameWitness:
         assert (result.verdict, result.reason) == ("equivalent", FRAME_REASON)
         assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
             <= WITNESS_TOL
+
+    def test_frame_from_pair_keeps_the_bits_of_the_np_cross_frame(self):
+        # the third column is formed from the products and differences that
+        # np.cross takes, so every frame keeps its bits, and None falls
+        # where it did, also for pairs straddling the 1e-9 cut-off
+        def reference(u1, u2):
+            n = u2 - float(np.dot(u1, u2)) * u1
+            norm = float(np.linalg.norm(n))
+            if norm < 1e-9:
+                return None
+            n = n / norm
+            return np.column_stack([u1, n, np.cross(u1, n)])
+
+        def units(m):
+            return m / np.linalg.norm(m, axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(38)
+        u1, u2 = units(rng.normal(size=(2, 1000, 3)))
+        near = units(rng.normal(size=(200, 3)))
+        kicked = units(near + np.geomspace(1e-11, 1e-7, 200)[:, None] * rng.normal(size=(200, 3)))
+        pairs = [*zip(u1, u2), *((u, _farthest_axis(u)) for u in u1),
+                 *zip(near, kicked), *zip(near, -kicked), (u1[0], u1[0])]
+        nones = 0
+        for a, b in pairs:
+            got, want = _frame_from_pair(a, b), reference(a, b)
+            if want is None:
+                assert got is None
+                nones += 1
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert 1 < nones < 400
+
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_other_head_is_the_turn_onto_z_reversed(self, twice_j):
+        # turning u to z and then pi about x turns -u to z; on every spin
+        # that pi turn is a global phase (+-i at half-integer j) times the
+        # anti-identity, so rho turned for -u is rho turned for u reversed
+        rng = np.random.default_rng([38, twice_j])
+        rho = DensityMatrix(HalfInteger(twice_j), _random_density(rng, twice_j + 1))
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        g, z = _turn_to_z(rho, u)
+        g_other, z_other = _turn_to_z(rho, -u)
+        # array_equal: exact, with -0.0 == 0.0
+        assert np.array_equal(np.diag([1.0, -1.0, -1.0]) @ g, g_other)
+        assert np.max(np.abs(z[::-1, ::-1] - z_other)) <= 1e-13
 
 
 class TestIsotropicStates:
