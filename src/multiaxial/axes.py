@@ -123,7 +123,8 @@ class RankDecomposition:
     #: False when some root was ill conditioned and the structure stage found
     #: no multiple root, so the axes are the roots themselves: crowded roots
     #: then fix r_k and the axes only to about cond * eps, and another
-    #: orientation of the same state may read them differently.
+    #: orientation of the same state may read them differently.  A diagnostic
+    #: flag: no verdict reads it.
     settled: bool = True
 
     @property

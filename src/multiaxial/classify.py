@@ -216,7 +216,9 @@ def _anchor_pair(table) -> tuple[int, int, float] | None:
 
 
 def _rotation_candidates(table_a, table_b, angle_tol: float):
-    """Orthogonal maps sending the constellation of A onto B, rank by rank."""
+    """Rotations taking the frame of A's anchor pair (``_anchor_pair``) onto
+    each pair of B heads at the same ranks and head angle; with every axis of
+    A on one line, the two taking that line onto B's first axis."""
     anchor = _anchor_pair(table_a)
     if anchor is None:
         # All axes on one line: the state is symmetric about it, so any frame
@@ -242,39 +244,6 @@ def _rotation_candidates(table_a, table_b, angle_tol: float):
         fb = _frame_from_pair(w1, w2)
         if fb is not None:
             yield fb @ fa.T
-
-
-def _match_constellations(rot: np.ndarray, table_a, table_b, tol: float):
-    """Greedy matching of A's axes, turned by ``rot``, onto B's: each A axis,
-    in table order, takes the first free B axis of its rank and multiplicity
-    within ``tol`` as a line.  Returns (A vector, the B head nearest the
-    turned one, multiplicity) triples, or None."""
-    free = list(range(len(table_b)))
-    pairs = []
-    for k, v, mult in table_a:
-        rv = rot @ v
-        for idx in free:
-            kb, w, mb = table_b[idx]
-            if kb != k or mb != mult:
-                continue
-            dot = float(np.dot(rv, w))
-            if math.acos(min(1.0, abs(dot))) <= tol:
-                free.remove(idx)
-                pairs.append((v, w if dot >= 0.0 else -w, mult))
-                break
-        else:
-            return None
-    return pairs
-
-
-def _kabsch(pairs) -> np.ndarray:
-    """The rotation best mapping each A vector of ``pairs`` onto its B head,
-    weighted by multiplicity."""
-    a, b, weights = map(np.array, zip(*pairs))
-    h = (a * weights[:, None]).T @ b
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
 
 
 def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
@@ -393,17 +362,6 @@ def _frame_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix) -> list[np.nda
     return _axial_candidates(rho_a, rho_b, v_a[:, isolated], v_b[:, isolated])
 
 
-def _constellation_candidates(table_a, table_b, tolerances: Tolerances):
-    """Kabsch rotations of A's axes onto the B axes they match, rank by rank
-    and as lines within 100 max(tol_angle, 1e-6) rad, under each anchor
-    candidate."""
-    match_tol = 100 * max(tolerances.angle, 1e-6)
-    for rot in _rotation_candidates(table_a, table_b, tolerances.angle):
-        pairs = _match_constellations(rot, table_a, table_b, match_tol)
-        if pairs is not None:
-            yield _kabsch(pairs)
-
-
 def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngles | None:
     """The first of ``rotations`` that maps rho_a onto rho_b within
     WITNESS_TOL, max-abs over the entries, as Euler angles; None if none
@@ -460,12 +418,11 @@ def _axis_decision(
     """One witness search over the two states' axes; the configurations and
     the invariant fingerprints choose the verdict only when it fails.
 
-    A rank that is not settled on both sides (its axes and r_k are ill
-    conditioned on one side) can read differently in two orientations of
-    one state, so the search takes its candidates from the settled ranks,
-    or from every present rank when the settled axes all lie on one line
-    and so do not fix a rotation.  Without a witness, differing
-    configurations or fingerprints (r_k and pairwise cosines) give
+    Each candidate maps the frame of two well-separated axes of A onto a
+    matching pair of heads of B, over every present rank
+    (``_rotation_candidates``), and ``_witness`` tests it on rho itself, so
+    an ill-conditioned rank needs no special treatment.  Without a witness,
+    differing configurations or fingerprints (r_k and pairwise cosines) give
     ``inequivalent``, and ``fingerprint-match-only`` is left otherwise.
     Differing present ranks give ``inequivalent`` before any search.  With
     no present rank on either side, no axes fix a rotation, and the identity
@@ -482,21 +439,12 @@ def _axis_decision(
             return EquivalenceResult("equivalent", "both states have no axes",
                                      EulerAngles(0.0, 0.0, 0.0))
         return _without_witness(sig_a, sig_b, False)
-    settled = [(da, db) for da, db in present if da.settled and db.settled]
-    left_out = sorted({da.k for da, _ in present} - {da.k for da, _ in settled})
-    table_a = _rank_axis_table(da for da, _ in settled)
-    if left_out and _anchor_pair(table_a) is None:
-        # the settled axes lie on one line: they do not fix the rotation
-        settled, left_out = present, []
-        table_a = _rank_axis_table(da for da, _ in settled)
-    witness = _witness(rho_a, rho_b, _constellation_candidates(
-        table_a, _rank_axis_table(db for _, db in settled), tolerances))
+    witness = _witness(rho_a, rho_b, _rotation_candidates(
+        _rank_axis_table(da for da, _ in present), _rank_axis_table(db for _, db in present),
+        tolerances.angle))
     if witness is not None:
-        reason = "witness rotation maps the constellations and the density matrices"
-        if left_out:
-            reason = ("witness rotation maps the constellations of the settled "
-                      "ranks and the density matrices; ill-conditioned ranks "
-                      + ", ".join(map(str, left_out)) + " left out")
-        return EquivalenceResult("equivalent", reason, witness)
+        return EquivalenceResult(
+            "equivalent", "witness rotation maps the constellations and the density matrices",
+            witness)
     return _without_witness(sig_a, sig_b, any(
         degeneracy_configuration(da) != degeneracy_configuration(db) for da, db in present))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from multiaxial.angular import couple_axis_chain
+from multiaxial.angular import couple_axis_chain, spin_matrices
 from multiaxial.classify import (
     FINGERPRINT_TOL,
     FRAME_REASON,
@@ -54,6 +54,10 @@ from test_properties import isotropic_forms, majorana_state, random_points
 
 def _h(x):
     return HalfInteger.of(x)
+
+
+#: The reason of an ``equivalent`` read off the axes (``_axis_decision``).
+AXIS_REASON = "witness rotation maps the constellations and the density matrices"
 
 
 def _random_density(rng, dim):
@@ -251,7 +255,7 @@ class TestLUEquivalence:
         assert lu_equivalent(rho, rho).verdict == "equivalent"
 
     def test_random_state_equivalent_to_itself(self):
-        # the Kabsch rotation is the identity up to rounding; reading its
+        # the witness rotation is the identity up to rounding; reading its
         # Euler angles off the rounding noise gave a wrong witness
         rng = np.random.default_rng(0)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -279,7 +283,7 @@ class TestLUEquivalence:
 
         for alpha, gamma in rng.uniform(-math.pi, math.pi, (20, 2)):
             rot = rz(alpha) @ ry(beta) @ rz(gamma)
-            # rounding-level asymmetry, as a Kabsch fit leaves it
+            # rounding-level asymmetry, as a frame product leaves it
             rot = rot + 2e-16 * rng.normal(size=(3, 3))
             e = euler_zyz_from_matrix(rot)
             rebuilt = rz(e.alpha) @ ry(e.beta) @ rz(e.gamma)
@@ -357,10 +361,11 @@ class TestLUEquivalence:
 
 
 class TestOnePassDecision:
-    """The axis path (``_axis_decision``): one witness search, from the ranks
-    settled on both sides when their axes fix a rotation, else from every
-    present rank.  ``lu_equivalent`` answers each of these pairs from the
-    covariant frames before it."""
+    """The axis path (``_axis_decision``): one witness search over the anchor
+    rotations of every present rank, each tested on rho itself, so a rank
+    whose roots are ill conditioned (not ``settled``) takes part like any
+    other.  ``lu_equivalent`` answers each of these pairs from the covariant
+    frames before it."""
 
     TURN = EulerAngles(0.9, 2.2, 4.1)
 
@@ -378,24 +383,24 @@ class TestOnePassDecision:
 
     @pytest.mark.parametrize("twice_j", [17, 19])
     def test_ghz_with_collinear_settled_axes_searches_every_rank(self, twice_j):
-        # rank 2j is unsettled and every settled axis lies on z, so the
-        # settled ranks alone do not fix the rotation
+        # rank 2j is unsettled and every other axis lies on z, so the anchor
+        # pair that fixes the rotation takes one of rank 2j's axes
         rho = pure_to_density(make_ghz(twice_j))
         decomps = [d for d in class_signature(rho).ranks if d.present]
         assert [d.k for d in decomps if not d.settled] == [twice_j]
         for d in decomps[:-1]:
             assert [abs(axis.unit_vector[2]) for axis, _ in d.axes] == [1.0]
         result = self._equivalent_with_witness(rho)
-        assert "left out" not in result.reason
+        assert result.reason == AXIS_REASON
 
-    def test_coherent_mixture_names_the_ranks_left_out(self):
+    def test_coherent_mixture_with_unsettled_ranks_has_a_witness(self):
         j = HalfInteger(18)
         rho = DensityMatrix(j, 0.3 * pure_to_density(make_coherent(j, 0.4, 0.2)).matrix
                             + 0.7 * pure_to_density(make_coherent(j, 1.9, 2.6)).matrix)
         assert [d.k for d in class_signature(rho).ranks if d.present and not d.settled] \
             == [14, 15, 16, 17, 18]
         result = self._equivalent_with_witness(rho)
-        assert result.reason.endswith("ill-conditioned ranks 14, 15, 16, 17, 18 left out")
+        assert result.reason == AXIS_REASON
 
     def test_signatures_rendered_only_for_a_returned_mismatch(self, monkeypatch):
         renders = []
@@ -413,14 +418,13 @@ class TestOnePassDecision:
         rho = DensityMatrix(HalfInteger(6), _random_density(np.random.default_rng(5), 7))
         assert all(d.settled for d in class_signature(rho).ranks if d.present)
         result = self._equivalent_with_witness(rho)
-        assert result.reason == "witness rotation maps the constellations and the density matrices"
+        assert result.reason == AXIS_REASON
 
 
 class TestChiralPairs:
     """A chiral state and its complex conjugate, whose Majorana points are
     reflected (y -> -y): every invariant agrees, but no rotation maps one
-    onto the other, so the Kabsch rotation of each candidate fails the
-    density check."""
+    onto the other, so each candidate rotation fails the density check."""
 
     TURN = EulerAngles(0.9, 2.2, 4.1)
 
@@ -627,7 +631,7 @@ class TestFrameWitness:
         target = rotate_density(rho, self.TURN)
         result = lu_equivalent(rho, target)
         assert result.verdict == "equivalent", result.reason
-        assert result.reason == "witness rotation maps the constellations and the density matrices"
+        assert result.reason == AXIS_REASON
         assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
             <= WITNESS_TOL
 
@@ -727,6 +731,39 @@ class TestIsotropicStates:
             # (achiral) and fingerprint-match-only (chiral) are both right
             mirror = rotate_density(DensityMatrix(rho.j, rho.matrix.conj()), self.TURN)
             assert lu_equivalent(rho, mirror).verdict != "inequivalent"
+
+
+class TestThermalStates:
+    """High-temperature thermal states exp(-beta n.J) / Tr: uniaxial mixed
+    states whose covariant forms' gaps scale like beta^2, so the frames give
+    no candidate and the compare takes the axis path, where ranks k ~ 2j are
+    ill conditioned (t^k ~ beta^k)."""
+
+    TURN = EulerAngles(0.9, 2.2, 4.1)
+    NOISY_TOP_RANKS = "ROADMAP item 11: the top ranks are noise, read differently when turned"
+
+    @staticmethod
+    def _thermal(twice_j, beta):
+        n = np.array([0.3, -0.5, 0.81])
+        values, vectors = np.linalg.eigh(np.tensordot(n / np.linalg.norm(n),
+                                                      spin_matrices(twice_j), 1))
+        rho = (vectors * np.exp(-beta * values)) @ vectors.conj().T
+        return DensityMatrix(HalfInteger(twice_j), rho / np.trace(rho).real)
+
+    @pytest.mark.parametrize("twice_j, beta", [
+        (2, 1e-4), (3, 1e-3), (5, 1e-4), (8, 1e-5), (20, 1e-4),
+        # t^k ~ beta^k against rounding near 1e-17
+        pytest.param(3, 3e-4, marks=pytest.mark.xfail(strict=True, reason=NOISY_TOP_RANKS)),
+        pytest.param(8, 1e-4, marks=pytest.mark.xfail(strict=True, reason=NOISY_TOP_RANKS)),
+        pytest.param(10, 1e-6, marks=pytest.mark.xfail(strict=True, reason=NOISY_TOP_RANKS)),
+    ])
+    def test_turned_copy_is_equivalent_with_a_witness(self, twice_j, beta):
+        rho = self._thermal(twice_j, beta)
+        target = rotate_density(rho, self.TURN)
+        result = lu_equivalent(rho, target)
+        assert (result.verdict, result.reason) == ("equivalent", AXIS_REASON)
+        assert np.max(np.abs(rotate_density(rho, result.witness).matrix - target.matrix)) \
+            <= WITNESS_TOL
 
 
 class TestTolerances:

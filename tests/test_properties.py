@@ -259,14 +259,18 @@ def test_crowded_roots_leave_the_middle_ranks_unsettled():
     assert settled == [True] * 4 + [False] * 11 + [True] * 2
 
 
-def test_crowded_rotated_copy_is_equivalent_from_the_settled_ranks():
+def test_crowded_rotated_copy_has_an_axis_path_witness():
     rho = _crowded_majorana_state()
     g = EulerAngles(1.6057853602487964, 2.0741980560268862, 1.5)
     _check_rotated_copy_is_equivalent_with_a_witness(rho, g)
     rotated = rotate_density(rho, g)
     assert lu_equivalent(rho, rotated).reason == FRAME_REASON
-    # the axis path finds its witness from the settled ranks alone
-    assert "ill-conditioned ranks 5, 6, 7" in _axis_decision(rho, rotated, DEFAULT_TOLERANCES).reason
+    # the axis path tests its anchor rotations on rho, unsettled ranks and all
+    result = _axis_decision(rho, rotated, DEFAULT_TOLERANCES)
+    assert (result.verdict, result.reason) == (
+        "equivalent", "witness rotation maps the constellations and the density matrices")
+    assert np.max(np.abs(rotate_density(rho, result.witness).matrix - rotated.matrix)) \
+        <= WITNESS_TOL
 
 
 def test_crowded_state_is_not_equivalent_to_a_moved_copy():

@@ -12,7 +12,14 @@ sets:
 - ``majorana-moved``: seeds 0..49 against a turned copy with one point
   moved by up to 0.01 rad;
 - ``mixture``: 27 two- and three-coherent mixtures at 2j = 2..18
-  (``default_rng(3)``), tilted, against a turned copy.
+  (``default_rng(3)``), tilted, against a turned copy;
+- ``isotropic``: one random mixed and one random pure state per 2j =
+  2..20, twirled over the tetrahedral, octahedral and icosahedral rotation
+  groups (``default_rng(21)``) and left in the group's frame, each against
+  a turned copy and a turned mirror image (rho*);
+- ``thermal``: exp(-beta n.J) / Tr at 2j = 2, 3, 5, 8, 10, 13, 16, 20 and
+  11 beta log-spaced over 1e-7..1e-2, three random directions n each
+  (``default_rng(5)``), against a turned copy.
 
 Usage::
 
@@ -90,6 +97,52 @@ def majorana_amplitudes(points, mults):
     return amps / np.linalg.norm(amps)
 
 
+#: (axis, fold) of two generators of each rotation group.
+GROUP_GENERATORS = {
+    "T": (((0.0, 0.0, 1.0), 2), ((1.0, 1.0, 1.0), 3)),
+    "O": (((0.0, 0.0, 1.0), 4), ((1.0, 1.0, 1.0), 3)),
+    "I": (((0.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0), 5), ((1.0, 1.0, 1.0), 3)),
+}
+
+
+def _spin_function(twoj: int, n, f):
+    """f(n.J) for a unit vector n, from the benchmark's Jz and Jy
+    (Jx = -i [Jy, Jz])."""
+    jz, jy = inputs.spin_matrices(twoj)
+    spins = np.array([-1j * (jy @ jz - jz @ jy), jy, jz])
+    values, vectors = np.linalg.eigh(np.tensordot(n, spins, 1))
+    return (vectors * f(values)) @ vectors.conj().T
+
+
+def twirl(matrix, group: str):
+    """sum_g D(g) rho D(g)^dagger / |G| over the rotation group ``group``,
+    closed from its two generators, each element told apart by its 3 x 3
+    rotation."""
+    twoj = matrix.shape[0] - 1
+    generators = []
+    for axis, fold in GROUP_GENERATORS[group]:
+        n = np.array(axis) / np.linalg.norm(axis)
+        theta = 2.0 * math.pi / fold
+        cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+        rot = np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * cross @ cross
+        generators.append((rot, _spin_function(twoj, n, lambda v: np.exp(-1j * theta * v))))
+    elements = {}
+    frontier = [(np.eye(3), np.eye(twoj + 1, dtype=complex))]
+    while frontier:
+        rot, u = frontier.pop()
+        key = tuple(np.round(rot, 8).ravel() + 0.0)
+        if key not in elements:
+            elements[key] = u
+            frontier += [(g_rot @ rot, g_u @ u) for g_rot, g_u in generators]
+    return sum(inputs.rotate(matrix, u) for u in elements.values()) / len(elements)
+
+
+def thermal(twoj: int, beta: float, n):
+    """exp(-beta n.J) / Tr for a unit vector n."""
+    rho = _spin_function(twoj, n, lambda v: np.exp(-beta * v))
+    return rho / np.trace(rho).real
+
+
 def _turn(rng, matrix):
     twoj = matrix.shape[0] - 1
     return inputs.rotate(matrix, inputs.rotation_matrix(twoj, *inputs.random_rotation(rng)))
@@ -129,6 +182,21 @@ def cases():
                 @ inputs.basis_state(twoj, 0)) for w in weights)
             base = _turn(rng, rho)
             yield f"mixture/2j={twoj}/{index}-{count}coherent", base, _turn(rng, base)
+    rng = np.random.default_rng(21)
+    for group in GROUP_GENERATORS:
+        for twoj in range(2, 21):
+            for kind, make in (("mixed", inputs.random_mixed), ("pure", inputs.random_pure)):
+                base = twirl(make(rng, twoj).matrix, group)  # axes on the group's symmetry axes
+                name = f"isotropic/{group}/{kind}/2j={twoj}"
+                yield f"{name}/turned", base, _turn(rng, base)
+                yield f"{name}/mirrored", base, _turn(rng, base.conj())
+    rng = np.random.default_rng(5)
+    for twoj in (2, 3, 5, 8, 10, 13, 16, 20):
+        for beta in np.logspace(-7.0, -2.0, 11):
+            for draw in range(3):
+                n = rng.normal(size=3)
+                base = thermal(twoj, float(beta), n / np.linalg.norm(n))
+                yield f"thermal/2j={twoj}/beta={beta:.2e}/{draw}", base, _turn(rng, base)
 
 
 def compare(lib, rho_a, rho_b) -> dict:
