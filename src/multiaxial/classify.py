@@ -34,6 +34,8 @@ FRAME_GAP_TOL = 1e-6
 WITNESS_TOL = 1e-10
 FRAME_REASON = ("witness rotation read off the covariant frames maps the density "
                 f"matrices within {WITNESS_TOL:g}")
+COHERENT_REASON = ("witness rotation taking <J> to z maps the density matrix onto the "
+                   f"aligned product state |j j><j j| within {WITNESS_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,33 @@ class SeparabilityVerdict:
 def pure_separability_check(
     rho: DensityMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SeparabilityVerdict:
-    """The aligned-axes-plus-reference-scalars recipe; pure states only."""
+    """``separable`` by one witness turn onto |j j><j j|
+    (``_coherent_witness``), else the aligned-axes-plus-reference-scalars
+    recipe; pure states only."""
     report = validate(rho)
     if not report.is_pure:
         return SeparabilityVerdict(
             False, False, f"not applicable: mixed state (purity {report.purity:.6f})"
         )
-    return separability_from_signature(class_signature(rho, tolerances), tolerances)
+    return _coherent_witness(rho) or separability_from_signature(
+        class_signature(rho, tolerances), tolerances)
+
+
+def _coherent_witness(rho: DensityMatrix) -> SeparabilityVerdict | None:
+    """``separable`` when the turn taking n = <J>/|<J>| to z maps rho onto
+    |j j><j j| within WITNESS_TOL; None otherwise, and when <J> = 0.
+
+    The pure separable symmetric states are exactly the rotated |j j>, so
+    one such turn certifies a product state, and no signature is needed."""
+    n = np.einsum("aij,ji->a", spin_matrices(rho.j.twice), rho.matrix).real
+    norm = float(np.linalg.norm(n))
+    if norm == 0.0:
+        return None
+    _, turned = _turn_to_z(rho, n / norm)
+    turned[0, 0] -= 1.0  # turned minus |j j><j j|
+    if np.max(np.abs(turned)) > WITNESS_TOL:
+        return None
+    return SeparabilityVerdict(True, True, COHERENT_REASON)
 
 
 def separability_from_signature(

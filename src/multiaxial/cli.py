@@ -28,6 +28,7 @@ import numpy as np  # noqa: E402
 from .angular import SpinTooLargeError
 from .axes import AxisPairingError, DegenerateFitError
 from .classify import (
+    COHERENT_REASON,
     DEFAULT_TOLERANCES,
     Tolerances,
     class_signature,
@@ -36,6 +37,7 @@ from .classify import (
     pure_separability_check,
     separability_from_signature,
     signature_from_tensors,
+    _coherent_witness,
 )
 from .families import FAMILIES, FamilyParameterError, family_density
 from .fano import extract_tensors
@@ -90,7 +92,8 @@ def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
         ranks.append(item)
 
     if report.is_pure:
-        verdict = separability_from_signature(signature, tolerances)
+        # the same decision as pure_separability_check
+        verdict = _coherent_witness(rho) or separability_from_signature(signature, tolerances)
         separability = {
             "method": "pure-recipe",
             "separable": verdict.separable,
@@ -373,7 +376,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .families import make_bell, make_ghz, make_w
+    from .families import make_bell, make_coherent, make_ghz, make_w
+    from .halfint import HalfInteger
     from .states import pure_to_density
 
     tolerances = Tolerances()
@@ -393,6 +397,9 @@ def cmd_selftest(args) -> int:
                    == "{D^1_1, D^2_2, D^3_3}"))
     checks.append(("w not separable",
                    not pure_separability_check(w, tolerances).separable))
+    coherent = pure_to_density(make_coherent(HalfInteger(6), 0.7, 1.3))
+    checks.append(("coherent separable",
+                   pure_separability_check(coherent, tolerances).reason == COHERENT_REASON))
 
     ok = True
     for label, passed in checks:

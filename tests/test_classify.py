@@ -11,11 +11,13 @@ import pytest
 
 from multiaxial.angular import couple_axis_chain, spin_matrices
 from multiaxial.classify import (
+    COHERENT_REASON,
     FINGERPRINT_TOL,
     FRAME_REASON,
     WITNESS_TOL,
     ClassSignature,
     DegeneracyConfiguration,
+    SeparabilityVerdict,
     Tolerances,
     class_signature,
     degeneracy_configuration,
@@ -45,6 +47,7 @@ from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
     EulerAngles,
+    PureState,
     pure_to_density,
     rotate_density,
 )
@@ -177,8 +180,11 @@ class TestSeparability:
                 assert abs(ref[k] - abs(scale)) < 1e-12
 
     def test_top_dicke_separable(self):
-        verdict = pure_separability_check(pure_to_density(make_dicke(1, 1)))
+        rho = pure_to_density(make_dicke(1, 1))
+        verdict = pure_separability_check(rho)
         assert verdict.applicable and verdict.separable
+        # the recipe alone reads it separable too
+        assert separability_from_signature(class_signature(rho)).separable
 
     def test_coherent_separable(self):
         rng = np.random.default_rng(57)
@@ -188,6 +194,64 @@ class TestSeparability:
                 HalfInteger(tj), rng.uniform(0, math.pi),
                 rng.uniform(0, 2 * math.pi)))
             assert pure_separability_check(rho).separable
+            assert separability_from_signature(class_signature(rho)).separable
+
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_coherent_takes_the_witness(self, twice_j):
+        for theta in (0.0, 1e-7, 0.7, math.pi - 1e-7, math.pi):
+            rho = pure_to_density(make_coherent(HalfInteger(twice_j), theta, 1.3))
+            assert pure_separability_check(rho) == SeparabilityVerdict(True, True, COHERENT_REASON)
+
+    def test_entangled_states_keep_the_recipe_verdict(self):
+        # GHZ from 2j = 3 up and Dicke m = 0 have <J> = 0; W, the other
+        # Dicke states and random pure states are turned and rejected
+        rng = np.random.default_rng(40)
+        states = []
+        for tj in range(2, 21):
+            amps = rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1)
+            states += [make_ghz(tj), make_w(tj), make_dicke(HalfInteger(tj), HalfInteger(tj % 2)),
+                       make_dicke(HalfInteger(tj), HalfInteger(tj - 2)),
+                       PureState(HalfInteger(tj), amps / np.linalg.norm(amps))]
+        for psi in states:
+            rho = pure_to_density(psi)
+            verdict = pure_separability_check(rho)
+            assert not verdict.separable
+            assert verdict == separability_from_signature(class_signature(rho))
+
+    @pytest.mark.parametrize("build", [
+        lambda: pure_to_density(make_coherent(HalfInteger(20), math.pi - 1e-7, 0.0)),
+        lambda: rotate_density(pure_to_density(make_coherent(HalfInteger(20), 0.0, 0.0)),
+                               EulerAngles(1.0, 1e-7, 0.3)),
+    ], ids=["near-south-pole", "tilted-off-z"])
+    def test_near_pole_misread_mended_in_the_verdict_only(self, build):
+        # the z-axis trimming splits a k-fold axis 1e-7 rad off the pole
+        # (ROADMAP item 8), so the signature still reads two lines; the
+        # witness turn decides the verdict before any signature
+        rho = build()
+        recipe = separability_from_signature(class_signature(rho))
+        assert not recipe.separable
+        assert recipe.reason.startswith("axes not all collinear")
+        assert pure_separability_check(rho) == SeparabilityVerdict(True, True, COHERENT_REASON)
+
+    @pytest.mark.parametrize("twice_j", [5, 20])
+    def test_perturbed_coherent_reads_as_it_compares(self, twice_j):
+        # one resolution, delta = WITNESS_TOL, for separable and equivalent
+        j = HalfInteger(twice_j)
+        psi = make_coherent(j, 0.7, 1.3)
+        base = pure_to_density(psi)
+        rng = np.random.default_rng(twice_j)
+        kick = rng.normal(size=twice_j + 1) + 1j * rng.normal(size=twice_j + 1)
+        kick /= np.max(np.abs(kick))
+        for eps, within in ((1e-12, True), (1e-8, False)):
+            amps = psi.amplitudes + eps * kick
+            rho = pure_to_density(PureState(j, amps / np.linalg.norm(amps)))
+            verdict = pure_separability_check(rho)
+            assert (lu_equivalent(rho, base).verdict == "equivalent") is within
+            assert verdict.separable is within
+            if within:
+                assert verdict.reason == COHERENT_REASON
+            else:
+                assert verdict == separability_from_signature(class_signature(rho))
 
     def test_bell_not_separable(self):
         verdict = pure_separability_check(pure_to_density(make_bell()))

@@ -229,7 +229,9 @@ class TestOnePass:
 
     def test_pure_verdict_matches_standalone_check(self):
         for rho in (pure_to_density(make_ghz(3)), pure_to_density(make_w(4)),
-                    pure_to_density(make_coherent(HalfInteger(5), 0.7, 1.3))):
+                    pure_to_density(make_coherent(HalfInteger(5), 0.7, 1.3)),
+                    # the recipe alone misreads it; both must take the witness
+                    pure_to_density(make_coherent(HalfInteger(20), math.pi - 1e-7, 0.0))):
             doc = build_report(rho, classify.Tolerances())
             verdict = classify.pure_separability_check(rho)
             assert doc["separability"] == {"method": "pure-recipe",

@@ -33,16 +33,21 @@ built from the benchmark's own spin matrices.  It also writes
 and one random pure state at each 2j = 1..20 (``default_rng(23)``), and for
 the ``hermitian-defect`` set (one random mixed state at each 2j = 1..20,
 ``default_rng(29)``, plus an anti-Hermitian part a - a^dagger scaled to
-1e-11 max-abs, inside the 1e-10 that ``validate`` accepts), the signature
-and the sha256 of ``json.dumps(build_report(...), sort_keys=True)``, or the
+1e-11 max-abs, inside the 1e-10 that ``validate`` accepts), and for the
+``coherent`` set (|j j> at each 2j = 1..20 turned by z-y-z Euler angles
+(1.0, beta, 0.3), beta in 1e-14, 1e-7, 0.7 and pi - 1e-7), the signature,
+the report's ``separability`` block (method, separable, reason) and the
+sha256 of ``json.dumps(build_report(...), sort_keys=True)``, or the
 classifier error.  ``--src`` names the library's source directory
 (default: ``src`` of this checkout), so one script writes the set for any
 tree.  ``--diff A B`` prints the verdict changes and the reason-only
 changes separately, then the residual changes at an unchanged verdict and
 every ``equivalent`` of B whose residual exceeds 1e-10 (the library's
-witness bound, ``classify.WITNESS_TOL``), then the signature changes and
+witness bound, ``classify.WITNESS_TOL``), then the signature changes, the
+separability verdict changes, the separability reason-only changes and
 the byte-only changes of the analyses; it exits 1 when there is a verdict
-change, such a residual or a signature change.
+change, such a residual, a signature change or a separability verdict
+change.
 """
 
 from __future__ import annotations
@@ -229,6 +234,10 @@ def analysis_states():
         a = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
         defect = a - a.conj().T
         yield f"hermitian-defect/2j={twoj}", rho + 1e-11 * defect / np.max(np.abs(defect))
+    for twoj in range(1, 21):
+        for beta in (1e-14, 1e-7, 0.7, math.pi - 1e-7):
+            amps = inputs.rotation_matrix(twoj, 1.0, beta, 0.3) @ inputs.basis_state(twoj, 0)
+            yield f"coherent/2j={twoj}/beta={beta:.10g}", _projector(amps)
 
 
 def analyze(lib, rho) -> dict:
@@ -238,7 +247,7 @@ def analyze(lib, rho) -> dict:
     except lib.cli.CLASSIFIER_ERRORS as exc:  # the command's exit 2
         return {"error": f"{type(exc).__name__}: {exc}"}
     text = json.dumps(report, sort_keys=True)
-    return {"signature": report["signature"],
+    return {"signature": report["signature"], "separability": report["separability"],
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
@@ -280,10 +289,20 @@ def _label(record: dict) -> str:
     return record["signature"] if "signature" in record else f"error: {record['error']}"
 
 
+def _separability(record: dict) -> dict:
+    """The report's separability block; empty for an error."""
+    return record.get("separability", {})
+
+
 def diff_analyses(a: dict, b: dict) -> int:
     shared = [n for n in a if n in b]
     signature_changes = [n for n in shared if _label(a[n]) != _label(b[n])]
+    separability_changes = [n for n in shared if _separability(a[n]).get("separable")
+                            != _separability(b[n]).get("separable")]
+    reason_changes = [n for n in shared if n not in separability_changes
+                      and _separability(a[n]) != _separability(b[n])]
     byte_changes = [n for n in shared if n not in signature_changes
+                    and n not in separability_changes and n not in reason_changes
                     and a[n].get("sha256") != b[n].get("sha256")]
     for label, names in (("analyses only in A", [n for n in a if n not in b]),
                          ("analyses only in B", [n for n in b if n not in a])):
@@ -292,10 +311,20 @@ def diff_analyses(a: dict, b: dict) -> int:
     print(f"signature changes: {len(signature_changes)}")
     for n in signature_changes:
         print(f"  {n}:\n    A: {_label(a[n])}\n    B: {_label(b[n])}")
+    print(f"separability verdict changes: {len(separability_changes)}")
+    for n in separability_changes:
+        sep_a, sep_b = _separability(a[n]), _separability(b[n])
+        print(f"  {n}: {sep_a.get('separable')} -> {sep_b.get('separable')}\n"
+              f"    A: {sep_a.get('reason')}\n    B: {sep_b.get('reason')}")
+    print(f"separability reason-only changes: {len(reason_changes)}")
+    for n in reason_changes:
+        sep_a, sep_b = _separability(a[n]), _separability(b[n])
+        print(f"  {n} [{sep_b.get('separable')}]:\n    A: {sep_a.get('reason')}\n"
+              f"    B: {sep_b.get('reason')}")
     print(f"byte-only changes: {len(byte_changes)}")
     for n in byte_changes:
         print(f"  {n} [{_label(b[n])}]")
-    return 1 if signature_changes else 0
+    return 1 if signature_changes or separability_changes else 0
 
 
 def diff(dir_a: str, dir_b: str) -> int:
