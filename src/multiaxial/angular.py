@@ -97,8 +97,8 @@ def wigner_d_matrix(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
     d^j(beta) = exp(-i beta J_y) is summed over the eigenvectors of J_y."""
     j = HalfInteger.of(j)
     _check_spin(j)
-    eigenvalues, eigenvectors = _jy_eigensystem(j.twice)
-    small = ((eigenvectors * np.exp(-1j * beta * eigenvalues)) @ eigenvectors.conj().T).real
+    eigenvalues, eigenvectors, inverse = _jy_eigensystem(j.twice)
+    small = ((eigenvectors * np.exp(-1j * beta * eigenvalues)) @ inverse).real
     m = eigenvalues[::-1]  # j .. -j, the basis order
     return np.exp(-1j * alpha * m)[:, None] * small * np.exp(-1j * gamma * m)
 
@@ -116,13 +116,14 @@ def spin_matrices(twice_j: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues m = -j .. j of J_y, exact, and its eigenvectors in the
-    columns of a matrix over the basis m = j .. -j."""
+def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues m = -j .. j of J_y, exact, its eigenvectors V in the
+    columns of a matrix over the basis m = j .. -j, and V^dagger."""
     _, vectors = np.linalg.eigh(spin_matrices(twice_j)[1])
     values = 0.5 * np.arange(-twice_j, twice_j + 1, 2)
-    values.flags.writeable = vectors.flags.writeable = False
-    return values, vectors
+    inverse = vectors.conj().T
+    values.flags.writeable = vectors.flags.writeable = inverse.flags.writeable = False
+    return values, vectors, inverse
 
 
 def tau_matrix(j, k, q) -> np.ndarray:

@@ -831,5 +831,5 @@ def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:
     if sum(mults) < 2:
         return []
     v = np.repeat(np.array([axis.vector for axis, _ in axes]), mults, axis=0)
-    rows, cols = np.triu_indices(len(v), 1)
+    rows, cols = _upper_indices(len(v))
     return np.sort(np.minimum(1.0, np.abs(v @ v.T)[rows, cols]))[::-1].tolist()

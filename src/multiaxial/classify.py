@@ -9,17 +9,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import spin_matrices
+from .angular import spin_matrices, wigner_d_matrix
 from .axes import (
     PAIR_TOL,
     ZERO_TOL,
     RankDecomposition,
+    _upper_indices,
     pairwise_invariants,
     solve_all_axes,
 )
 from .fano import SphericalTensorSet, check_state_spin, extract_tensors
 from .halfint import HalfInteger
-from .states import DensityMatrix, EulerAngles, rotate_density, validate
+from .states import DensityMatrix, EulerAngles, validate
 
 #: r_k and pairwise-cosine comparisons, between two states or against the
 #: separable reference.
@@ -142,19 +143,22 @@ def pure_separability_check(
 
 def _coherent_witness(rho: DensityMatrix) -> SeparabilityVerdict | None:
     """``separable`` when the turn taking n = <J>/|<J>| to z maps rho onto
-    |j j><j j| within WITNESS_TOL; None otherwise, and when <J> = 0.
+    |j j><j j| within WITNESS_TOL; None otherwise.
 
     The pure separable symmetric states are exactly the rotated |j j>, so
-    one such turn certifies a product state, and no signature is needed."""
-    n = np.einsum("aij,ji->a", spin_matrices(rho.j.twice), rho.matrix).real
+    one such turn certifies a product state, and no signature is needed.
+    A matrix within WITNESS_TOL of |j j><j j| has <J_z> >= j - WITNESS_TOL
+    sum_m |m|, where sum_m |m| = (2j + 1)^2 // 4, and the turn takes <J_z>
+    to |<J>|: a state below that bound, or with <J> = 0, is not turned."""
+    twice_j = rho.j.twice
+    n = np.einsum("aij,ji->a", spin_matrices(twice_j), rho.matrix).real
     norm = float(np.linalg.norm(n))
-    if norm == 0.0:
+    if norm == 0.0 or norm < 0.5 * twice_j - WITNESS_TOL * ((twice_j + 1) ** 2 // 4):
         return None
     _, turned = _turn_to_z(rho, n / norm)
     turned[0, 0] -= 1.0  # turned minus |j j><j j|
-    if np.max(np.abs(turned)) > WITNESS_TOL:
-        return None
-    return SeparabilityVerdict(True, True, COHERENT_REASON)
+    return (SeparabilityVerdict(True, True, COHERENT_REASON)
+            if np.max(np.abs(turned)) <= WITNESS_TOL else None)
 
 
 def separability_from_signature(
@@ -278,15 +282,15 @@ def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
     1 - cos(beta).  That combination is read from the block and the other
     one from the third row and column.
     """
-    r = np.asarray(rot, dtype=float)
-    beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
-    alpha = math.atan2(r[1, 2], r[0, 2])
-    gamma = math.atan2(r[2, 1], -r[2, 0])
-    if r[2, 2] >= 0.0:
-        total = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1])
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(rot, dtype=float).tolist()
+    beta = math.atan2(math.hypot(r02, r12), r22)
+    alpha = math.atan2(r12, r02)
+    gamma = math.atan2(r21, -r20)
+    if r22 >= 0.0:
+        total = math.atan2(r10 - r01, r00 + r11)
         shift = 0.5 * math.remainder(total - alpha - gamma, 2.0 * math.pi)
         return EulerAngles(alpha + shift, beta, gamma + shift)
-    difference = math.atan2(-(r[1, 0] + r[0, 1]), r[1, 1] - r[0, 0])
+    difference = math.atan2(-(r10 + r01), r11 - r00)
     shift = 0.5 * math.remainder(difference - alpha + gamma, 2.0 * math.pi)
     return EulerAngles(alpha + shift, beta, gamma - shift)
 
@@ -319,14 +323,26 @@ def _form_frame(form: np.ndarray, scale: float) -> tuple[tuple[bool, bool], np.n
     return (bool(low), bool(high)), vectors
 
 
-#: Columns z, x, y: the rotation taking x to z.
-_X_TO_Z = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+def _turned(rho: DensityMatrix, angles: EulerAngles) -> np.ndarray:
+    """The matrix of ``rotate_density(rho, angles)``, without a DensityMatrix."""
+    u = wigner_d_matrix(rho.j, angles.alpha, angles.beta, angles.gamma)
+    return u @ rho.matrix @ u.conj().T
 
 
 def _turn_to_z(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A rotation G taking ``u`` to z, and G applied to ``rho``."""
-    g = _X_TO_Z @ _frame_from_pair(u, _farthest_axis(u)).T
-    return g, rotate_density(rho, euler_zyz_from_matrix(g)).matrix
+    """A rotation G taking ``u`` to z, and G applied to ``rho``'s matrix.
+
+    G's rows are the columns n, u x n and u of ``_frame_from_pair(u,
+    _farthest_axis(u))``, formed here in its arithmetic without its calls;
+    + 0.0 clears each -0.0, which the atan2 calls of
+    ``euler_zyz_from_matrix`` would read as a half turn."""
+    a0, a1, a2 = a = u.tolist()
+    i = min(range(3), key=lambda k: abs(a[k]))  # the farthest axis e_i
+    n = np.array([(k == i) - a[i] * a[k] for k in range(3)])  # e_i - (u . e_i) u
+    b0, b1, b2 = (n / math.sqrt(float(n.dot(n)))).tolist()  # np.linalg.norm's arithmetic
+    g = np.array([[b0, b1, b2], [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], a])
+    g += 0.0
+    return g, _turned(rho, euler_zyz_from_matrix(g))
 
 
 def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
@@ -335,30 +351,34 @@ def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
     Both states are turned once so that the line is z; a pi turn about x, a
     phase times the anti-identity, then reverses B for its other head.  The
     largest off-diagonal entry of A there, at Delta = m - m', fixes the
-    angle about z up to 2 pi / Delta.  Per head of B, the angle whose turn
-    of A best matches B in that frame is proposed."""
+    angle about z up to 2 pi / Delta.  Both heads of B are searched in one
+    pass: per head, the angle whose turn of A best matches B in that frame
+    is proposed, and each proposal is formed only when it is asked for."""
     g_a, za = _turn_to_z(rho_a, u_a)
     g_b, zb = _turn_to_z(rho_b, u_b)
-    off = np.triu(np.abs(za), 1)
-    row, col = np.unravel_index(int(np.argmax(off)), off.shape)
-    delta = max(col - row, 1)
-    # m - m' of each entry: the basis runs m = j .. -j
-    steps = np.arange(len(za))[None, :] - np.arange(len(za))[:, None]
-    candidates = []
-    for g, z in ((g_b, zb), (np.diag([1.0, -1.0, -1.0]) @ g_b, zb[::-1, ::-1])):
-        base = np.angle(za[row, col]) - np.angle(z[row, col]) if off[row, col] > 0.0 else 0.0
-        phis = (base + 2.0 * math.pi * np.arange(delta)) / delta
-        # exp(-i phi J_z) multiplies entry (m, m') by exp(-i phi (m - m'))
-        turned = np.exp(-1j * phis[:, None, None] * steps) * za
-        misses = np.max(np.abs(turned - z), axis=(1, 2))
-        best = int(np.argmin(misses))
-        cos, sin = math.cos(phis[best]), math.sin(phis[best])
-        rz = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
-        candidates.append((misses[best], g.T @ rz @ g_a))
-    return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]
+    rows, cols = _upper_indices(len(za))
+    upper = np.abs(za[rows, cols])
+    top = int(np.argmax(upper))
+    row, col = int(rows[top]), int(cols[top])
+    heads = np.array((zb, zb[::-1, ::-1]))
+    bases = (np.angle(za[row, col]) - np.angle(heads[:, row, col]) if upper[top] > 0.0
+             else np.zeros(2))
+    delta = col - row
+    phis = (bases[:, None] + 2.0 * math.pi * np.arange(delta)) / delta
+    # exp(-i phi J_z) multiplies entry (m, m') by exp(-i phi (m - m')), read
+    # off a (head, phi, m - m') table; m - m' = column - row, as m runs j .. -j
+    twice_j = rho_a.j.twice
+    phases = np.exp(-1j * phis[:, :, None] * np.arange(-twice_j, twice_j + 1))
+    steps = np.arange(twice_j, 2 * twice_j + 1) - np.arange(twice_j + 1)[:, None]
+    misses = np.abs(phases[:, :, steps] * za - heads[:, None]).reshape(2, delta, -1).max(axis=2)
+    best = np.argmin(misses, axis=1)
+    for head in sorted(range(2), key=lambda h: misses[h, best[h]]):
+        g = np.diag([1.0, -1.0, -1.0]) @ g_b if head else g_b
+        cos, sin = math.cos(phis[head, best[head]]), math.sin(phis[head, best[head]])
+        yield g.T @ np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]]) @ g_a
 
 
-def _frame_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix) -> list[np.ndarray]:
+def _frame_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix):
     """Rotations read off the first covariant form whose gaps exceed
     FRAME_GAP_TOL on both sides in the same pattern; none when every form
     is isotropic on a side or the patterns differ."""
@@ -390,7 +410,7 @@ def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngl
     does."""
     for rot in rotations:
         angles = euler_zyz_from_matrix(rot)
-        if np.max(np.abs(rotate_density(rho_a, angles).matrix - rho_b.matrix)) <= WITNESS_TOL:
+        if np.max(np.abs(_turned(rho_a, angles) - rho_b.matrix)) <= WITNESS_TOL:
             return angles
     return None
 

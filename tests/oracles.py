@@ -16,9 +16,10 @@ from multiaxial.axes import (
     _root_vectors,
     _sqrt_binomials,
 )
+from multiaxial.classify import _farthest_axis, _frame_from_pair, euler_zyz_from_matrix
 from multiaxial.fano import SphericalTensorSet
 from multiaxial.halfint import HalfInteger
-from multiaxial.states import DensityMatrix, PureState
+from multiaxial.states import DensityMatrix, PureState, rotate_density
 
 
 def reconstruct_density(t: SphericalTensorSet) -> DensityMatrix:
@@ -174,3 +175,38 @@ def twirl(rho: DensityMatrix, group: str) -> DensityMatrix:
             frontier += [(g_rot @ rot, g_u @ u) for g_rot, g_u in generators]
     return DensityMatrix(rho.j, sum(u @ rho.matrix @ u.conj().T for u in elements.values())
                          / len(elements))
+
+
+#: Columns z, x, y: the rotation taking x to z.
+_X_TO_Z = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+def turn_to_z_reference(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``classify._turn_to_z`` as a product: G = X_TO_Z F^T for the frame F
+    of ``u`` and its farthest coordinate axis, and ``rotate_density`` by
+    G's Euler angles."""
+    g = _X_TO_Z @ _frame_from_pair(u, _farthest_axis(u)).T
+    return g, rotate_density(rho, euler_zyz_from_matrix(g)).matrix
+
+
+def axial_candidates_reference(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
+    """``classify._axial_candidates`` one head of B at a time, with every
+    phase exp(-i phi (m - m')) formed per entry."""
+    g_a, za = turn_to_z_reference(rho_a, u_a)
+    g_b, zb = turn_to_z_reference(rho_b, u_b)
+    off = np.triu(np.abs(za), 1)
+    row, col = np.unravel_index(int(np.argmax(off)), off.shape)
+    delta = max(col - row, 1)
+    # m - m' of each entry: the basis runs m = j .. -j
+    steps = np.arange(len(za))[None, :] - np.arange(len(za))[:, None]
+    candidates = []
+    for g, z in ((g_b, zb), (np.diag([1.0, -1.0, -1.0]) @ g_b, zb[::-1, ::-1])):
+        base = np.angle(za[row, col]) - np.angle(z[row, col]) if off[row, col] > 0.0 else 0.0
+        phis = (base + 2.0 * math.pi * np.arange(delta)) / delta
+        turned = np.exp(-1j * phis[:, None, None] * steps) * za
+        misses = np.max(np.abs(turned - z), axis=(1, 2))
+        best = int(np.argmin(misses))
+        cos, sin = math.cos(phis[best]), math.sin(phis[best])
+        rz = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+        candidates.append((misses[best], g.T @ rz @ g_a))
+    return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]

@@ -26,7 +26,9 @@ from multiaxial.classify import (
     pure_separability_check,
     separability_from_signature,
     separable_reference_r,
+    _axial_candidates,
     _axis_decision,
+    _coherent_witness,
     _farthest_axis,
     _frame_from_pair,
     _turn_to_z,
@@ -51,7 +53,7 @@ from multiaxial.states import (
     pure_to_density,
     rotate_density,
 )
-from oracles import twirl
+from oracles import axial_candidates_reference, turn_to_z_reference, twirl
 from test_properties import isotropic_forms, majorana_state, random_points
 
 
@@ -252,6 +254,39 @@ class TestSeparability:
                 assert verdict.reason == COHERENT_REASON
             else:
                 assert verdict == separability_from_signature(class_signature(rho))
+
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_coherent_pretest_rejects_only_what_the_turn_rejects(self, twice_j):
+        # a turned matrix within delta of |j j><j j| has <J_z> >= j - delta
+        # sum_m |m|, and <J_z> after the turn is |<J>|, so a state below
+        # that bound is rejected before the turn; the turn alone must reject
+        # it too.  D(R)|j j> + eps d with amplitudes kicked (|<J>| moves at
+        # second order in eps) and mixed with a random state (first order)
+        j = HalfInteger(twice_j)
+        spins = spin_matrices(twice_j)
+        bound = twice_j / 2 - WITNESS_TOL * float(np.sum(np.abs(np.diag(spins[2]))))
+        rng = np.random.default_rng([41, twice_j])
+        psi = make_coherent(j, 0.7, 1.3)
+        kick = rng.normal(size=twice_j + 1) + 1j * rng.normal(size=twice_j + 1)
+        kick /= np.max(np.abs(kick))
+        sigma = _random_density(rng, twice_j + 1)
+        below = accepted = 0
+        for eps in np.geomspace(1e-12, 1e-5, 15):
+            amps = psi.amplitudes + eps * kick
+            for rho in (pure_to_density(PureState(j, amps / np.linalg.norm(amps))),
+                        DensityMatrix(j, (1.0 - eps) * pure_to_density(psi).matrix
+                                      + eps * sigma)):
+                n = np.einsum("aij,ji->a", spins, rho.matrix).real
+                _, turned = _turn_to_z(rho, n / np.linalg.norm(n))
+                turned[0, 0] -= 1.0
+                turn_accepts = bool(np.max(np.abs(turned)) <= WITNESS_TOL)
+                assert (_coherent_witness(rho) is not None) is turn_accepts
+                if np.linalg.norm(n) < bound:
+                    assert not turn_accepts
+                    below += 1
+                accepted += turn_accepts
+        # both sides of delta, and the bound rejects some states itself
+        assert accepted and below
 
     def test_bell_not_separable(self):
         verdict = pure_separability_check(pure_to_density(make_bell()))
@@ -767,6 +802,32 @@ class TestFrameWitness:
         # array_equal: exact, with -0.0 == 0.0
         assert np.array_equal(np.diag([1.0, -1.0, -1.0]) @ g, g_other)
         assert np.max(np.abs(z[::-1, ::-1] - z_other)) <= 1e-13
+
+
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_axial_candidates_keep_the_bits_of_the_reference(self, twice_j):
+        # one stacked phase search for both heads, G formed entry by entry
+        # and matrix-only turns propose the rotations, byte for byte, that
+        # the per-head search over G = X_TO_Z F^T and rotate_density did;
+        # Delta = 2j for GHZ, where the angles tie to the last bits
+        rng = np.random.default_rng([41, twice_j])
+        dim = twice_j + 1
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        ghz = np.zeros((dim, dim))
+        ghz[np.ix_([0, -1], [0, -1])] = 0.5  # (|j j> + |j -j>) / sqrt 2, coherent at 2j = 1
+        states = [_random_density(rng, dim), np.outer(amps, amps.conj()) / np.vdot(amps, amps), ghz]
+        z_axes = [np.array([0.0, 0.0, 1.0]), np.array([-0.0, 0.0, -1.0])]
+        for matrix in states:
+            rho = DensityMatrix(HalfInteger(twice_j), matrix)
+            turned = rotate_density(rho, EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+            u_a, u_b = rng.normal(size=(2, 3))
+            for u_a, u_b in [(u_a / np.linalg.norm(u_a), u_b / np.linalg.norm(u_b)), z_axes,
+                             z_axes[::-1]]:
+                got = list(_axial_candidates(rho, turned, u_a, u_b))
+                want = axial_candidates_reference(rho, turned, u_a, u_b)
+                assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+                for g_got, g_want in zip(_turn_to_z(rho, u_a), turn_to_z_reference(rho, u_a)):
+                    assert g_got.tobytes() == g_want.tobytes()
 
 
 class TestIsotropicStates:
