@@ -22,7 +22,7 @@ _EXPORTS = {
     "classify": ("ClassSignature", "DegeneracyConfiguration", "EquivalenceResult",
                  "SeparabilityVerdict", "Tolerances", "class_signature",
                  "degeneracy_configuration", "lu_equivalent", "pure_separability_check",
-                 "separability_from_signature", "signature_from_tensors"),
+                 "signature_from_tensors"),
     "families": ("FamilyParameterError", "FamilyState", "build_family", "family_density",
                  "make_bell", "make_biaxial", "make_coherent", "make_dicke", "make_ghz",
                  "make_triaxial", "make_uniaxial", "make_w"),

@@ -22,8 +22,7 @@ from .fano import SphericalTensorSet, check_state_spin, extract_tensors
 from .halfint import HalfInteger
 from .states import DensityMatrix, EulerAngles, validate
 
-#: r_k and pairwise-cosine comparisons, between two states or against the
-#: separable reference.
+#: r_k and pairwise-cosine comparisons between two states.
 FINGERPRINT_TOL = 1e-7
 #: Eigenvalue gap of a covariant form, relative to j(j + 1), above which
 #: its eigenvectors fix a frame.
@@ -106,7 +105,7 @@ def class_signature(
 
 
 # ---------------------------------------------------------------------------
-# Pure-state separability recipe
+# Pure-state separability
 
 
 @lru_cache(maxsize=None)
@@ -129,61 +128,45 @@ class SeparabilityVerdict:
 def pure_separability_check(
     rho: DensityMatrix, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SeparabilityVerdict:
-    """``separable`` by one witness turn onto |j j><j j|
-    (``_coherent_witness``), else the aligned-axes-plus-reference-scalars
-    recipe; pure states only."""
+    """The verdict of one witness turn onto |j j><j j| (``_coherent_witness``);
+    pure states only.  ``tolerances`` is unused, since no axis is read, and
+    kept for callers that pass it."""
     report = validate(rho)
     if not report.is_pure:
         return SeparabilityVerdict(
             False, False, f"not applicable: mixed state (purity {report.purity:.6f})"
         )
-    return _coherent_witness(rho) or separability_from_signature(
-        class_signature(rho, tolerances), tolerances)
+    return _coherent_witness(rho)
 
 
-def _coherent_witness(rho: DensityMatrix) -> SeparabilityVerdict | None:
+def _coherent_witness(rho: DensityMatrix) -> SeparabilityVerdict:
     """``separable`` when the turn taking n = <J>/|<J>| to z maps rho onto
-    |j j><j j| within WITNESS_TOL; None otherwise.
+    |j j><j j| within WITNESS_TOL; ``not separable`` otherwise, with the
+    evidence as the reason.
 
     The pure separable symmetric states are exactly the rotated |j j>, so
-    one such turn certifies a product state, and no signature is needed.
-    A matrix within WITNESS_TOL of |j j><j j| has <J_z> >= j - WITNESS_TOL
-    sum_m |m|, where sum_m |m| = (2j + 1)^2 // 4, and the turn takes <J_z>
-    to |<J>|: a state below that bound, or with <J> = 0, is not turned."""
+    one such turn decides, and no signature is needed.  A matrix within
+    WITNESS_TOL of |j j><j j| has <J_z> >= j - WITNESS_TOL sum_m |m|, where
+    sum_m |m| = (2j + 1)^2 // 4, and the turn takes <J_z> to |<J>|: a state
+    below that bound, or with <J> = 0, is not turned."""
     twice_j = rho.j.twice
     n = np.einsum("aij,ji->a", spin_matrices(twice_j), rho.matrix).real
     norm = float(np.linalg.norm(n))
-    if norm == 0.0 or norm < 0.5 * twice_j - WITNESS_TOL * ((twice_j + 1) ** 2 // 4):
-        return None
+    if norm == 0.0:
+        return SeparabilityVerdict(False, True, "<J> = 0: no rotated |j j> has it")
+    bound = 0.5 * twice_j - WITNESS_TOL * ((twice_j + 1) ** 2 // 4)
+    if norm < bound:
+        return SeparabilityVerdict(
+            False, True, f"|<J>| = {norm:.9f} is below {bound:.9f}, the least that the "
+                         "witness turn accepts")
     _, turned = _turn_to_z(rho, n / norm)
     turned[0, 0] -= 1.0  # turned minus |j j><j j|
-    return (SeparabilityVerdict(True, True, COHERENT_REASON)
-            if np.max(np.abs(turned)) <= WITNESS_TOL else None)
-
-
-def separability_from_signature(
-    signature: ClassSignature, tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SeparabilityVerdict:
-    """The pure-state recipe judged from the signature of a pure state."""
-    # the smallest |cos| over every pair of axes, multiplicity counted
-    max_angle = math.acos(signature.pairwise[-1]) if signature.pairwise else 0.0
-    if max_angle > tolerances.angle:
-        return SeparabilityVerdict(
-            False, True,
-            f"axes not all collinear (max pairwise angle {max_angle:.3e} rad)",
-        )
-    reference = separable_reference_r(signature.j.twice)
-    r_values = signature.r_values
-    for k, r_ref in reference.items():
-        r_here = r_values.get(k, 0.0)
-        if abs(r_here - r_ref) > FINGERPRINT_TOL:
-            return SeparabilityVerdict(
-                False, True,
-                f"r_{k} = {r_here:.9f} differs from separable reference "
-                f"{r_ref:.9f}",
-            )
-    return SeparabilityVerdict(True, True, "all axes collinear and every r_k matches "
-                                           "the aligned product state")
+    miss = float(np.max(np.abs(turned)))
+    if miss <= WITNESS_TOL:
+        return SeparabilityVerdict(True, True, COHERENT_REASON)
+    return SeparabilityVerdict(
+        False, True, f"witness rotation taking <J> to z misses |j j><j j| by {miss:.3e}, "
+                     f"above {WITNESS_TOL:g}")
 
 
 # ---------------------------------------------------------------------------

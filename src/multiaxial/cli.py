@@ -35,7 +35,6 @@ from .classify import (
     degeneracy_configuration,
     lu_equivalent,
     pure_separability_check,
-    separability_from_signature,
     signature_from_tensors,
     _coherent_witness,
 )
@@ -92,8 +91,7 @@ def build_report(rho: DensityMatrix, tolerances: Tolerances) -> dict:
         ranks.append(item)
 
     if report.is_pure:
-        # the same decision as pure_separability_check
-        verdict = _coherent_witness(rho) or separability_from_signature(signature, tolerances)
+        verdict = _coherent_witness(rho)  # the decision of pure_separability_check
         separability = {
             "method": "pure-recipe",
             "separable": verdict.separable,

@@ -16,7 +16,17 @@ from multiaxial.axes import (
     _root_vectors,
     _sqrt_binomials,
 )
-from multiaxial.classify import _farthest_axis, _frame_from_pair, euler_zyz_from_matrix
+from multiaxial.classify import (
+    DEFAULT_TOLERANCES,
+    FINGERPRINT_TOL,
+    ClassSignature,
+    SeparabilityVerdict,
+    Tolerances,
+    _farthest_axis,
+    _frame_from_pair,
+    euler_zyz_from_matrix,
+    separable_reference_r,
+)
 from multiaxial.fano import SphericalTensorSet
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import DensityMatrix, PureState, rotate_density
@@ -210,3 +220,28 @@ def axial_candidates_reference(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, 
         rz = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
         candidates.append((misses[best], g.T @ rz @ g_a))
     return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]
+
+
+def separability_from_signature(
+    signature: ClassSignature, tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> SeparabilityVerdict:
+    """The pure-state recipe judged from the signature of a pure state."""
+    # the smallest |cos| over every pair of axes, multiplicity counted
+    max_angle = math.acos(signature.pairwise[-1]) if signature.pairwise else 0.0
+    if max_angle > tolerances.angle:
+        return SeparabilityVerdict(
+            False, True,
+            f"axes not all collinear (max pairwise angle {max_angle:.3e} rad)",
+        )
+    reference = separable_reference_r(signature.j.twice)
+    r_values = signature.r_values
+    for k, r_ref in reference.items():
+        r_here = r_values.get(k, 0.0)
+        if abs(r_here - r_ref) > FINGERPRINT_TOL:
+            return SeparabilityVerdict(
+                False, True,
+                f"r_{k} = {r_here:.9f} differs from separable reference "
+                f"{r_ref:.9f}",
+            )
+    return SeparabilityVerdict(True, True, "all axes collinear and every r_k matches "
+                                           "the aligned product state")

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from multiaxial import classify
 from multiaxial.angular import couple_axis_chain, spin_matrices
 from multiaxial.classify import (
     COHERENT_REASON,
@@ -24,7 +25,6 @@ from multiaxial.classify import (
     euler_zyz_from_matrix,
     lu_equivalent,
     pure_separability_check,
-    separability_from_signature,
     separable_reference_r,
     _axial_candidates,
     _axis_decision,
@@ -53,7 +53,12 @@ from multiaxial.states import (
     pure_to_density,
     rotate_density,
 )
-from oracles import axial_candidates_reference, turn_to_z_reference, twirl
+from oracles import (
+    axial_candidates_reference,
+    separability_from_signature,
+    turn_to_z_reference,
+    twirl,
+)
 from test_properties import isotropic_forms, majorana_state, random_points
 
 
@@ -63,6 +68,11 @@ def _h(x):
 
 #: The reason of an ``equivalent`` read off the axes (``_axis_decision``).
 AXIS_REASON = "witness rotation maps the constellations and the density matrices"
+
+
+def _unit(rng, dim):
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return amps / np.linalg.norm(amps)
 
 
 def _random_density(rng, dim):
@@ -218,7 +228,7 @@ class TestSeparability:
             rho = pure_to_density(psi)
             verdict = pure_separability_check(rho)
             assert not verdict.separable
-            assert verdict == separability_from_signature(class_signature(rho))
+            assert not separability_from_signature(class_signature(rho)).separable
 
     @pytest.mark.parametrize("build", [
         lambda: pure_to_density(make_coherent(HalfInteger(20), math.pi - 1e-7, 0.0)),
@@ -227,8 +237,9 @@ class TestSeparability:
     ], ids=["near-south-pole", "tilted-off-z"])
     def test_near_pole_misread_mended_in_the_verdict_only(self, build):
         # the z-axis trimming splits a k-fold axis 1e-7 rad off the pole
-        # (ROADMAP item 8), so the signature still reads two lines; the
-        # witness turn decides the verdict before any signature
+        # (ROADMAP item 8), so the signature still reads two lines, and the
+        # paper's recipe on it reads not separable; the witness turn alone
+        # decides the verdict
         rho = build()
         recipe = separability_from_signature(class_signature(rho))
         assert not recipe.separable
@@ -253,7 +264,10 @@ class TestSeparability:
             if within:
                 assert verdict.reason == COHERENT_REASON
             else:
-                assert verdict == separability_from_signature(class_signature(rho))
+                # |<J>| moves at second order in eps, so the turn rejects it
+                assert verdict.reason.startswith(
+                    "witness rotation taking <J> to z misses |j j><j j| by ")
+                assert not separability_from_signature(class_signature(rho)).separable
 
     @pytest.mark.parametrize("twice_j", range(1, 21))
     def test_coherent_pretest_rejects_only_what_the_turn_rejects(self, twice_j):
@@ -280,7 +294,7 @@ class TestSeparability:
                 _, turned = _turn_to_z(rho, n / np.linalg.norm(n))
                 turned[0, 0] -= 1.0
                 turn_accepts = bool(np.max(np.abs(turned)) <= WITNESS_TOL)
-                assert (_coherent_witness(rho) is not None) is turn_accepts
+                assert _coherent_witness(rho).separable is turn_accepts
                 if np.linalg.norm(n) < bound:
                     assert not turn_accepts
                     below += 1
@@ -293,9 +307,37 @@ class TestSeparability:
         assert verdict.applicable and not verdict.separable
 
     def test_w_not_separable_despite_collinear(self):
+        # its axes are collinear, but |<J>| = j - 1 stops it before the turn
         verdict = pure_separability_check(pure_to_density(make_w(3)))
-        assert not verdict.separable
-        assert "r_" in verdict.reason  # axes collinear; scalars give it away
+        assert verdict == SeparabilityVerdict(
+            False, True, f"|<J>| = {0.5:.9f} is below {1.5 - 4 * WITNESS_TOL:.9f}, the least "
+                         "that the witness turn accepts")
+
+    def test_zero_mean_spin_not_turned(self):
+        for psi in (make_ghz(20), make_dicke(HalfInteger(4), HalfInteger(0))):
+            verdict = pure_separability_check(pure_to_density(psi))
+            assert verdict == SeparabilityVerdict(False, True, "<J> = 0: no rotated |j j> has it")
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_w(20),
+        lambda: make_ghz(20),
+        lambda: PureState(HalfInteger(20), _unit(np.random.default_rng(43), 21)),
+    ], ids=["w", "ghz", "random"])
+    def test_separability_signs_nothing(self, monkeypatch, build):
+        calls = {"extract_tensors": 0, "solve_all_axes": 0}
+
+        def counting(name):
+            original = getattr(classify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(classify, name, wrapper)
+
+        for layer in calls:
+            counting(layer)
+        assert not pure_separability_check(pure_to_density(build())).separable
+        assert calls == {"extract_tensors": 0, "solve_all_axes": 0}
 
     def test_ghz_not_separable(self):
         for n in (2, 3, 4):

@@ -13,13 +13,17 @@ import pytest
 
 import multiaxial
 from multiaxial import classify, cli
+from multiaxial.axes import DegenerateFitError
 from multiaxial.cli import build_report, main
 from multiaxial.families import make_coherent, make_ghz, make_w
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
+    EulerAngles,
+    PureState,
     pure_to_density,
     read_state,
+    rotate_pure,
     write_state,
 )
 from test_properties import majorana_state, random_points
@@ -209,7 +213,6 @@ class TestOnePass:
         psi /= np.linalg.norm(psi)
         rho = DensityMatrix(HalfInteger(6), np.outer(psi, psi.conj()))
         tolerances = classify.Tolerances()
-        classify.separable_reference_r(6)  # cached reference, built outside the count
         calls = {"extract_tensors": 0, "solve_all_axes": 0}
 
         def counting(module, name):
@@ -237,6 +240,45 @@ class TestOnePass:
             assert doc["separability"] == {"method": "pure-recipe",
                                            "separable": verdict.separable,
                                            "reason": verdict.reason}
+
+
+def _near_coherent_16() -> DensityMatrix:
+    """A pure 2j = 16 state within 1e-10 of a coherent state whose <J> lies
+    0.104 rad from -z: D(R)|j j> + eps d/|d|, normalised, with Haar z-y-z
+    angles R and a complex normal d.  It is draw 1 at (2j, eps) = (16,
+    1e-10) of a probe that runs default_rng(7) over 2j in (2, 5, 10, 16,
+    20), eps in (1e-12, 1e-10, 1e-9, ..., 1e-5) and four draws each."""
+    rng = np.random.default_rng(7)
+    for twice_j in (2, 5, 10, 16):
+        for eps in (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            for draw in range(4):
+                angles = EulerAngles(rng.uniform(0.0, 2.0 * math.pi),
+                                     math.acos(rng.uniform(-1.0, 1.0)),
+                                     rng.uniform(0.0, 2.0 * math.pi))
+                d = rng.normal(size=twice_j + 1) + 1j * rng.normal(size=twice_j + 1)
+                if (twice_j, eps, draw) == (16, 1e-10, 1):
+                    j = HalfInteger(twice_j)
+                    top = np.eye(twice_j + 1, 1, dtype=complex)[:, 0]  # |j j>
+                    amps = rotate_pure(PureState(j, top), angles).amplitudes
+                    amps = amps + eps * d / np.linalg.norm(d)
+                    return pure_to_density(PureState(j, amps / np.linalg.norm(amps)))
+    raise AssertionError("the probe never reached its draw")
+
+
+class TestNearCoherentPin:
+    """At ranks 10-12 of this state every root is ill conditioned and one is
+    trimmed to z (ROADMAP item 8): the witness reads it, the signature
+    cannot."""
+
+    def test_witness_reads_separable(self):
+        assert classify.pure_separability_check(_near_coherent_16()) == \
+            classify.SeparabilityVerdict(True, True, classify.COHERENT_REASON)
+
+    @pytest.mark.xfail(strict=True, raises=DegenerateFitError,
+                       reason="rank 11 leaves a fit residual of 6.31e-12 above its gate")
+    def test_report_signs_it(self):
+        doc = build_report(_near_coherent_16(), classify.Tolerances())
+        assert doc["separability"]["separable"]
 
 
 class TestCompare:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from oracles import majorana_roots, reconstruct_density
+from oracles import majorana_roots, reconstruct_density, separability_from_signature
 
 from multiaxial.angular import spin_matrices
 from multiaxial.classify import (
@@ -25,6 +25,7 @@ from multiaxial.classify import (
     class_signature,
     degeneracy_configuration,
     lu_equivalent,
+    pure_separability_check,
 )
 from multiaxial.families import make_coherent, make_dicke, make_ghz, make_w
 from multiaxial.fano import extract_tensors
@@ -242,6 +243,33 @@ def test_majorana_rotated_copy_is_equivalent_with_a_witness(rho, g):
 @given(majorana_states())
 def test_majorana_tensor_round_trip(rho):
     _check_tensor_round_trip(rho)
+
+
+def _recipe_separable_implies_witness(rho: DensityMatrix) -> bool:
+    """The paper's recipe on the signature (``oracles``) can miss a product
+    state, but what it reads separable the witness turn reads separable."""
+    recipe = separability_from_signature(class_signature(rho)).separable
+    assert not recipe or pure_separability_check(rho).separable
+    return recipe
+
+
+@pytest.mark.parametrize("twice_j", range(1, 21))
+def test_family_recipe_separable_implies_witness(twice_j):
+    j = HalfInteger(twice_j)
+    products = [make_coherent(j, 0.7, 1.3), make_dicke(j, j)]
+    others = [make_dicke(j, HalfInteger(twice_j - 2)), make_dicke(j, HalfInteger(twice_j % 2))]
+    if twice_j >= 2:
+        others += [make_ghz(twice_j), make_w(twice_j)]
+    # the recipe reads both product states separable, so the test has teeth
+    assert all(_recipe_separable_implies_witness(pure_to_density(psi)) for psi in products)
+    for psi in others:
+        _recipe_separable_implies_witness(pure_to_density(psi))
+
+
+@MAJORANA_SETTINGS
+@given(majorana_states())
+def test_majorana_recipe_separable_implies_witness(rho):
+    _recipe_separable_implies_witness(rho)
 
 
 def _crowded_majorana_state() -> DensityMatrix:
