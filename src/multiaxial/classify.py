@@ -148,18 +148,18 @@ def _coherent_witness(rho: DensityMatrix) -> SeparabilityVerdict:
     one such turn decides, and no signature is needed.  A matrix within
     WITNESS_TOL of |j j><j j| has <J_z> >= j - WITNESS_TOL sum_m |m|, where
     sum_m |m| = (2j + 1)^2 // 4, and the turn takes <J_z> to |<J>|: a state
-    below that bound, or with <J> = 0, is not turned."""
+    below that bound, or with <J> = 0 at j > 0, is not turned."""
     twice_j = rho.j.twice
     n = np.einsum("aij,ji->a", spin_matrices(twice_j), rho.matrix).real
     norm = float(np.linalg.norm(n))
-    if norm == 0.0:
+    if norm == 0.0 and twice_j:
         return SeparabilityVerdict(False, True, "<J> = 0: no rotated |j j> has it")
     bound = 0.5 * twice_j - WITNESS_TOL * ((twice_j + 1) ** 2 // 4)
     if norm < bound:
         return SeparabilityVerdict(
             False, True, f"|<J>| = {norm:.9f} is below {bound:.9f}, the least that the "
                          "witness turn accepts")
-    _, turned = _turn_to_z(rho, n / norm)
+    turned = _turn_to_z(rho, n / norm)[1] if twice_j else rho.matrix.copy()  # j = 0: no turn
     turned[0, 0] -= 1.0  # turned minus |j j><j j|
     miss = float(np.max(np.abs(turned)))
     if miss <= WITNESS_TOL:
@@ -203,11 +203,6 @@ def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
                      [a2, b2, a0 * b1 - a1 * b0]])
 
 
-def _farthest_axis(u: np.ndarray) -> np.ndarray:
-    """The coordinate axis farthest from the line of ``u``."""
-    return np.eye(3)[int(np.argmin(np.abs(u)))]
-
-
 def _anchor_pair(table) -> tuple[int, int, float] | None:
     """The first two axes of ``table`` more than 1e-4 rad apart as lines, and
     the angle between their heads; None when every axis lies on one line."""
@@ -224,20 +219,10 @@ def _anchor_pair(table) -> tuple[int, int, float] | None:
     return None
 
 
-def _rotation_candidates(table_a, table_b, angle_tol: float):
-    """Rotations taking the frame of A's anchor pair (``_anchor_pair``) onto
-    each pair of B heads at the same ranks and head angle; with every axis of
-    A on one line, the two taking that line onto B's first axis."""
-    anchor = _anchor_pair(table_a)
-    if anchor is None:
-        # All axes on one line: the state is symmetric about it, so any frame
-        # on that line gives a candidate.
-        u, v = table_a[0][1], table_b[0][1]
-        fa = _frame_from_pair(u, _farthest_axis(u))
-        for head in (v, -v):
-            yield _frame_from_pair(head, _farthest_axis(head)) @ fa.T
-        return
-
+def _rotation_candidates(anchor, table_a, table_b, angle_tol: float):
+    """Rotations taking the frame of A's anchor pair ``anchor``
+    (``_anchor_pair``) onto each pair of B heads at the same ranks and head
+    angle."""
     i, l, ang = anchor
     k1, u1, _ = table_a[i]
     k2, u2, _ = table_a[l]
@@ -298,14 +283,6 @@ def _covariant_forms(rho: np.ndarray, spins: np.ndarray):
     yield form(rho @ rho_j, spins)
 
 
-def _form_frame(form: np.ndarray, scale: float) -> tuple[tuple[bool, bool], np.ndarray]:
-    """Which eigenvalue gaps of ``form`` (ascending) exceed FRAME_GAP_TOL
-    relative to ``scale``, and its eigenvectors."""
-    values, vectors = np.linalg.eigh(form)
-    low, high = np.diff(values) > FRAME_GAP_TOL * scale
-    return (bool(low), bool(high)), vectors
-
-
 def _turned(rho: DensityMatrix, angles: EulerAngles) -> np.ndarray:
     """The matrix of ``rotate_density(rho, angles)``, without a DensityMatrix."""
     u = wigner_d_matrix(rho.j, angles.alpha, angles.beta, angles.gamma)
@@ -315,9 +292,9 @@ def _turned(rho: DensityMatrix, angles: EulerAngles) -> np.ndarray:
 def _turn_to_z(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A rotation G taking ``u`` to z, and G applied to ``rho``'s matrix.
 
-    G's rows are the columns n, u x n and u of ``_frame_from_pair(u,
-    _farthest_axis(u))``, formed here in its arithmetic without its calls;
-    + 0.0 clears each -0.0, which the atan2 calls of
+    G's rows are the columns n, u x n and u of ``_frame_from_pair(u, e)``,
+    e the coordinate axis farthest from u's line, in its arithmetic without
+    its calls; + 0.0 clears each -0.0, which the atan2 calls of
     ``euler_zyz_from_matrix`` would read as a half turn."""
     a0, a1, a2 = a = u.tolist()
     i = min(range(3), key=lambda k: abs(a[k]))  # the farthest axis e_i
@@ -328,17 +305,18 @@ def _turn_to_z(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return g, _turned(rho, euler_zyz_from_matrix(g))
 
 
-def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
-    """Rotations taking the line of ``u_a`` to that of ``u_b``, best first.
+def _pose_candidates(pose_a, pose_b):
+    """Rotations taking the line of A's pose axis to that of B's, best first,
+    from the poses (G, G rho) that ``_turn_to_z`` gives each state.
 
-    Both states are turned once so that the line is z; a pi turn about x, a
-    phase times the anti-identity, then reverses B for its other head.  The
-    largest off-diagonal entry of A there, at Delta = m - m', fixes the
-    angle about z up to 2 pi / Delta.  Both heads of B are searched in one
-    pass: per head, the angle whose turn of A best matches B in that frame
-    is proposed, and each proposal is formed only when it is asked for."""
-    g_a, za = _turn_to_z(rho_a, u_a)
-    g_b, zb = _turn_to_z(rho_b, u_b)
+    The line is z there; a pi turn about x, a phase times the anti-identity,
+    then reverses B for its other head.  The largest off-diagonal entry of
+    A there, at Delta = m - m', fixes the angle about z up to 2 pi / Delta.
+    Both heads of B are searched in one pass: per head, the angle whose turn
+    of A best matches B in that frame is proposed, and each proposal is
+    formed only when it is asked for."""
+    g_a, za = pose_a
+    g_b, zb = pose_b
     rows, cols = _upper_indices(len(za))
     upper = np.abs(za[rows, cols])
     top = int(np.argmax(upper))
@@ -350,7 +328,7 @@ def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
     phis = (bases[:, None] + 2.0 * math.pi * np.arange(delta)) / delta
     # exp(-i phi J_z) multiplies entry (m, m') by exp(-i phi (m - m')), read
     # off a (head, phi, m - m') table; m - m' = column - row, as m runs j .. -j
-    twice_j = rho_a.j.twice
+    twice_j = len(za) - 1
     phases = np.exp(-1j * phis[:, :, None] * np.arange(-twice_j, twice_j + 1))
     steps = np.arange(twice_j, 2 * twice_j + 1) - np.arange(twice_j + 1)[:, None]
     misses = np.abs(phases[:, :, steps] * za - heads[:, None]).reshape(2, delta, -1).max(axis=2)
@@ -361,30 +339,39 @@ def _axial_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, u_b):
         yield g.T @ np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]]) @ g_a
 
 
+def _frame(rho: DensityMatrix):
+    """The key (form index, gap pattern) and frame of the first of C1, C2 and
+    C3 with an eigenvalue gap above FRAME_GAP_TOL j(j + 1); None when all
+    are isotropic.  Two gaps give g, the eigenvectors as rows with det g =
+    +1; one gives the eigenvector of the isolated eigenvalue, an axis."""
+    twice_j = rho.j.twice
+    bound = FRAME_GAP_TOL * (0.25 * twice_j * (twice_j + 2))
+    for index, form in enumerate(_covariant_forms(rho.matrix, spin_matrices(twice_j))):
+        values, vectors = np.linalg.eigh(form)
+        v0, v1, v2 = values.tolist()
+        low, high = gaps = (v1 - v0 > bound, v2 - v1 > bound)
+        if low and high:
+            vectors[:, 2] *= math.copysign(1.0, np.linalg.det(vectors))
+            return (index, gaps), vectors.T
+        if low or high:
+            return (index, gaps), vectors[:, 0 if low else 2]
+    return None
+
+
 def _frame_candidates(rho_a: DensityMatrix, rho_b: DensityMatrix):
-    """Rotations read off the first covariant form whose gaps exceed
-    FRAME_GAP_TOL on both sides in the same pattern; none when every form
-    is isotropic on a side or the patterns differ."""
-    twice_j = rho_a.j.twice
-    spins = spin_matrices(twice_j)
-    scale = 0.25 * twice_j * (twice_j + 2)
-    for form_a, form_b in zip(_covariant_forms(rho_a.matrix, spins),
-                              _covariant_forms(rho_b.matrix, spins)):
-        gaps, v_a = _form_frame(form_a, scale)
-        gaps_b, v_b = _form_frame(form_b, scale)
-        if any(gaps) and gaps == gaps_b:
-            break
-    else:
+    """Rotations read off the frames of the two states (``_frame``); none
+    unless their keys are equal.  Full frames g_A and g_B give g_B^T H g_A
+    for H the identity and the pi turns about x, y and z; axes give
+    ``_pose_candidates`` of the two states turned onto them."""
+    frame_a = _frame(rho_a)
+    frame_b = _frame(rho_b) if frame_a else None
+    if frame_b is None or frame_a[0] != frame_b[0]:
         return []
-    if all(gaps):
-        # R V_A = V_B S for a diagonal sign matrix S, det R = +1
-        orientation = np.linalg.det(v_a) * np.linalg.det(v_b)
-        return [v_b @ np.diag(signs) @ v_a.T
-                for signs in itertools.product((1.0, -1.0), repeat=3)
-                if math.prod(signs) * orientation > 0.0]
-    # one gap: the eigenvector of the isolated eigenvalue is an axis
-    isolated = 0 if gaps[0] else 2
-    return _axial_candidates(rho_a, rho_b, v_a[:, isolated], v_b[:, isolated])
+    ((_, gaps), g_a), (_, g_b) = frame_a, frame_b
+    if all(gaps):  # H as the signs it gives x, y and z
+        return ((g_b.T * signs) @ g_a for signs in
+                ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)))
+    return _pose_candidates(_turn_to_z(rho_a, g_a), _turn_to_z(rho_b, g_b))
 
 
 def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngles | None:
@@ -445,13 +432,15 @@ def _axis_decision(
 
     Each candidate maps the frame of two well-separated axes of A onto a
     matching pair of heads of B, over every present rank
-    (``_rotation_candidates``), and ``_witness`` tests it on rho itself, so
-    an ill-conditioned rank needs no special treatment.  Without a witness,
-    differing configurations or fingerprints (r_k and pairwise cosines) give
-    ``inequivalent``, and ``fingerprint-match-only`` is left otherwise.
-    Differing present ranks give ``inequivalent`` before any search.  With
-    no present rank on either side, no axes fix a rotation, and the identity
-    is the one candidate.
+    (``_rotation_candidates``), or, with every axis of A on one line, turns
+    that line onto B's first axis in the poses (``_pose_candidates``).
+    ``_witness`` tests it on rho itself, so an ill-conditioned rank needs no
+    special treatment.  Without a witness, differing configurations or
+    fingerprints (r_k and pairwise cosines) give ``inequivalent``, and
+    ``fingerprint-match-only`` is left otherwise.  Differing present ranks
+    give ``inequivalent`` before any search.  With no present rank on
+    either side, no axes fix a rotation, and the identity is the one
+    candidate.
     """
     sig_a, sig_b = class_signature(rho_a, tolerances), class_signature(rho_b, tolerances)
 
@@ -464,9 +453,15 @@ def _axis_decision(
             return EquivalenceResult("equivalent", "both states have no axes",
                                      EulerAngles(0.0, 0.0, 0.0))
         return _without_witness(sig_a, sig_b, False)
-    witness = _witness(rho_a, rho_b, _rotation_candidates(
-        _rank_axis_table(da for da, _ in present), _rank_axis_table(db for _, db in present),
-        tolerances.angle))
+    table_a = _rank_axis_table(da for da, _ in present)
+    table_b = _rank_axis_table(db for _, db in present)
+    anchor = _anchor_pair(table_a)
+    if anchor is None:
+        candidates = _pose_candidates(_turn_to_z(rho_a, table_a[0][1]),
+                                      _turn_to_z(rho_b, table_b[0][1]))
+    else:
+        candidates = _rotation_candidates(anchor, table_a, table_b, tolerances.angle)
+    witness = _witness(rho_a, rho_b, candidates)
     if witness is not None:
         return EquivalenceResult(
             "equivalent", "witness rotation maps the constellations and the density matrices",

@@ -5,6 +5,7 @@ the tensors to the axes; these go the other way, or by another route.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -19,10 +20,11 @@ from multiaxial.axes import (
 from multiaxial.classify import (
     DEFAULT_TOLERANCES,
     FINGERPRINT_TOL,
+    FRAME_GAP_TOL,
     ClassSignature,
     SeparabilityVerdict,
     Tolerances,
-    _farthest_axis,
+    _covariant_forms,
     _frame_from_pair,
     euler_zyz_from_matrix,
     separable_reference_r,
@@ -187,6 +189,11 @@ def twirl(rho: DensityMatrix, group: str) -> DensityMatrix:
                          / len(elements))
 
 
+def farthest_axis(u: np.ndarray) -> np.ndarray:
+    """The coordinate axis farthest from the line of ``u``."""
+    return np.eye(3)[int(np.argmin(np.abs(u)))]
+
+
 #: Columns z, x, y: the rotation taking x to z.
 _X_TO_Z = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
@@ -195,7 +202,7 @@ def turn_to_z_reference(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, 
     """``classify._turn_to_z`` as a product: G = X_TO_Z F^T for the frame F
     of ``u`` and its farthest coordinate axis, and ``rotate_density`` by
     G's Euler angles."""
-    g = _X_TO_Z @ _frame_from_pair(u, _farthest_axis(u)).T
+    g = _X_TO_Z @ _frame_from_pair(u, farthest_axis(u)).T
     return g, rotate_density(rho, euler_zyz_from_matrix(g)).matrix
 
 
@@ -220,6 +227,35 @@ def axial_candidates_reference(rho_a: DensityMatrix, rho_b: DensityMatrix, u_a, 
         rz = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
         candidates.append((misses[best], g.T @ rz @ g_a))
     return [rot for _, rot in sorted(candidates, key=lambda c: c[0])]
+
+
+def frame_candidates_reference(rho_a: DensityMatrix, rho_b: DensityMatrix) -> list:
+    """``classify._frame_candidates`` read off both states in lockstep: the
+    first covariant form whose gaps exceed FRAME_GAP_TOL on both sides in
+    the same pattern; none when every form is isotropic on a side or the
+    patterns differ.  Two gaps give the four V_B S V_A^T, S a diagonal
+    sign matrix, with det = +1; one gap gives ``axial_candidates_reference``
+    of the isolated eigenvectors."""
+    twice_j = rho_a.j.twice
+    spins = spin_matrices(twice_j)
+    scale = 0.25 * twice_j * (twice_j + 2)
+    for form_a, form_b in zip(_covariant_forms(rho_a.matrix, spins),
+                              _covariant_forms(rho_b.matrix, spins)):
+        (values_a, v_a), (values_b, v_b) = np.linalg.eigh(form_a), np.linalg.eigh(form_b)
+        gaps = tuple(bool(g) for g in np.diff(values_a) > FRAME_GAP_TOL * scale)
+        gaps_b = tuple(bool(g) for g in np.diff(values_b) > FRAME_GAP_TOL * scale)
+        if any(gaps) and gaps == gaps_b:
+            break
+    else:
+        return []
+    if all(gaps):
+        # R V_A = V_B S for a diagonal sign matrix S, det R = +1
+        orientation = np.linalg.det(v_a) * np.linalg.det(v_b)
+        return [v_b @ np.diag(signs) @ v_a.T
+                for signs in itertools.product((1.0, -1.0), repeat=3)
+                if math.prod(signs) * orientation > 0.0]
+    isolated = 0 if gaps[0] else 2
+    return axial_candidates_reference(rho_a, rho_b, v_a[:, isolated], v_b[:, isolated])
 
 
 def separability_from_signature(

@@ -26,11 +26,12 @@ from multiaxial.classify import (
     lu_equivalent,
     pure_separability_check,
     separable_reference_r,
-    _axial_candidates,
     _axis_decision,
     _coherent_witness,
-    _farthest_axis,
+    _frame,
+    _frame_candidates,
     _frame_from_pair,
+    _pose_candidates,
     _turn_to_z,
 )
 from multiaxial.families import (
@@ -43,6 +44,7 @@ from multiaxial.families import (
     make_uniaxial,
     make_w,
 )
+from multiaxial.cli import build_report
 from multiaxial.fano import extract_tensors
 from multiaxial.axes import DegenerateFitError, solve_axes
 from multiaxial.halfint import HalfInteger
@@ -55,6 +57,8 @@ from multiaxial.states import (
 )
 from oracles import (
     axial_candidates_reference,
+    farthest_axis,
+    frame_candidates_reference,
     separability_from_signature,
     turn_to_z_reference,
     twirl,
@@ -318,6 +322,21 @@ class TestSeparability:
             verdict = pure_separability_check(pure_to_density(psi))
             assert verdict == SeparabilityVerdict(False, True, "<J> = 0: no rotated |j j> has it")
 
+    def test_spin_zero_is_the_aligned_product_state(self):
+        # |0 0> is |j j> at j = 0: <J> = 0 there, every turn is the
+        # identity, and the delta test against |0 0><0 0| decides
+        j = HalfInteger(0)
+        rho = DensityMatrix(j, np.array([[1.0 + 0.0j]]))
+        assert pure_separability_check(rho) == SeparabilityVerdict(True, True, COHERENT_REASON)
+        assert build_report(rho, Tolerances())["separability"] == {
+            "method": "pure-recipe", "separable": True, "reason": COHERENT_REASON}
+        kicked = DensityMatrix(j, np.array([[1.0 + 1e-9 + 0.0j]]))
+        miss = ("witness rotation taking <J> to z misses |j j><j j| by 1.000e-09, "
+                f"above {WITNESS_TOL:g}")
+        assert pure_separability_check(kicked) == SeparabilityVerdict(False, True, miss)
+        assert build_report(kicked, Tolerances())["separability"] == {
+            "method": "pure-recipe", "separable": False, "reason": miss}
+
     @pytest.mark.parametrize("build", [
         lambda: make_w(20),
         lambda: make_ghz(20),
@@ -499,6 +518,12 @@ class TestLUEquivalence:
         result = lu_equivalent(rho_a, rho_b)
         assert result.verdict == "equivalent", result.reason
         assert np.max(np.abs(rotate_density(rho_a, result.witness).matrix - rho_b.matrix)) <= 1e-6
+        # lu_equivalent answers from the frames; the axis path's collinear
+        # constellations must turn the line over too, in the poses
+        result = _axis_decision(rho_a, rho_b, Tolerances())
+        assert (result.verdict, result.reason) == ("equivalent", AXIS_REASON)
+        assert np.max(np.abs(rotate_density(rho_a, result.witness).matrix - rho_b.matrix)) \
+            <= WITNESS_TOL
 
 
 class TestOnePassDecision:
@@ -818,7 +843,7 @@ class TestFrameWitness:
         u1, u2 = units(rng.normal(size=(2, 1000, 3)))
         near = units(rng.normal(size=(200, 3)))
         kicked = units(near + np.geomspace(1e-11, 1e-7, 200)[:, None] * rng.normal(size=(200, 3)))
-        pairs = [*zip(u1, u2), *((u, _farthest_axis(u)) for u in u1),
+        pairs = [*zip(u1, u2), *((u, farthest_axis(u)) for u in u1),
                  *zip(near, kicked), *zip(near, -kicked), (u1[0], u1[0])]
         nones = 0
         for a, b in pairs:
@@ -847,7 +872,7 @@ class TestFrameWitness:
 
 
     @pytest.mark.parametrize("twice_j", range(1, 21))
-    def test_axial_candidates_keep_the_bits_of_the_reference(self, twice_j):
+    def test_pose_candidates_keep_the_bits_of_the_reference(self, twice_j):
         # one stacked phase search for both heads, G formed entry by entry
         # and matrix-only turns propose the rotations, byte for byte, that
         # the per-head search over G = X_TO_Z F^T and rotate_density did;
@@ -865,11 +890,43 @@ class TestFrameWitness:
             u_a, u_b = rng.normal(size=(2, 3))
             for u_a, u_b in [(u_a / np.linalg.norm(u_a), u_b / np.linalg.norm(u_b)), z_axes,
                              z_axes[::-1]]:
-                got = list(_axial_candidates(rho, turned, u_a, u_b))
+                got = list(_pose_candidates(_turn_to_z(rho, u_a), _turn_to_z(turned, u_b)))
                 want = axial_candidates_reference(rho, turned, u_a, u_b)
                 assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
                 for g_got, g_want in zip(_turn_to_z(rho, u_a), turn_to_z_reference(rho, u_a)):
                     assert g_got.tobytes() == g_want.tobytes()
+
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_frame_candidates_match_the_lockstep_reference(self, twice_j):
+        # each state's own frame proposes what the lockstep reading of both
+        # states' forms did: axial frames the same rotations in the same
+        # order, byte for byte, full frames the same four half turns
+        rng = np.random.default_rng([45, twice_j])
+        j, dim = HalfInteger(twice_j), twice_j + 1
+        amps = _unit(rng, dim)
+        states = [_random_density(rng, dim), np.outer(amps, amps.conj())]
+        states += [pure_to_density(psi).matrix for psi in (
+            *((make_ghz(twice_j), make_w(twice_j)) if twice_j > 1 else ()),
+            make_dicke(j, HalfInteger(twice_j % 2)), make_coherent(j, 0.7, 1.3))]
+        if twice_j == 4:  # (|2 2> + sqrt(2) |2 -1>) / sqrt(3): isotropic forms
+            psi = np.array([1.0, 0.0, 0.0, math.sqrt(2.0), 0.0]) / math.sqrt(3.0)
+            states.append(np.outer(psi, psi).astype(complex))
+        kinds = set()
+        for matrix in states:
+            rho = DensityMatrix(j, matrix)
+            turned = rotate_density(rho, EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+            got = list(_frame_candidates(rho, turned))
+            want = frame_candidates_reference(rho, turned)
+            frame = _frame(rho)
+            kind = "none" if frame is None else "full" if all(frame[0][1]) else "axial"
+            kinds.add(kind)
+            if kind == "full":
+                assert len(got) == len(want) == 4
+                assert all(any(np.array_equal(g, w) for w in want) for g in got)
+            else:
+                assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+            assert bool(got) is bool(want) is (kind != "none")
+        assert kinds == {"axial", "full", "none"} if twice_j == 4 else "axial" in kinds
 
 
 class TestIsotropicStates:

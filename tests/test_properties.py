@@ -13,15 +13,13 @@ from hypothesis import strategies as st
 
 from oracles import majorana_roots, reconstruct_density, separability_from_signature
 
-from multiaxial.angular import spin_matrices
 from multiaxial.classify import (
     DEFAULT_TOLERANCES,
     FINGERPRINT_TOL,
     FRAME_REASON,
     WITNESS_TOL,
     _axis_decision,
-    _covariant_forms,
-    _form_frame,
+    _frame,
     class_signature,
     degeneracy_configuration,
     lu_equivalent,
@@ -151,9 +149,13 @@ def _check_rotated_copy_is_equivalent_with_a_witness(rho, g):
 
 def isotropic_forms(rho) -> bool:
     """No covariant form of ``rho`` has an eigenvalue gap that fixes a frame."""
-    twice_j = rho.j.twice
-    return not any(any(_form_frame(form, 0.25 * twice_j * (twice_j + 2))[0])
-                   for form in _covariant_forms(rho.matrix, spin_matrices(twice_j)))
+    return _frame(rho) is None
+
+
+def _check_frame_key_survives_rotation(rho, g):
+    frame, turned = _frame(rho), _frame(rotate_density(rho, g))
+    assert (frame is None) is (turned is None)
+    assert frame is None or frame[0] == turned[0]
 
 
 def _check_tensor_round_trip(rho):
@@ -187,6 +189,12 @@ def test_rotated_copy_has_a_frame_witness_or_isotropic_forms(rho, g):
 
 
 @PROPERTY_SETTINGS
+@given(states(), angles)
+def test_frame_key_survives_rotation(rho, g):
+    _check_frame_key_survives_rotation(rho, g)
+
+
+@PROPERTY_SETTINGS
 @given(states())
 def test_tensor_round_trip(rho):
     _check_tensor_round_trip(rho)
@@ -202,6 +210,12 @@ def test_family_invariants_survive_rotation(rho, g):
 @given(family_states(), angles)
 def test_family_rotated_copy_is_equivalent_with_a_witness(rho, g):
     _check_rotated_copy_is_equivalent_with_a_witness(rho, g)
+
+
+@PROPERTY_SETTINGS
+@given(family_states(), angles)
+def test_family_frame_key_survives_rotation(rho, g):
+    _check_frame_key_survives_rotation(rho, g)
 
 
 @PROPERTY_SETTINGS
