@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -187,59 +186,6 @@ def _fingerprints_match(a: ClassSignature, b: ClassSignature) -> bool:
         and np.all(np.abs(np.subtract(a.pairwise, b.pairwise)) <= FINGERPRINT_TOL))
 
 
-def _rank_axis_table(decomps) -> list[tuple[int, np.ndarray, int]]:
-    """(k, unit vector, multiplicity) of every distinct axis of ``decomps``."""
-    return [(d.k, axis.unit_vector, mult) for d in decomps for axis, mult in d.axes]
-
-
-def _frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
-    n = u2 - float(np.dot(u1, u2)) * u1
-    norm = float(np.linalg.norm(n))
-    if norm < 1e-9:
-        return None
-    # columns u1, n and u1 x n, formed as np.cross forms it, without its overhead
-    (a0, a1, a2), (b0, b1, b2) = u1.tolist(), (n / norm).tolist()
-    return np.array([[a0, b0, a1 * b2 - a2 * b1], [a1, b1, a2 * b0 - a0 * b2],
-                     [a2, b2, a0 * b1 - a1 * b0]])
-
-
-def _anchor_pair(table) -> tuple[int, int, float] | None:
-    """The first two axes of ``table`` more than 1e-4 rad apart as lines, and
-    the angle between their heads; None when every axis lies on one line."""
-    for i, (_, u, _) in enumerate(table):
-        for l, (_, v, _) in enumerate(table):
-            if i == l:
-                continue
-            dot = max(-1.0, min(1.0, float(np.dot(u, v))))
-            if math.acos(abs(dot)) > 1e-4:
-                # head angle, not line angle: the frames are built from the
-                # stored heads, so candidate filtering must compare like
-                # with like
-                return i, l, math.acos(dot)
-    return None
-
-
-def _rotation_candidates(anchor, table_a, table_b, angle_tol: float):
-    """Rotations taking the frame of A's anchor pair ``anchor``
-    (``_anchor_pair``) onto each pair of B heads at the same ranks and head
-    angle."""
-    i, l, ang = anchor
-    k1, u1, _ = table_a[i]
-    k2, u2, _ = table_a[l]
-    fa = _frame_from_pair(u1, u2)
-    heads1 = [v for k, v, _ in table_b if k == k1]
-    heads2 = [v for k, v, _ in table_b if k == k2]
-    signs = (1.0, -1.0)
-    for v1, v2, s1, s2 in itertools.product(heads1, heads2, signs, signs):
-        w1, w2 = s1 * v1, s2 * v2
-        angb = math.acos(max(-1.0, min(1.0, float(np.dot(w1, w2)))))
-        if abs(angb - ang) > max(1e-4, 10 * angle_tol):
-            continue
-        fb = _frame_from_pair(w1, w2)
-        if fb is not None:
-            yield fb @ fa.T
-
-
 def euler_zyz_from_matrix(rot: np.ndarray) -> EulerAngles:
     """Euler angles with R = Rz(alpha) Ry(beta) Rz(gamma).
 
@@ -292,10 +238,10 @@ def _turned(rho: DensityMatrix, angles: EulerAngles) -> np.ndarray:
 def _turn_to_z(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A rotation G taking ``u`` to z, and G applied to ``rho``'s matrix.
 
-    G's rows are the columns n, u x n and u of ``_frame_from_pair(u, e)``,
-    e the coordinate axis farthest from u's line, in its arithmetic without
-    its calls; + 0.0 clears each -0.0, which the atan2 calls of
-    ``euler_zyz_from_matrix`` would read as a half turn."""
+    G's rows are n, u x n and u, for n the unit part of e orthogonal to u
+    and e the coordinate axis farthest from u's line; + 0.0 clears each
+    -0.0, which the atan2 calls of ``euler_zyz_from_matrix`` would read as a
+    half turn."""
     a0, a1, a2 = a = u.tolist()
     i = min(range(3), key=lambda k: abs(a[k]))  # the farthest axis e_i
     n = np.array([(k == i) - a[i] * a[k] for k in range(3)])  # e_i - (u . e_i) u
@@ -388,8 +334,9 @@ def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngl
 def _without_witness(sig_a: ClassSignature, sig_b: ClassSignature,
                      configurations: bool) -> EquivalenceResult:
     """The verdict when no rotation maps the states: ``inequivalent`` for
-    differing degeneracy configurations, which renders both signatures, or
-    for differing fingerprints, and ``fingerprint-match-only`` otherwise."""
+    differing present ranks or degeneracy configurations, which renders both
+    signatures, or for differing fingerprints, and ``fingerprint-match-only``
+    otherwise."""
     if configurations or not _fingerprints_match(sig_a, sig_b):
         return EquivalenceResult("inequivalent", (
             f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}"
@@ -427,44 +374,38 @@ def _axis_decision(
     rho_b: DensityMatrix,
     tolerances: Tolerances,
 ) -> EquivalenceResult:
-    """One witness search over the two states' axes; the configurations and
-    the invariant fingerprints choose the verdict only when it fails.
+    """One pose search over the two states' axes; the configurations and the
+    invariant fingerprints choose the verdict only when it fails.
 
-    Each candidate maps the frame of two well-separated axes of A onto a
-    matching pair of heads of B, over every present rank
-    (``_rotation_candidates``), or, with every axis of A on one line, turns
-    that line onto B's first axis in the poses (``_pose_candidates``).
-    ``_witness`` tests it on rho itself, so an ill-conditioned rank needs no
-    special treatment.  Without a witness, differing configurations or
-    fingerprints (r_k and pairwise cosines) give ``inequivalent``, and
-    ``fingerprint-match-only`` is left otherwise.  Differing present ranks
-    give ``inequivalent`` before any search.  With no present rank on
+    A rotation that maps rho_a onto rho_b maps A's first axis u of its
+    lowest present rank k onto the line of some axis v of B at rank k, so
+    the poses of A turned onto u and B onto each such v, whatever its
+    multiplicity, hold every candidate (``_pose_candidates``).  ``_witness``
+    tests each on rho itself, so an ill-conditioned rank needs no special
+    treatment.  Without a witness, differing present ranks, configurations
+    or fingerprints (r_k and pairwise cosines) give ``inequivalent``, and
+    ``fingerprint-match-only`` is left otherwise.  With no present rank on
     either side, no axes fix a rotation, and the identity is the one
     candidate.
     """
     sig_a, sig_b = class_signature(rho_a, tolerances), class_signature(rho_b, tolerances)
-
     present = [(da, db) for da, db in zip(sig_a.ranks, sig_b.ranks)
                if da.present or db.present]
-    if any(not (da.present and db.present) for da, db in present):
-        return _without_witness(sig_a, sig_b, True)
     if not present:
         if np.max(np.abs(rho_a.matrix - rho_b.matrix)) <= WITNESS_TOL:
             return EquivalenceResult("equivalent", "both states have no axes",
                                      EulerAngles(0.0, 0.0, 0.0))
         return _without_witness(sig_a, sig_b, False)
-    table_a = _rank_axis_table(da for da, _ in present)
-    table_b = _rank_axis_table(db for _, db in present)
-    anchor = _anchor_pair(table_a)
-    if anchor is None:
-        candidates = _pose_candidates(_turn_to_z(rho_a, table_a[0][1]),
-                                      _turn_to_z(rho_b, table_b[0][1]))
-    else:
-        candidates = _rotation_candidates(anchor, table_a, table_b, tolerances.angle)
-    witness = _witness(rho_a, rho_b, candidates)
-    if witness is not None:
-        return EquivalenceResult(
-            "equivalent", "witness rotation maps the constellations and the density matrices",
-            witness)
+    low = next((d for d in sig_a.ranks if d.present), None)  # A's lowest present rank k
+    if low is not None:
+        pose_a = _turn_to_z(rho_a, low.axes[0][0].unit_vector)
+        candidates = (rot for axis, _ in sig_b.ranks[low.k - 1].axes
+                      for rot in _pose_candidates(pose_a, _turn_to_z(rho_b, axis.unit_vector)))
+        witness = _witness(rho_a, rho_b, candidates)
+        if witness is not None:
+            return EquivalenceResult(
+                "equivalent", "witness rotation maps the constellations and the density matrices",
+                witness)
     return _without_witness(sig_a, sig_b, any(
-        degeneracy_configuration(da) != degeneracy_configuration(db) for da, db in present))
+        not (da.present and db.present)
+        or degeneracy_configuration(da) != degeneracy_configuration(db) for da, db in present))

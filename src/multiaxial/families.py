@@ -169,6 +169,13 @@ def _half_integer(params: dict, name: str) -> HalfInteger:
                                    f"got {params[name]!r}") from exc
 
 
+def _spin(params: dict, name: str) -> HalfInteger:
+    value = _half_integer(params, name)
+    if value.twice < 1:
+        raise FamilyParameterError(f"parameter {name!r} must be at least 1/2, got {value}")
+    return value
+
+
 class Family(NamedTuple):
     """Parameter parsers by name in constructor order, valid ranges, constructor."""
 
@@ -178,12 +185,12 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "dicke": Family({"j": _half_integer, "m": _half_integer},
+    "dicke": Family({"j": _spin, "m": _half_integer},
                     "j half-integer, 1/2 <= j <= 10, |m| <= j", make_dicke),
     "ghz": Family({"N": _integer}, "N integer, 2 <= N <= 20", make_ghz),
     "w": Family({"N": _integer}, "N integer, 2 <= N <= 20", make_w),
     "bell": Family({}, "no parameters", make_bell),
-    "separable_coherent": Family({"j": _half_integer, "theta": _real, "phi": _real},
+    "separable_coherent": Family({"j": _spin, "theta": _real, "phi": _real},
                                  "j half-integer, 1/2 <= j <= 10; theta/phi finite radians",
                                  make_coherent),
     "uniaxial": Family({"r1": _real, "theta1": _real, "phi1": _real},

@@ -25,7 +25,6 @@ from multiaxial.classify import (
     SeparabilityVerdict,
     Tolerances,
     _covariant_forms,
-    _frame_from_pair,
     euler_zyz_from_matrix,
     separable_reference_r,
 )
@@ -189,6 +188,19 @@ def twirl(rho: DensityMatrix, group: str) -> DensityMatrix:
                          / len(elements))
 
 
+def frame_from_pair(u1: np.ndarray, u2: np.ndarray) -> np.ndarray | None:
+    """The frame with columns u1, n and u1 x n, for n the unit part of u2
+    orthogonal to u1; None when u2 lies within 1e-9 of u1's line."""
+    n = u2 - float(np.dot(u1, u2)) * u1
+    norm = float(np.linalg.norm(n))
+    if norm < 1e-9:
+        return None
+    # the third column formed as np.cross forms it, without its overhead
+    (a0, a1, a2), (b0, b1, b2) = u1.tolist(), (n / norm).tolist()
+    return np.array([[a0, b0, a1 * b2 - a2 * b1], [a1, b1, a2 * b0 - a0 * b2],
+                     [a2, b2, a0 * b1 - a1 * b0]])
+
+
 def farthest_axis(u: np.ndarray) -> np.ndarray:
     """The coordinate axis farthest from the line of ``u``."""
     return np.eye(3)[int(np.argmin(np.abs(u)))]
@@ -202,7 +214,7 @@ def turn_to_z_reference(rho: DensityMatrix, u: np.ndarray) -> tuple[np.ndarray, 
     """``classify._turn_to_z`` as a product: G = X_TO_Z F^T for the frame F
     of ``u`` and its farthest coordinate axis, and ``rotate_density`` by
     G's Euler angles."""
-    g = _X_TO_Z @ _frame_from_pair(u, farthest_axis(u)).T
+    g = _X_TO_Z @ frame_from_pair(u, farthest_axis(u)).T
     return g, rotate_density(rho, euler_zyz_from_matrix(g)).matrix
 
 

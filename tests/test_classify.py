@@ -30,7 +30,6 @@ from multiaxial.classify import (
     _coherent_witness,
     _frame,
     _frame_candidates,
-    _frame_from_pair,
     _pose_candidates,
     _turn_to_z,
 )
@@ -59,11 +58,12 @@ from oracles import (
     axial_candidates_reference,
     farthest_axis,
     frame_candidates_reference,
+    frame_from_pair,
     separability_from_signature,
     turn_to_z_reference,
     twirl,
 )
-from test_properties import isotropic_forms, majorana_state, random_points
+from test_properties import isotropic_forms, majorana_state, random_points, thermal_state
 
 
 def _h(x):
@@ -518,8 +518,8 @@ class TestLUEquivalence:
         result = lu_equivalent(rho_a, rho_b)
         assert result.verdict == "equivalent", result.reason
         assert np.max(np.abs(rotate_density(rho_a, result.witness).matrix - rho_b.matrix)) <= 1e-6
-        # lu_equivalent answers from the frames; the axis path's collinear
-        # constellations must turn the line over too, in the poses
+        # lu_equivalent answers from the frames; the axis path's pose
+        # search about rank 1's one axis, <J>, must turn the line over too
         result = _axis_decision(rho_a, rho_b, Tolerances())
         assert (result.verdict, result.reason) == ("equivalent", AXIS_REASON)
         assert np.max(np.abs(rotate_density(rho_a, result.witness).matrix - rho_b.matrix)) \
@@ -527,11 +527,11 @@ class TestLUEquivalence:
 
 
 class TestOnePassDecision:
-    """The axis path (``_axis_decision``): one witness search over the anchor
-    rotations of every present rank, each tested on rho itself, so a rank
-    whose roots are ill conditioned (not ``settled``) takes part like any
-    other.  ``lu_equivalent`` answers each of these pairs from the covariant
-    frames before it."""
+    """The axis path (``_axis_decision``): one pose search, A's first axis
+    of its lowest present rank against each axis of B at that rank, each
+    candidate tested on rho itself, so ranks whose roots are ill conditioned
+    (not ``settled``) do no harm.  ``lu_equivalent`` answers each of these
+    pairs from the covariant frames before it."""
 
     TURN = EulerAngles(0.9, 2.2, 4.1)
 
@@ -548,9 +548,9 @@ class TestOnePassDecision:
         return result
 
     @pytest.mark.parametrize("twice_j", [17, 19])
-    def test_ghz_with_collinear_settled_axes_searches_every_rank(self, twice_j):
-        # rank 2j is unsettled and every other axis lies on z, so the anchor
-        # pair that fixes the rotation takes one of rank 2j's axes
+    def test_ghz_with_an_unsettled_top_rank_is_searched_about_z(self, twice_j):
+        # rank 2j is unsettled and every other axis lies on z, so the pose
+        # search about rank 2's one axis, z, fixes the rotation alone
         rho = pure_to_density(make_ghz(twice_j))
         decomps = [d for d in class_signature(rho).ranks if d.present]
         assert [d.k for d in decomps if not d.settled] == [twice_j]
@@ -847,7 +847,7 @@ class TestFrameWitness:
                  *zip(near, kicked), *zip(near, -kicked), (u1[0], u1[0])]
         nones = 0
         for a, b in pairs:
-            got, want = _frame_from_pair(a, b), reference(a, b)
+            got, want = frame_from_pair(a, b), reference(a, b)
             if want is None:
                 assert got is None
                 nones += 1
@@ -960,29 +960,20 @@ class TestIsotropicStates:
 class TestThermalStates:
     """High-temperature thermal states exp(-beta n.J) / Tr: uniaxial mixed
     states whose covariant forms' gaps scale like beta^2, so the frames give
-    no candidate and the compare takes the axis path, where ranks k ~ 2j are
-    ill conditioned (t^k ~ beta^k)."""
+    no candidate and the compare takes the axis path.  Ranks k ~ 2j are
+    noise there (t^k ~ beta^k against rounding), but the search needs only
+    rank 1, whose one axis is the line of <J>."""
 
     TURN = EulerAngles(0.9, 2.2, 4.1)
-    NOISY_TOP_RANKS = "ROADMAP item 11: the top ranks are noise, read differently when turned"
-
-    @staticmethod
-    def _thermal(twice_j, beta):
-        n = np.array([0.3, -0.5, 0.81])
-        values, vectors = np.linalg.eigh(np.tensordot(n / np.linalg.norm(n),
-                                                      spin_matrices(twice_j), 1))
-        rho = (vectors * np.exp(-beta * values)) @ vectors.conj().T
-        return DensityMatrix(HalfInteger(twice_j), rho / np.trace(rho).real)
 
     @pytest.mark.parametrize("twice_j, beta", [
         (2, 1e-4), (3, 1e-3), (5, 1e-4), (8, 1e-5), (20, 1e-4),
-        # t^k ~ beta^k against rounding near 1e-17
-        pytest.param(3, 3e-4, marks=pytest.mark.xfail(strict=True, reason=NOISY_TOP_RANKS)),
-        pytest.param(8, 1e-4, marks=pytest.mark.xfail(strict=True, reason=NOISY_TOP_RANKS)),
-        pytest.param(10, 1e-6, marks=pytest.mark.xfail(strict=True, reason=NOISY_TOP_RANKS)),
+        # the top ranks read differently when turned
+        (3, 3e-4), (8, 1e-4), (10, 1e-6),
     ])
     def test_turned_copy_is_equivalent_with_a_witness(self, twice_j, beta):
-        rho = self._thermal(twice_j, beta)
+        n = np.array([0.3, -0.5, 0.81])
+        rho = thermal_state(twice_j, beta, n / np.linalg.norm(n))
         target = rotate_density(rho, self.TURN)
         result = lu_equivalent(rho, target)
         assert (result.verdict, result.reason) == ("equivalent", AXIS_REASON)

@@ -15,7 +15,7 @@ import multiaxial
 from multiaxial import classify, cli
 from multiaxial.axes import DegenerateFitError
 from multiaxial.cli import build_report, main
-from multiaxial.families import make_coherent, make_ghz, make_w
+from multiaxial.families import FAMILIES, make_coherent, make_ghz, make_w
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
@@ -439,6 +439,21 @@ class TestGenerate:
         assert main(["generate", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and repr(bad) in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, params", [
+        ("dicke", {"j": 0, "m": 0}),
+        ("dicke", {"j": -1, "m": 0}),
+        ("separable_coherent", {"j": 0, "theta": 0.1, "phi": 0}),
+    ], ids=["dicke-j0", "dicke-negative-j", "coherent-j0"])
+    def test_spin_below_one_half_rejected_exit_1(self, tmp_path, capsys, family, params):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": family, "params": params}))
+        out = tmp_path / "state.json"
+        assert main(["generate", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: parameter 'j' must be at least 1/2")
+        assert lines[0].endswith(f"(valid ranges: {FAMILIES[family].ranges})")
         assert not out.exists()
 
     def test_generate_analyze_reconstruct(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Property tests over the documented range: random states at 2j = 1..20,
 rotated GHZ, W, Dicke and coherent states at 2j = 2..20, and pure states
 with repeated Majorana points keep their invariants under random rotations,
-are equivalent to their rotated copies, and survive the tensor round trip."""
+are equivalent to their rotated copies, and survive the tensor round trip;
+rotated thermal states at 2j = 2..20 are equivalent to their copies."""
 
 import math
 import time
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import majorana_roots, reconstruct_density, separability_from_signature
 
+from multiaxial.angular import spin_matrices
 from multiaxial.classify import (
     DEFAULT_TOLERANCES,
     FINGERPRINT_TOL,
@@ -137,14 +139,14 @@ def _check_invariants_survive_rotation(rho, g):
     assert np.max(np.abs(np.subtract(a.pairwise, b.pairwise)), initial=0.0) <= FINGERPRINT_TOL
 
 
-def _check_rotated_copy_is_equivalent_with_a_witness(rho, g):
+def _check_rotated_copy_is_equivalent_with_a_witness(rho, g, bound=1e-6):
     rotated = rotate_density(rho, g)
     start = time.perf_counter()
     result = lu_equivalent(rho, rotated)
     assert time.perf_counter() - start <= COMPARE_BOUND_S
     assert result.verdict == "equivalent", result.reason
     mapped = rotate_density(rho, result.witness)
-    assert np.max(np.abs(mapped.matrix - rotated.matrix)) <= 1e-6
+    assert np.max(np.abs(mapped.matrix - rotated.matrix)) <= bound
 
 
 def isotropic_forms(rho) -> bool:
@@ -259,6 +261,30 @@ def test_majorana_tensor_round_trip(rho):
     _check_tensor_round_trip(rho)
 
 
+def thermal_state(twice_j: int, beta: float, n: np.ndarray) -> DensityMatrix:
+    """exp(-beta n.J) / Tr for a unit vector n."""
+    values, vectors = np.linalg.eigh(np.tensordot(n, spin_matrices(twice_j), 1))
+    rho = (vectors * np.exp(-beta * values)) @ vectors.conj().T
+    return DensityMatrix(HalfInteger(twice_j), rho / np.trace(rho).real)
+
+
+@st.composite
+def thermal_states(draw):
+    """A thermal state at 2j = 2..20, beta log-uniform over 1e-8..1e-1, about
+    a drawn direction.  The forms' gaps scale like beta^2, so below beta ~
+    1e-3 the compare takes the axis path, where the top ranks are noise."""
+    twoj = draw(st.integers(2, 20))
+    beta = 10.0 ** draw(st.floats(-8.0, -1.0))
+    n = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=3)
+    return thermal_state(twoj, beta, n / np.linalg.norm(n))
+
+
+@PROPERTY_SETTINGS
+@given(thermal_states(), angles)
+def test_thermal_rotated_copy_is_equivalent_with_a_witness(rho, g):
+    _check_rotated_copy_is_equivalent_with_a_witness(rho, g, WITNESS_TOL)
+
+
 def _recipe_separable_implies_witness(rho: DensityMatrix) -> bool:
     """The paper's recipe on the signature (``oracles``) can miss a product
     state, but what it reads separable the witness turn reads separable."""
@@ -307,7 +333,7 @@ def test_crowded_rotated_copy_has_an_axis_path_witness():
     _check_rotated_copy_is_equivalent_with_a_witness(rho, g)
     rotated = rotate_density(rho, g)
     assert lu_equivalent(rho, rotated).reason == FRAME_REASON
-    # the axis path tests its anchor rotations on rho, unsettled ranks and all
+    # the axis path tests its pose candidates on rho, unsettled ranks and all
     result = _axis_decision(rho, rotated, DEFAULT_TOLERANCES)
     assert (result.verdict, result.reason) == (
         "equivalent", "witness rotation maps the constellations and the density matrices")
