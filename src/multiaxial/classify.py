@@ -16,6 +16,7 @@ from .axes import (
     _upper_indices,
     pairwise_invariants,
     solve_all_axes,
+    solve_axes,
 )
 from .fano import SphericalTensorSet, check_state_spin, extract_tensors
 from .halfint import HalfInteger
@@ -27,9 +28,9 @@ FINGERPRINT_TOL = 1e-7
 #: its eigenvectors fix a frame.
 FRAME_GAP_TOL = 1e-6
 #: max|R rho_A R^dagger - rho_B| up to which a rotation is a witness, on
-#: either path: the 786 equivalent compares of tools/fixed_set.py map within
-#: 7.4e-15, the nearest inequivalent pair (a moved Majorana point) within
-#: 1.5e-8.
+#: either path: the 1212 equivalent compares of tools/fixed_set.py map within
+#: 3.41e-14 (a thermal state at 2j = 10), the nearest inequivalent pair (a
+#: moved Majorana point) within 1.5e-8.
 WITNESS_TOL = 1e-10
 FRAME_REASON = ("witness rotation read off the covariant frames maps the density "
                 f"matrices within {WITNESS_TOL:g}")
@@ -331,20 +332,6 @@ def _witness(rho_a: DensityMatrix, rho_b: DensityMatrix, rotations) -> EulerAngl
     return None
 
 
-def _without_witness(sig_a: ClassSignature, sig_b: ClassSignature,
-                     configurations: bool) -> EquivalenceResult:
-    """The verdict when no rotation maps the states: ``inequivalent`` for
-    differing present ranks or degeneracy configurations, which renders both
-    signatures, or for differing fingerprints, and ``fingerprint-match-only``
-    otherwise."""
-    if configurations or not _fingerprints_match(sig_a, sig_b):
-        return EquivalenceResult("inequivalent", (
-            f"degeneracy configurations differ: {sig_a.render()} vs {sig_b.render()}"
-            if configurations else "invariant fingerprints (r_k, pairwise cosines) differ"))
-    return EquivalenceResult(
-        "fingerprint-match-only", "invariants agree but no single witness rotation was found")
-
-
 def lu_equivalent(
     rho_a: DensityMatrix,
     rho_b: DensityMatrix,
@@ -374,38 +361,45 @@ def _axis_decision(
     rho_b: DensityMatrix,
     tolerances: Tolerances,
 ) -> EquivalenceResult:
-    """One pose search over the two states' axes; the configurations and the
-    invariant fingerprints choose the verdict only when it fails.
+    """One pose search over one rank of each state; only when it fails are
+    both states signed, and the configurations and the invariant
+    fingerprints choose the verdict.
 
     A rotation that maps rho_a onto rho_b maps A's first axis u of its
     lowest present rank k onto the line of some axis v of B at rank k, so
     the poses of A turned onto u and B onto each such v, whatever its
-    multiplicity, hold every candidate (``_pose_candidates``).  ``_witness``
-    tests each on rho itself, so an ill-conditioned rank needs no special
-    treatment.  Without a witness, differing present ranks, configurations
-    or fingerprints (r_k and pairwise cosines) give ``inequivalent``, and
-    ``fingerprint-match-only`` is left otherwise.  With no present rank on
-    either side, no axes fix a rotation, and the identity is the one
-    candidate.
+    multiplicity, hold every candidate (``_pose_candidates``).  A's ranks
+    are read one at a time up to k, then B's rank k (``solve_axes``), and
+    ``_witness`` tests each candidate on rho itself, so no other rank is
+    fitted and an ill-conditioned one needs no special treatment.  With no
+    present rank on either side, the identity is the one candidate.
+    Without a witness, differing rendered signatures (present ranks and
+    degeneracy configurations) or fingerprints (r_k and pairwise cosines)
+    give ``inequivalent``, and ``fingerprint-match-only`` is left otherwise.
     """
-    sig_a, sig_b = class_signature(rho_a, tolerances), class_signature(rho_b, tolerances)
-    present = [(da, db) for da, db in zip(sig_a.ranks, sig_b.ranks)
-               if da.present or db.present]
-    if not present:
-        if np.max(np.abs(rho_a.matrix - rho_b.matrix)) <= WITNESS_TOL:
-            return EquivalenceResult("equivalent", "both states have no axes",
-                                     EulerAngles(0.0, 0.0, 0.0))
-        return _without_witness(sig_a, sig_b, False)
-    low = next((d for d in sig_a.ranks if d.present), None)  # A's lowest present rank k
+    t_a, t_b = extract_tensors(rho_a), extract_tensors(rho_b)
+    zero, angle, ranks = tolerances.zero, tolerances.angle, range(1, t_a.max_rank + 1)
+    low = next((d for d in (solve_axes(t_a, k, zero, angle) for k in ranks) if d.present), None)
     if low is not None:
         pose_a = _turn_to_z(rho_a, low.axes[0][0].unit_vector)
-        candidates = (rot for axis, _ in sig_b.ranks[low.k - 1].axes
+        candidates = (rot for axis, _ in solve_axes(t_b, low.k, zero, angle).axes
                       for rot in _pose_candidates(pose_a, _turn_to_z(rho_b, axis.unit_vector)))
         witness = _witness(rho_a, rho_b, candidates)
         if witness is not None:
             return EquivalenceResult(
                 "equivalent", "witness rotation maps the constellations and the density matrices",
                 witness)
-    return _without_witness(sig_a, sig_b, any(
-        not (da.present and db.present)
-        or degeneracy_configuration(da) != degeneracy_configuration(db) for da, db in present))
+    elif np.max(np.abs(rho_a.matrix - rho_b.matrix)) <= WITNESS_TOL and not any(
+            solve_axes(t_b, k, zero, angle).present for k in ranks):
+        return EquivalenceResult("equivalent", "both states have no axes",
+                                 EulerAngles(0.0, 0.0, 0.0))
+    sig_a, sig_b = signature_from_tensors(t_a, tolerances), signature_from_tensors(t_b, tolerances)
+    config_a, config_b = sig_a.render(), sig_b.render()
+    if config_a != config_b:
+        return EquivalenceResult(
+            "inequivalent", f"degeneracy configurations differ: {config_a} vs {config_b}")
+    if not _fingerprints_match(sig_a, sig_b):
+        return EquivalenceResult("inequivalent",
+                                 "invariant fingerprints (r_k, pairwise cosines) differ")
+    return EquivalenceResult(
+        "fingerprint-match-only", "invariants agree but no single witness rotation was found")

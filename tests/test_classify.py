@@ -568,7 +568,7 @@ class TestOnePassDecision:
         result = self._equivalent_with_witness(rho)
         assert result.reason == AXIS_REASON
 
-    def test_signatures_rendered_only_for_a_returned_mismatch(self, monkeypatch):
+    def test_signatures_rendered_only_when_the_search_fails(self, monkeypatch):
         renders = []
         render = ClassSignature.render
         monkeypatch.setattr(ClassSignature, "render",
@@ -585,6 +585,40 @@ class TestOnePassDecision:
         assert all(d.settled for d in class_signature(rho).ranks if d.present)
         result = self._equivalent_with_witness(rho)
         assert result.reason == AXIS_REASON
+
+
+class TestOneRankPerState:
+    """The axis path reads A's ranks one at a time up to its lowest present
+    rank k, then B's rank k, and signs neither state when the search finds a
+    witness.  The pairs are the thermal and tetrahedral compares of CI."""
+
+    @staticmethod
+    def _thermal():
+        n = np.array([0.3, -0.5, 0.81])
+        rho = thermal_state(10, 1e-6, n / np.linalg.norm(n))
+        return rho, rotate_density(rho, EulerAngles(0.9, 2.2, 4.1))
+
+    @staticmethod
+    def _tetrahedral():
+        amps = [1 / math.sqrt(3), 0.0, 0.0, math.sqrt(2 / 3), 0.0]
+        rho = rotate_density(pure_to_density(PureState(HalfInteger(4), amps)),
+                             EulerAngles(0.4, 1.1, 2.3))
+        return rho, rotate_density(rho, EulerAngles(1.0, 0.5, 0.2))
+
+    @pytest.mark.parametrize("pair, ranks", [("_thermal", [1, 1]), ("_tetrahedral", [1, 2, 3, 3])])
+    def test_search_reads_one_rank_of_each_and_signs_nothing(self, monkeypatch, pair, ranks):
+        rho_a, rho_b = getattr(self, pair)()
+        read, signed = [], []
+        solve, sign = classify.solve_axes, classify.signature_from_tensors
+        monkeypatch.setattr(classify, "solve_axes",
+                            lambda t, k, *args: read.append(k) or solve(t, k, *args))
+        monkeypatch.setattr(classify, "signature_from_tensors",
+                            lambda *args: signed.append(args) or sign(*args))
+        result = lu_equivalent(rho_a, rho_b)
+        assert (result.verdict, result.reason) == ("equivalent", AXIS_REASON)
+        assert np.max(np.abs(rotate_density(rho_a, result.witness).matrix - rho_b.matrix)) \
+            <= WITNESS_TOL
+        assert (read, signed) == (ranks, [])
 
 
 class TestChiralPairs:
