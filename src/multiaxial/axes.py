@@ -587,10 +587,10 @@ def _sylvester_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return index, weights, scale
 
 
-def root_structure(items) -> list[np.ndarray]:
-    """For each (coeffs, k, start) of ``items``, the axes of the rank-k polynomial
-    ``coeffs`` (ascending, formal degree 2k) as unit lines, one per row, an
-    m-fold axis as m equal rows, when it has a multiple root; else no rows.
+def root_structure(coeffs: np.ndarray, k: int, start: int) -> np.ndarray:
+    """The axes of the rank-k polynomial ``coeffs`` (ascending, formal degree
+    2k) as unit lines, one per row, an m-fold axis as m equal rows, when it
+    has a multiple root; else no rows.
 
     Stage 1 of Z. Zeng, "Computing multiple roots of inexact polynomials",
     Math. Comp. 74 (2005) 869.  With u = gcd(p, p'), p = u v and p' = u w,
@@ -600,64 +600,44 @@ def root_structure(items) -> list[np.ndarray]:
     of degree d is taken between Bombieri-weighted coefficients (c_i /
     sqrt(C(degree, i))), a norm rotations keep; where its smallest singular
     value is within ``STRUCTURE_NOISE`` eps / ||p|| of the largest, its null
-    vector gives v and w.  Roots with m_i near 0 (d above the true degree)
+    vector gives v and w (v's roots by ``np.roots``, the estimates by
+    ``np.polyval``).  Roots with m_i near 0 (d above the true degree)
     are dropped.  Of an odd number left, the one nearest Z = 0 has its
     antipode at infinity, which v leaves out.  Each root pairs with its
     nearest antipode, which has the same multiplicity, and each axis takes
     the mean of the two estimates.  The first d whose axis
     multiplicities lie within ``MULTIPLICITY_TOL`` of positive integers
-    that add up to k, not all 1, gives the structure.  The items sweep d in
-    lockstep, each with its own matrix and SVD; the singular ones of a step
-    share one ``_stacked_roots`` call for v and one ``_horner`` pass for
-    w / v', zero-padded and bit for bit as alone.
+    that add up to k, not all 1, gives the structure.
     """
-    out = [np.zeros((0, 3)) for _ in items]
-    sweeps = []  # (item, k, p' and -p stacked for the gather, noise level, d)
-    for i, (coeffs, k, start) in enumerate(items):
-        deriv = coeffs[1:] * np.arange(1, 2 * k + 1)
-        noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(2 * k))
-        if start < 2 * k:
-            sweeps.append((i, k, np.concatenate([deriv, [0], -np.append(coeffs, 0)]), noise, start))
-    while sweeps:
-        singular = []
-        for i, k, stacked, noise, d in sweeps:
-            index, weights, scale = _sylvester_table(2 * k, d)
-            _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
-            if not sv[-1] > noise * sv[0]:
-                singular.append((i, k, d, vh[-1].conj() * weights))
-        if singular:
-            width = max(d for _, _, d, _ in singular)
-            v_desc = np.zeros((len(singular), width + 1), dtype=complex)
-            columns = np.zeros((width, 2, len(singular), 1), dtype=complex)  # w and v', descending
-            for row, (_, _, d, null) in enumerate(singular):
-                v, w = null[: d + 1], null[d + 1:]
-                v_desc[row, width - d:] = v[::-1]
-                dv = v[1:] * np.arange(1, d + 1)
-                columns[width - d:, :, row, 0] = np.stack([w[::-1], dv[::-1]], axis=1)
-            roots, live = _stacked_roots(v_desc)
-            # an overflow far out gives nan, which counts as multiplicity 0
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                num, den = _horner(columns, roots)
-                estimates = num / den
-            for (i, k, _, _), z, est, mask in zip(singular, roots, estimates, live):
-                keep = mask & (np.abs(est) > 0.5)
-                z, est = z[keep], est[keep]
-                if len(z) % 2:  # the antipode of the root nearest 0 lies at infinity
-                    nearest = np.argmin(np.abs(z))
-                    z, est = np.append(z, np.inf), np.append(est, est[nearest])
-                u = _root_vectors(z)
-                heads, tails = np.array(_antipodal_pairs(u, math.inf), dtype=int).reshape(-1, 2).T
-                # an infinite estimate (v' = 0 at a root) gives nan, which fails below
-                with np.errstate(invalid="ignore"):
-                    mults = 0.5 * (est[heads] + est[tails])
-                counts = np.rint(np.real(mults))
-                if (np.all(np.abs(mults - counts) <= MULTIPLICITY_TOL)
-                        and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
-                    lines = u[heads] - u[tails]
-                    out[i] = np.repeat(lines / _row_norms(lines)[:, None], counts.astype(int), axis=0)
-        sweeps = [(i, k, stacked, noise, d + 1) for i, k, stacked, noise, d in sweeps
-                  if d + 1 < 2 * k and not len(out[i])]
-    return out
+    stacked = np.concatenate([coeffs[1:] * np.arange(1, 2 * k + 1), [0], -np.append(coeffs, 0)])
+    noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(2 * k))
+    for d in range(start, 2 * k):
+        index, weights, scale = _sylvester_table(2 * k, d)
+        _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
+        if sv[-1] > noise * sv[0]:
+            continue
+        null = vh[-1].conj() * weights
+        v, w = null[: d + 1], null[d + 1:]
+        z = np.roots(v[::-1])
+        # an overflow far out gives nan, which counts as multiplicity 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            est = np.polyval(w[::-1], z) / np.polyval((v[1:] * np.arange(1, d + 1))[::-1], z)
+        keep = np.abs(est) > 0.5
+        z, est = z[keep], est[keep]
+        if len(z) % 2:  # the antipode of the root nearest 0 lies at infinity
+            nearest = np.argmin(np.abs(z))
+            z, est = np.append(z, np.inf), np.append(est, est[nearest])
+        u = _root_vectors(z)
+        heads, tails = np.array(_antipodal_pairs(u, math.inf), dtype=int).reshape(-1, 2).T
+        # an infinite estimate (v' = 0 at a root) gives nan, which fails below
+        with np.errstate(invalid="ignore"):
+            mults = 0.5 * (est[heads] + est[tails])
+        counts = np.rint(np.real(mults))
+        if (np.all(np.abs(mults - counts) <= MULTIPLICITY_TOL)
+                and np.all(counts >= 1.0) and counts.sum() == k and np.any(counts > 1.0)):
+            lines = u[heads] - u[tails]
+            return np.repeat(lines / _row_norms(lines)[:, None], counts.astype(int), axis=0)
+    return np.zeros((0, 3))
 
 
 def solve_axes(
@@ -678,30 +658,27 @@ def _antipode_within(k: int, pair_tol: float) -> float:
     return max(pair_tol, 100.0 * np.finfo(float).eps ** (1.0 / max(2, k)))
 
 
-def _structures(t: SphericalTensorSet, items) -> dict[int, np.ndarray]:
-    """k -> ``root_structure`` lines of each (k, roots) of ``items`` with an
-    ill root, from one call; each sweep starts above its other roots."""
-    ill = [(k, roots) for k, roots in items if roots.ill]
-    return dict(zip([k for k, _ in ill], root_structure(
-        [(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1) for k, roots in ill])))
-
-
-def _proposals(k: int, roots: RankRoots, simple: tuple | None, structure: np.ndarray | None,
+def _proposals(t: SphericalTensorSet, k: int, roots: RankRoots, simple: tuple | None,
                pair_tol: float):
-    """The ordered axes to fit to one present rank, in turn, each paired with
-    whether a fit to it counts as settled (``RankDecomposition.settled``).
+    """The ordered axes to fit to one present rank k of ``t``, in turn, each
+    paired with whether a fit to it counts as settled
+    (``RankDecomposition.settled``).
 
     A rank whose axes the simple-axes pass read (``simple``, its roots' own
-    lines) has those as its only proposal.  Else come the structure stage's
-    lines, when some root is ill conditioned and the stage found a multiple
-    root; then one k-fold axis on z when every root was trimmed to a z axis,
-    or else the lines of the paired roots with the z axes beside them.
-    Lines closer than ``pair_tol`` are merged (``cluster_directions``)."""
+    lines) has those as its only proposal.  Else, when some root is ill
+    conditioned, the structure stage runs on the rank's MAR polynomial
+    (``root_structure``, from the trial degree above its other roots), and
+    its lines come first if it found a multiple root; then one k-fold axis
+    on z when every root was trimmed to a z axis, or else the lines of the
+    paired roots with the z axes beside them.  Lines closer than
+    ``pair_tol`` are merged (``cluster_directions``)."""
     if simple:
         yield simple, True
         return
-    if roots.ill and len(structure):
-        yield _ordered_axis_list(*cluster_directions(structure, pair_tol)), True
+    if roots.ill:
+        structure = root_structure(mar_polynomial(t, k), k, len(roots.vectors) - roots.ill + 1)
+        if len(structure):
+            yield _ordered_axis_list(*cluster_directions(structure, pair_tol)), True
     vectors = roots.vectors
     if not len(vectors):  # z_axes == k
         yield ((Axis((0.0, 0.0, 1.0)), k),), True
@@ -729,20 +706,19 @@ def solve_all_axes(
 
 def _solve(t: SphericalTensorSet, ks, zero_tol: float, pair_tol: float) -> list[RankDecomposition]:
     """The ``RankDecomposition`` of each rank of ``ks`` of ``t``, from one
-    root stage (``_root_stage``), one structure stage (``_structures``) and
-    one simple-axes pass (``_simple_axes``) over those ranks; each entry has
-    the bits of its rank's ``solve_axes``.
+    root stage (``_root_stage``) and one simple-axes pass (``_simple_axes``)
+    over those ranks; each entry has the bits of its rank's ``solve_axes``.
 
-    Each present rank then fits its ``_proposals`` in turn.  A fit within
+    Each present rank then fits its ``_proposals`` in turn; the structure
+    stage runs there, for one rank with an ill root at a time.  A fit within
     ``GATE_FLOOR`` is accepted as it stands; else the distinct axes are
     refined with their multiplicities held fixed, and the fit is accepted
     when it leaves a residual of at most pair_tol^2 ||t^k|| (about the
     residual of merging two axes pair_tol apart) plus ``GATE_FLOOR``.  The
     ranks are settled in order, so an error raised is the first failing
-    rank's own.
+    rank's own, and no rank after it runs the structure stage.
     """
     items = list(zip(ks, _root_stage(t, ks, zero_tol)))
-    structure = _structures(t, items)
     simple = _simple_axes(items, pair_tol)
     out = []
     for k, roots in items:
@@ -750,7 +726,7 @@ def _solve(t: SphericalTensorSet, ks, zero_tol: float, pair_tol: float) -> list[
             out.append(RankDecomposition(k, 0.0, ()))
             continue
         comp = t.rank_components(k)
-        for axes, settled in _proposals(k, roots, simple.get(k), structure.get(k), pair_tol):
+        for axes, settled in _proposals(t, k, roots, simple.get(k), pair_tol):
             r_k, residual = fit_rk(comp, axes)
             if residual > GATE_FLOOR:
                 axes = _refine_axes(comp, axes)

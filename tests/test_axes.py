@@ -761,32 +761,22 @@ class TestRootStage:
             assert stage[k - 1].ill == 0
             assert k not in _simple_axes(list(zip(ranks, stage)), PAIR_TOL)
 
-    def test_lockstep_structure_stage_equals_one_call_per_rank(self, monkeypatch):
-        # every present rank from trial degree 1 and again from k, so that a
-        # step meets v of different degrees, zero-padded to one stack
-        stacks = []
+    def test_rank_without_ill_roots_runs_no_structure_stage(self, monkeypatch):
+        # only a rank with an ill root asks for a structure proposal, and a
+        # random mixed state has none
+        calls = []
 
-        def recording(coeffs):
-            stacks.append(coeffs)
-            return _stacked_roots(coeffs)
+        def recording(*args):
+            calls.append(args)
+            return root_structure(*args)
 
-        monkeypatch.setattr(axes_module, "_stacked_roots", recording)
-        states = [(name, t) for name, t in _root_stage_states(family_twojs=range(2, 21))
-                  if not name.startswith(("mixed", "pure"))]
-        # ill roots and no multiple root: each sweep runs to d = 2k - 1
-        states += [(name, t) for name, t, _ in _deferring_inputs() if name.startswith("two-coherent")]
-        found = 0
-        for name, t in states:
-            ks = [k for k in range(1, t.max_rank + 1)
-                  if np.max(np.abs(t.rank_components(k))) >= ZERO_TOL]
-            items = [(mar_polynomial(t, k), k, start) for k in ks for start in (1, k)]
-            together = root_structure(items)
-            for item, lines in zip(items, together):
-                (alone,) = root_structure([item])
-                assert lines.shape == alone.shape and lines.tobytes() == alone.tobytes(), (name, item[1:])
-                found += len(lines) > 0
-        padded = sum(int(np.count_nonzero(c[:, 0] == 0.0)) for c in stacks)
-        assert found > 2000 and padded > 2000
+        monkeypatch.setattr(axes_module, "root_structure", recording)
+        g = np.random.default_rng(5).normal(size=(21, 21, 2)) @ [1.0, 1j]
+        rho = g @ g.conj().T
+        t = extract_tensors(DensityMatrix(HalfInteger(20), rho / np.trace(rho).real))
+        assert not any(s.ill for s in _root_stage(t, range(1, 21), ZERO_TOL))
+        assert all(r.present for r in solve_all_axes(t))
+        assert calls == []
 
     @pytest.mark.parametrize("name", ["coherent-turned", "w", "dicke"])
     def test_family_state_defers_no_rank(self, monkeypatch, name):
@@ -996,7 +986,7 @@ class TestRootStructure:
             for k in range(2, twoj + 1):
                 if np.max(np.abs(t.rank_components(k))) < ZERO_TOL:
                     continue
-                (lines,) = root_structure([(mar_polynomial(t, k), k, 1)])
+                lines = root_structure(mar_polynomial(t, k), k, 1)
                 if psi is ghz and k == twoj:
                     if twoj % 2:
                         assert lines.shape == (0, 3)
@@ -1012,7 +1002,7 @@ class TestRootStructure:
         rho = g @ g.conj().T
         t = extract_tensors(DensityMatrix(HalfInteger(11), rho / np.trace(rho).real))
         for k in range(1, 12):
-            assert root_structure([(mar_polynomial(t, k), k, 1)])[0].shape == (0, 3)
+            assert root_structure(mar_polynomial(t, k), k, 1).shape == (0, 3)
 
     @pytest.mark.parametrize("mults", [(1, 2), (2, 1), (3, 1, 1), (1, 2, 2)])
     def test_axis_on_z_takes_the_root_at_infinity(self, mults):
@@ -1023,7 +1013,7 @@ class TestRootStructure:
         vectors = np.repeat(axes, mults, axis=0)
         coeffs = (axis_tensor(vectors) * _sqrt_binomials(2 * len(vectors)))[::-1]  # as mar_polynomial
         assert coeffs[-1] == 0.0
-        _assert_lines_on(root_structure([(coeffs, len(vectors), 1)])[0], vectors)
+        _assert_lines_on(root_structure(coeffs, len(vectors), 1), vectors)
 
     @pytest.mark.parametrize("k", [4, 9])
     def test_start_beyond_the_distinct_roots(self, k):
@@ -1035,8 +1025,8 @@ class TestRootStructure:
         coeffs = mar_polynomial(t, k)
         expected = np.tile(_zyz(g) @ _vector(0.7, 1.3), (k, 1))
         for start in range(1, 2 * k):
-            _assert_lines_on(root_structure([(coeffs, k, start)])[0], expected)
-        assert root_structure([(coeffs, k, 2 * k)])[0].shape == (0, 3)
+            _assert_lines_on(root_structure(coeffs, k, start), expected)
+        assert root_structure(coeffs, k, 2 * k).shape == (0, 3)
 
     def test_infinite_multiplicity_estimate_warns_nothing(self):
         # v' exactly 0 at a root makes the estimate w / v' complex infinity;
@@ -1048,10 +1038,10 @@ class TestRootStructure:
             item = (mar_polynomial(t, k), k, k)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                (quiet,) = root_structure([item])
+                quiet = root_structure(*item)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                (strict,) = root_structure([item])
+                strict = root_structure(*item)
             assert strict.shape == quiet.shape and strict.tobytes() == quiet.tobytes(), k
 
 
@@ -1073,7 +1063,7 @@ class TestSylvesterMatrix:
         for k in range(1, 21):
             coeffs = rng.normal(size=2 * k + 1) + 1j * rng.normal(size=2 * k + 1)
             seen.clear()
-            assert root_structure([(coeffs, k, 1)])[0].shape == (0, 3)
+            assert root_structure(coeffs, k, 1).shape == (0, 3)
             assert len(seen) == 2 * k - 1
             for d, matrix in enumerate(seen, 1):
                 reference = sylvester_matrix_reference(coeffs, d)

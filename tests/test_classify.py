@@ -45,7 +45,8 @@ from multiaxial.families import (
 )
 from multiaxial.cli import build_report
 from multiaxial.fano import extract_tensors
-from multiaxial.axes import DegenerateFitError, solve_axes
+from multiaxial import axes as axes_module
+from multiaxial.axes import DegenerateFitError, root_structure, solve_axes
 from multiaxial.halfint import HalfInteger
 from multiaxial.states import (
     DensityMatrix,
@@ -779,11 +780,20 @@ class TestHighMultiplicity:
         rho = self._coherent_mixture()
         self._frame_equivalent(rho, rotate_density(rho, EulerAngles(0.9, 2.2, 4.1)))
 
-    def test_coherent_mixture_signature_raises(self):
+    def test_coherent_mixture_signature_raises(self, monkeypatch):
         # ROADMAP item 2: rank 15 fits no axis structure (residual 3.19e-12
-        # against a gate of 6.45e-14), so analyze still exits 2 on this state
-        with pytest.raises(DegenerateFitError):
+        # against a gate of 6.45e-14), so analyze still exits 2 on this state;
+        # the structure stage runs rank by rank, so it stops there too
+        ranks = []
+
+        def recording(coeffs, k, start):
+            ranks.append(k)
+            return root_structure(coeffs, k, start)
+
+        monkeypatch.setattr(axes_module, "root_structure", recording)
+        with pytest.raises(DegenerateFitError, match="rank 15"):
             class_signature(self._coherent_mixture())
+        assert ranks and max(ranks) == 15
 
 
 def _platonic_vertices() -> dict:

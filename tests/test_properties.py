@@ -419,9 +419,10 @@ def test_crowded_state_is_not_equivalent_to_a_moved_copy():
 
 def test_seed_596_top_rank_and_rotated_copy():
     # Multiplicities 5, 5, 3, 6 at 2j = 19: the middle ranks have crowded roots,
-    # and the structure stage tries 241 degrees in 23 calls over the two
-    # signatures (this state and the turned copy) before those roots fit as
-    # distinct axes.  The two signatures took 0.66 s with the Sylvester
+    # and the structure stage tries 241 trial degrees in 23 one-rank calls
+    # over the signatures of this state and of the turned copy (11 and 12
+    # ranks) before those roots fit as distinct axes; the compare below runs
+    # no structure stage.  The two signatures took 0.66 s with the Sylvester
     # matrix rebuilt per degree and 0.60 s with it gathered from a cached
     # table, root_structure 208 -> 172 ms (medians of 5 alternated runs,
     # 2 vCPUs, one BLAS thread).  No time bound: at the orientation the
