@@ -34,7 +34,6 @@ def _check_spin(j: HalfInteger) -> None:
         raise SpinTooLargeError(f"spin {j} exceeds supported maximum {MAX_SPIN}")
 
 
-@lru_cache(maxsize=100_000)
 def _cg_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> float:
     """Exact Racah sum for <j1 m1 j2 m2 | j3 m3>, arguments doubled."""
     if tm1 + tm2 != tm3:

@@ -326,7 +326,8 @@ def cluster_directions(lines: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
 
 @lru_cache(maxsize=None)
 def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an n x n array."""
+    """Row and column indices of the strict upper triangle of an n x n array.
+    Callers pass n <= 2j + 1, so the spin cap bounds the cache."""
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
@@ -613,7 +614,10 @@ def root_structure(coeffs: np.ndarray, k: int, start: int) -> np.ndarray:
     noise = STRUCTURE_NOISE * np.finfo(float).eps / np.linalg.norm(coeffs / _sqrt_binomials(2 * k))
     for d in range(start, 2 * k):
         index, weights, scale = _sylvester_table(2 * k, d)
-        _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
+        try:
+            _, sv, vh = np.linalg.svd(stacked[index] * weights / scale, full_matrices=False)
+        except np.linalg.LinAlgError:  # LAPACK did not converge: no reading at this degree
+            continue
         if sv[-1] > noise * sv[0]:
             continue
         null = vh[-1].conj() * weights
@@ -807,5 +811,5 @@ def pairwise_invariants(decompositions: list[RankDecomposition]) -> list[float]:
     if sum(mults) < 2:
         return []
     v = np.repeat(np.array([axis.vector for axis, _ in axes]), mults, axis=0)
-    rows, cols = _upper_indices(len(v))
-    return np.sort(np.minimum(1.0, np.abs(v @ v.T)[rows, cols]))[::-1].tolist()
+    upper = ~np.tri(len(v), dtype=bool)  # the strict upper triangle
+    return np.sort(np.minimum(1.0, np.abs(v @ v.T)[upper]))[::-1].tolist()

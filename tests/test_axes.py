@@ -24,6 +24,7 @@ from multiaxial.axes import (
     Axis,
     AxisPairingError,
     DegenerateFitError,
+    RankDecomposition,
     _fit_residual,
     _polish_roots,
     _refine_axes,
@@ -379,6 +380,27 @@ class TestInvariantsAndRigidity:
         t = extract_tensors(pure_to_density(make_w(3)))
         values = pairwise_invariants(solve_all_axes(t))
         assert np.allclose(values, 1.0, atol=1e-8)
+
+    def test_pairwise_equals_index_gather_bit_for_bit(self):
+        # the reference gathers the strict upper triangle by np.triu_indices;
+        # the multiplicities repeat some vectors, and the cache of small
+        # index pairs is not asked for any count
+        rng = np.random.default_rng(49)
+        before = axes_module._upper_indices.cache_info()
+        for count in range(211):
+            mults = []
+            while sum(mults) < count:
+                mults.append(min(int(rng.integers(1, 4)), count - sum(mults)))
+            u = rng.normal(size=(len(mults), 3))
+            axes = tuple((Axis.from_vector(v / np.linalg.norm(v)), m) for v, m in zip(u, mults))
+            half = len(axes) // 2
+            decomps = [RankDecomposition(1, 1.0, axes[:half]), RankDecomposition(2, 1.0, axes[half:])]
+            v = np.repeat(np.array([a.vector for a, _ in axes]).reshape(-1, 3), mults, axis=0)
+            rows, cols = np.triu_indices(count, 1)
+            expected = np.sort(np.minimum(1.0, np.abs(v @ v.T)[rows, cols]))[::-1]
+            values = np.array(pairwise_invariants(decomps), dtype=float)
+            assert values.tobytes() == expected.tobytes(), count
+        assert axes_module._upper_indices.cache_info() == before
 
     def test_rotation_rigidity(self):
         rng = np.random.default_rng(27)
@@ -1027,6 +1049,25 @@ class TestRootStructure:
         for start in range(1, 2 * k):
             _assert_lines_on(root_structure(coeffs, k, start), expected)
         assert root_structure(coeffs, k, 2 * k).shape == (0, 3)
+
+    def test_degree_whose_svd_does_not_converge_is_skipped(self, monkeypatch):
+        # LAPACK's SVD failed to converge on a finite matrix of a drawn pure
+        # 2j = 14 state (rank 10); the sweep goes on to the next degree
+        g = EulerAngles(0.4, 1.1, 2.3)
+        t = extract_tensors(pure_to_density(rotate_pure(make_coherent(_h(6), 0.7, 1.3), g)))
+        coeffs = mar_polynomial(t, 4)
+        svd = np.linalg.svd
+        failing = iter([True])
+
+        def failing_svd(a, **kwargs):
+            if next(failing, False):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        _assert_lines_on(root_structure(coeffs, 4, 1), np.tile(_zyz(g) @ _vector(0.7, 1.3), (4, 1)))
+        failing = iter([True] * 7)  # every degree d = 1 .. 7
+        assert root_structure(coeffs, 4, 1).shape == (0, 3)
 
     def test_infinite_multiplicity_estimate_warns_nothing(self):
         # v' exactly 0 at a root makes the estimate w / v' complex infinity;

@@ -10,6 +10,7 @@ from oracles import reconstruct_density, tau_table_reference
 
 from multiaxial.angular import SpinTooLargeError, tau_matrix, wigner_d_matrix
 from multiaxial.families import make_bell, make_ghz, make_w
+from multiaxial import fano
 from multiaxial.fano import _tau_table, extract_tensors
 from multiaxial.halfint import HalfInteger, dimension
 from multiaxial.states import (
@@ -185,6 +186,21 @@ class TestTauTable:
             assert index.tobytes() == ref_index.tobytes(), twice_j
             assert weight.tobytes() == ref_weight.tobytes(), twice_j
             assert not index.flags.writeable and not weight.flags.writeable
+
+    def test_no_coefficient_is_asked_for_twice(self, monkeypatch):
+        # every table takes each Racah sum once, so a memo of _cg_twice
+        # would never be read again
+        seen = []
+        cg_twice = fano._cg_twice
+
+        def recording(*args):
+            seen.append(args)
+            return cg_twice(*args)
+
+        monkeypatch.setattr(fano, "_cg_twice", recording)
+        for twice_j in range(1, 21):
+            fano._tau_table.__wrapped__(twice_j)
+        assert seen and len(set(seen)) == len(seen)
 
     def test_spin_cap_still_raises(self):
         with pytest.raises(SpinTooLargeError):
